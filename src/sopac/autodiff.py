@@ -405,6 +405,12 @@ def rmsprop_init(params: ParamSet) -> OptimizerState:
     return OptimizerState(acc={k: np.zeros_like(v.data) for k, v in params.items()})
 
 
+def check_rmsprop(lr: float, alpha: float, eps: float) -> None:
+    """Reject hyperparameters outside lr > 0, 0 < alpha < 1, eps > 0."""
+    if not (lr > 0.0 and 0.0 < alpha < 1.0 and eps > 0.0):
+        raise ValueError(f"bad RMSProp hyperparameters lr={lr} alpha={alpha} eps={eps}")
+
+
 def rmsprop_step(
     params: ParamSet,
     grads: ParamSet,
@@ -414,8 +420,7 @@ def rmsprop_step(
     eps: float = 1e-5,
 ) -> tuple[ParamSet, OptimizerState]:
     """One RMSProp update: acc' = a*acc + (1-a)*g^2, p' = p - lr*g/sqrt(acc'+eps)."""
-    if not (lr > 0.0 and 0.0 < alpha < 1.0 and eps > 0.0):
-        raise ValueError(f"bad RMSProp hyperparameters lr={lr} alpha={alpha} eps={eps}")
+    check_rmsprop(lr, alpha, eps)
     if params.names() != grads.names():
         raise ValueError(
             f"gradient keys {grads.names()} do not match parameters {params.names()}"

@@ -13,7 +13,9 @@ differ in input layout and head width:
   bit-identical estimates no matter which agent asks, and the full n x m
   counterfactual table is evaluated in one stacked forward pass.
 
-Field order inside each layout is fixed and part of the tested contract.
+Field order inside each layout is fixed and part of the tested contract; it
+is written down only in the three layout constructors. ``encode`` packs
+every critic input, single or batched, by field name.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from . import autodiff as ad
 from .autodiff import ParamSet, ShapeError, Tensor
 
 Array = np.ndarray
-
-CRITIC_KINDS = ("centralv", "coma", "coma-cc")
-
 
 @dataclass(frozen=True)
 class CriticInputLayout:
@@ -51,6 +50,11 @@ class CriticInputLayout:
         return out
 
     def pack(self, **parts: Array) -> Array:
+        """Concatenate the fields in layout order along the last axis.
+
+        Parts may carry leading dimensions; these broadcast against each
+        other, so a per-step field can be shared by per-agent rows.
+        """
         if set(parts) != {name for name, _ in self.fields}:
             raise ShapeError(
                 f"{self.kind} layout expects fields "
@@ -58,17 +62,14 @@ class CriticInputLayout:
             )
         pieces = []
         for name, width in self.fields:
-            arr = np.asarray(parts[name], dtype=np.float64).reshape(-1)
-            if arr.size != width:
-                raise ShapeError(f"field {name!r} has size {arr.size}, expected {width}")
+            arr = np.asarray(parts[name], dtype=np.float64)
+            if arr.shape[-1:] != (width,):
+                raise ShapeError(f"field {name!r} has shape {arr.shape}, expected width {width}")
             pieces.append(arr)
-        return np.concatenate(pieces)
-
-    def unpack(self, vector: Array) -> dict[str, Array]:
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vector.size != self.width:
-            raise ShapeError(f"vector width {vector.size} != layout width {self.width}")
-        return {name: vector[sl].copy() for name, sl in self.slices().items()}
+        out = np.empty((*np.broadcast_shapes(*(p.shape[:-1] for p in pieces)), self.width))
+        for sl, arr in zip(self.slices().values(), pieces):
+            out[..., sl] = arr
+        return out
 
 
 def centralv_layout(state_width: int) -> CriticInputLayout:
@@ -100,6 +101,16 @@ def comacc_layout(state_width: int, obs_width: int, n: int, m: int) -> CriticInp
     )
 
 
+def layout_for(algo: str, state_width: int, obs_width: int, n: int, m: int) -> CriticInputLayout:
+    if algo == "centralv":
+        return centralv_layout(state_width)
+    if algo == "coma":
+        return coma_layout(state_width, obs_width, n, m)
+    if algo == "coma-cc":
+        return comacc_layout(state_width, obs_width, n, m)
+    raise ValueError(f"unknown algorithm {algo!r}")
+
+
 def critic_init(
     rng: np.random.Generator,
     in_width: int,
@@ -118,19 +129,13 @@ def critic_forward(params: ParamSet, inputs) -> Tensor:
 
 
 def joint_one_hot(actions, m: int) -> Array:
-    """Concatenated per-agent one-hots; supports leading batch dimensions."""
+    """Concatenated per-agent one-hots; supports leading batch dimensions.
+
+    An action of -1 (no previous action) encodes as an all-zero block.
+    """
     actions = np.asarray(actions, dtype=np.int64)
-    n = actions.shape[-1]
-    flat = actions.reshape(-1, n)
-    out = np.zeros((flat.shape[0], n * m), dtype=np.float64)
-    rows = np.arange(flat.shape[0])[:, None]
-    out[rows, np.arange(n)[None, :] * m + flat] = 1.0
-    return out.reshape(*actions.shape[:-1], n * m)
-
-
-def zero_joint_one_hot(n: int, m: int) -> Array:
-    """Encoding of "no previous joint action" (the all-zeros block)."""
-    return np.zeros(n * m, dtype=np.float64)
+    one_hot = (actions[..., None] == np.arange(m)).astype(np.float64)
+    return one_hot.reshape(*actions.shape[:-1], actions.shape[-1] * m)
 
 
 def mask_own_block(joint_oh: Array, agent: int, m: int) -> Array:
@@ -140,10 +145,57 @@ def mask_own_block(joint_oh: Array, agent: int, m: int) -> Array:
     return out
 
 
-def agent_one_hot(agent: int, n: int) -> Array:
-    out = np.zeros(n, dtype=np.float64)
-    out[agent] = 1.0
+# ---------------------------------------------------------------------------
+# Input encoding
+
+
+def encode(layout: CriticInputLayout, state: Array, obs: Array,
+           prev_actions: Array, actions: Array) -> Array:
+    """Critic inputs for any shared leading shape ``...``.
+
+    ``state`` is (..., state_width), ``obs`` (..., n, obs_width), and
+    ``prev_actions`` / ``actions`` are (..., n) action indices; a previous
+    action of -1 (the first step) encodes as the all-zero block. Returns
+    (..., W), or (..., n, W) for ``coma``, whose row a is agent a's input.
+    """
+    state = np.asarray(state, dtype=np.float64)
+    if layout.kind == "centralv":
+        return layout.pack(state=state)
+    obs = np.asarray(obs, dtype=np.float64)
+    n = obs.shape[-2]
+    m = dict(layout.fields)["prev_joint"] // n
+    prev = joint_one_hot(prev_actions, m)
+    joint = joint_one_hot(actions, m)
+    if layout.kind == "coma-cc":
+        return layout.pack(state=state, all_obs=obs.reshape(*obs.shape[:-2], -1),
+                           prev_joint=prev, joint=joint)
+    others = np.stack([mask_own_block(joint, a, m) for a in range(n)], axis=-2)
+    return layout.pack(state=state[..., None, :], obs=obs,
+                       prev_joint=prev[..., None, :], joint_others=others,
+                       agent_id=np.eye(n))
+
+
+def counterfactual_inputs(layout: CriticInputLayout, inputs: Array, m: int) -> Array:
+    """(..., n, m, W) copies of packed ``coma-cc`` inputs (..., W) in which
+    row (a, u) replaces agent a's block of the current joint action by u."""
+    joint = layout.slices()["joint"]
+    n = (joint.stop - joint.start) // m
+    out = np.broadcast_to(inputs[..., None, None, :], (*inputs.shape[:-1], n, m, layout.width)).copy()
+    for a in range(n):
+        start = joint.start + a * m
+        out[..., a, :, start:start + m] = np.eye(m)
     return out
+
+
+def _single_input(algo: str, state: Array, obs: Array, prev_joint: Array | None,
+                  joint_action: Sequence[int], m: int) -> tuple[CriticInputLayout, Array]:
+    """Layout and encoded input of one step; ``obs`` flattens to (n, obs_width)."""
+    actions = np.asarray(joint_action, dtype=np.int64)
+    n = actions.shape[0]
+    obs = np.asarray(obs, dtype=np.float64).reshape(n, -1)
+    prev = np.full(n, -1) if prev_joint is None else prev_joint
+    layout = layout_for(algo, np.asarray(state).size, obs.shape[-1], n, m)
+    return layout, encode(layout, state, obs, prev, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +204,8 @@ def agent_one_hot(agent: int, n: int) -> Array:
 
 def v_value(params: ParamSet, state: Array) -> float:
     """Scalar state value from the centralised V critic."""
-    out = _forward_single(params, np.asarray(state, dtype=np.float64))
+    state = np.asarray(state, dtype=np.float64)
+    out = _forward_single(params, centralv_layout(state.size).pack(state=state))
     return float(out[0])
 
 
@@ -171,18 +224,10 @@ def coma_counterfactual_qs(
     first step (encoded as the all-zeros block). The agent's own block in the
     current joint action is zeroed before it enters the network.
     """
-    actions = np.asarray(joint_action, dtype=np.int64)
-    n = actions.shape[0]
-    prev = zero_joint_one_hot(n, m) if prev_joint is None else joint_one_hot(prev_joint, m)
-    layout = coma_layout(np.asarray(state).size, np.asarray(obs_a).size, n, m)
-    vec = layout.pack(
-        state=state,
-        obs=obs_a,
-        prev_joint=prev,
-        joint_others=mask_own_block(joint_one_hot(actions, m), agent, m),
-        agent_id=agent_one_hot(agent, n),
-    )
-    return _forward_single(params, vec)
+    # Every agent's row gets obs_a; only row ``agent`` is forwarded.
+    obs = np.tile(np.ravel(obs_a), (len(joint_action), 1))
+    _, rows = _single_input("coma", state, obs, prev_joint, joint_action, m)
+    return _forward_single(params, rows[agent])
 
 
 def comacc_q(
@@ -194,7 +239,7 @@ def comacc_q(
     m: int,
 ) -> float:
     """Consistent joint-action value: a pure function of the shared inputs."""
-    vec = _comacc_vector(state, all_obs, prev_joint, joint_action, m)
+    _, vec = _single_input("coma-cc", state, all_obs, prev_joint, joint_action, m)
     return float(_forward_single(params, vec)[0])
 
 
@@ -225,15 +270,10 @@ def comacc_counterfactual_table(
     """
     actions = np.asarray(joint_action, dtype=np.int64)
     n = actions.shape[0]
-    rows = []
-    for agent in range(n):
-        for action in range(m):
-            counter = actions.copy()
-            counter[agent] = action
-            rows.append(_comacc_vector(state, all_obs, prev_joint, counter, m))
-    stacked = np.stack(rows)
+    layout, vec = _single_input("coma-cc", state, all_obs, prev_joint, actions, m)
+    rows = counterfactual_inputs(layout, vec, m).reshape(n * m, layout.width)
     with ad.no_grad():
-        out = critic_forward(params, stacked).data[:, 0]
+        out = critic_forward(params, rows).data[:, 0]
     return CounterfactualQTable(values=out.reshape(n, m), taken=actions.copy())
 
 
@@ -256,16 +296,3 @@ def _forward_single(params: ParamSet, vector: Array) -> Array:
         out = critic_forward(params, vector.reshape(1, -1))
     return out.data[0]
 
-
-def _comacc_vector(state, all_obs, prev_joint, joint_action, m: int) -> Array:
-    actions = np.asarray(joint_action, dtype=np.int64)
-    n = actions.shape[0]
-    all_obs = np.asarray(all_obs, dtype=np.float64)
-    prev = zero_joint_one_hot(n, m) if prev_joint is None else joint_one_hot(prev_joint, m)
-    layout = comacc_layout(np.asarray(state).size, all_obs.size // n, n, m)
-    return layout.pack(
-        state=state,
-        all_obs=all_obs,
-        prev_joint=prev,
-        joint=joint_one_hot(actions, m),
-    )

@@ -381,13 +381,19 @@ def _adjacent(a: Cell, b: Cell) -> bool:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
 
-def make_env(name: str, env_config: dict | None = None):
-    """Construct an environment by name ("switch" or "capture")."""
+def make_env_config(name: str, env_config: dict | None = None):
+    """Validated configuration of an environment by name ("switch" or "capture")."""
     env_config = dict(env_config or {})
     if name == "switch":
         if "payoff" in env_config:
             env_config["payoff"] = tuple(tuple(row) for row in env_config["payoff"])
-        return SwitchGame(SwitchGameConfig(**env_config))
+        return SwitchGameConfig(**env_config)
     if name == "capture":
-        return CaptureGrid(CaptureGridConfig(**env_config))
+        return CaptureGridConfig(**env_config)
     raise ValueError(f"unknown environment {name!r}")
+
+
+def make_env(name: str, env_config: dict | None = None):
+    """Construct an environment by name ("switch" or "capture")."""
+    config = make_env_config(name, env_config)
+    return SwitchGame(config) if name == "switch" else CaptureGrid(config)

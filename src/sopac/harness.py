@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .autodiff import ParamSet
-from .envs import make_env
+from .autodiff import ParamSet, check_rmsprop
+from .envs import make_env, make_env_config
 from .learn import LearnConfig, Trainer
 from .policy import ActorConfig, EpsilonSchedule, epsilon_at
 from .rollout import rollout_episode, sample_episode_fn
@@ -88,20 +88,28 @@ class RunConfig:
             problems.append(f"sop must be one of {SOP_MODES}, got {self.sop!r}")
         if self.critic_schedule not in SCHEDULES:
             problems.append(f"critic-schedule must be one of {SCHEDULES}")
-        if self.batch_size < 1:
-            problems.append("batch_size must be >= 1")
-        if self.eval_interval < 1:
-            problems.append("eval_interval must be positive")
-        if self.eval_episodes < 1:
-            problems.append("eval_episodes must be positive")
-        if self.total_steps < 1:
-            problems.append("total_steps must be positive")
+        for name in ("batch_size", "total_steps", "eval_interval", "eval_episodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                problems.append(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 <= self.lam <= 1.0:
             problems.append("lambda must lie in [0, 1]")
+        if not 0.0 < self.gamma <= 1.0:
+            problems.append("gamma must lie in (0, 1]")
         if self.kl_threshold < 0.0:
             problems.append("kl_threshold must be nonnegative")
+        if not isinstance(self.env_config, dict):
+            problems.append("env_config must be a mapping")
+        elif self.env in ENVS:
+            problems += _failures(make_env_config, self.env, self.env_config)
+        problems += _failures(lambda: self.schedule)
+        problems += _failures(check_rmsprop, self.lr, self.rms_alpha, self.rms_eps)
         if problems:
             raise ConfigError("; ".join(problems))
+
+    @property
+    def schedule(self) -> EpsilonSchedule:
+        return EpsilonSchedule(self.eps_start, self.eps_end, self.eps_anneal_steps)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -130,6 +138,15 @@ class RunConfig:
     def sha256(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _failures(build, *args) -> list[str]:
+    """The message of the ValueError or TypeError ``build(*args)`` raises, if any."""
+    try:
+        build(*args)
+    except (TypeError, ValueError) as exc:
+        return [str(exc)]
+    return []
 
 
 def load_config(path: str | Path) -> dict:
@@ -231,7 +248,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
     env = make_env(cfg.env, cfg.env_config)
     eval_env = make_env(cfg.env, cfg.env_config)
     trainer = build_trainer(cfg, env)
-    schedule = EpsilonSchedule(cfg.eps_start, cfg.eps_end, cfg.eps_anneal_steps)
+    schedule = cfg.schedule
     sample = sample_episode_fn(env, trainer.actor_cfg, schedule, cfg.seed)
     grid = eval_grid(cfg.total_steps, cfg.eval_interval)
 

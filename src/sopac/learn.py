@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import critic as cr
 from .autodiff import NumericError, OptimizerState, ParamSet, Tensor
-from .policy import ActorConfig, actor_cell, actor_init, masked_epsilon_probs
+from .policy import ActorConfig, actor_cell, actor_init, actor_inputs, masked_epsilon_probs
 
 Array = np.ndarray
 
@@ -88,6 +88,13 @@ class Batch:
     @property
     def max_length(self) -> int:
         return self.states.shape[1]
+
+    @property
+    def prev_actions(self) -> Array:
+        """(B, T, n) previous joint actions; -1 at every episode's first step."""
+        prev = np.full_like(self.actions, -1)
+        prev[:, 1:] = self.actions[:, :-1]
+        return prev
 
     @classmethod
     def from_episodes(cls, episodes: Sequence[Episode]) -> "Batch":
@@ -242,15 +249,9 @@ def _tick_target(state: TargetNetState, online: ParamSet) -> TargetNetState:
 
 def actor_step_inputs(batch: Batch, cfg: ActorConfig) -> Array:
     """(T, B*n, input_width) actor inputs, rows ordered episode-major."""
-    b, t_max, n, m = batch.dists.shape
-    ids = np.tile(np.eye(n), (b, 1))
-    out = np.zeros((t_max, b * n, cfg.input_width))
-    for t in range(t_max):
-        obs_rows = batch.obs[:, t].reshape(b * n, -1)
-        prev = np.zeros((b, n * m)) if t == 0 else cr.joint_one_hot(batch.actions[:, t - 1], m)
-        prev_rows = prev.reshape(b, n, m)[:, :, :].reshape(b * n, m)
-        out[t] = np.concatenate([obs_rows, prev_rows, ids], axis=1)
-    return out
+    b, t_max, n, _ = batch.dists.shape
+    rows = actor_inputs(cfg, batch.obs.swapaxes(0, 1), batch.prev_actions.swapaxes(0, 1))
+    return rows.reshape(t_max, b * n, cfg.input_width)
 
 
 def unroll_policy(params: ParamSet, cfg: ActorConfig, batch: Batch) -> list[Tensor]:
@@ -260,6 +261,8 @@ def unroll_policy(params: ParamSet, cfg: ActorConfig, batch: Batch) -> list[Tens
     the probabilities are wanted as constants.
     """
     b, t_max, n, m = batch.dists.shape
+    if not ((batch.epsilons >= 0.0) & (batch.epsilons <= 1.0)).all():
+        raise ValueError("stored epsilons must lie in [0, 1]")
     inputs = actor_step_inputs(batch, cfg)
     eps_rows = np.repeat(batch.epsilons, n, axis=0).reshape(b, n, t_max)
     hidden: Tensor | Array = np.zeros((b * n, cfg.gru_hidden))
@@ -280,38 +283,22 @@ def batch_policy_probs(params: ParamSet, cfg: ActorConfig, batch: Batch) -> Arra
     return np.stack([p.data.reshape(b, n, m) for p in probs], axis=1)
 
 
+def _batch_layout(batch: Batch, algo: str) -> cr.CriticInputLayout:
+    _, _, n, m = batch.dists.shape
+    return cr.layout_for(algo, batch.states.shape[-1], batch.obs.shape[-1], n, m)
+
+
 def critic_batch_inputs(batch: Batch, algo: str) -> Array:
     """Per-step critic inputs: (B,T,W) for centralv/coma-cc, (B,T,n,W) for coma."""
-    b, t_max, n, m = batch.dists.shape
-    if algo == "centralv":
-        return batch.states
-    prev = np.zeros((b, t_max, n * m))
-    prev[:, 1:] = cr.joint_one_hot(batch.actions[:, :-1], m)
-    now = cr.joint_one_hot(batch.actions, m)
-    if algo == "coma-cc":
-        flat_obs = batch.obs.reshape(b, t_max, -1)
-        return np.concatenate([batch.states, flat_obs, prev, now], axis=-1)
-    if algo == "coma":
-        parts = []
-        state_rep = np.broadcast_to(batch.states[:, :, None, :], (b, t_max, n, batch.states.shape[-1]))
-        prev_rep = np.broadcast_to(prev[:, :, None, :], (b, t_max, n, n * m))
-        masked = np.stack([cr.mask_own_block(now, a, m) for a in range(n)], axis=2)
-        ids = np.broadcast_to(np.eye(n), (b, t_max, n, n))
-        return np.concatenate([state_rep, batch.obs, prev_rep, masked, ids], axis=-1)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return cr.encode(_batch_layout(batch, algo), batch.states, batch.obs,
+                     batch.prev_actions, batch.actions)
 
 
 def comacc_counterfactual_batch_inputs(batch: Batch) -> Array:
     """(B, T, n, m, W) inputs varying one agent's action per row."""
-    b, t_max, n, m = batch.dists.shape
-    base = critic_batch_inputs(batch, "coma-cc")
-    w = base.shape[-1]
-    out = np.broadcast_to(base[:, :, None, None, :], (b, t_max, n, m, w)).copy()
-    joint_off = w - n * m  # current joint action occupies the final block
-    for a in range(n):
-        block = slice(joint_off + a * m, joint_off + (a + 1) * m)
-        out[:, :, a, :, block] = np.eye(m)
-    return out
+    layout = _batch_layout(batch, "coma-cc")
+    return cr.counterfactual_inputs(layout, critic_batch_inputs(batch, "coma-cc"),
+                                    batch.dists.shape[-1])
 
 
 def _critic_values(params: ParamSet, inputs: Array, actions: Array | None) -> Tensor:
@@ -421,15 +408,15 @@ def compute_advantages(
         with ad.no_grad():
             values = _critic_values(critic_params, inputs, None).data.reshape(b, t_max)
         gamma_adv = 1.0 if gamma_adv_one else gamma
-        adv = np.zeros((b, t_max))
-        for i, length in enumerate(batch.lengths):
-            length = int(length)
-            for t in range(length):
-                v_next = values[i, t + 1] if t + 1 < length else 0.0
-                adv[i, t] = centralv_advantage(
-                    batch.rewards[i, t], values[i, t], v_next,
-                    gamma_adv, terminal=t + 1 >= length,
-                )
+        v_next = np.zeros_like(values)
+        v_next[:, :-1] = values[:, 1:]
+        steps = np.arange(t_max)[None, :]
+        lengths = batch.lengths[:, None]
+        # The operations of centralv_advantage, in its order. np.where sets the
+        # terminal bootstrap term and padded entries to exactly +0.0, where
+        # masking by a product could give -0.0.
+        future = np.where(steps + 1 >= lengths, 0.0, gamma_adv * v_next)
+        adv = np.where(steps < lengths, batch.rewards + future - values, 0.0)
         return np.broadcast_to(adv[:, :, None], (b, t_max, n)).copy()
 
     cur_dists = batch_policy_probs(actor_params, actor_cfg, batch)
@@ -516,16 +503,6 @@ class LearnConfig:
             raise ValueError(f"unknown critic schedule {self.critic_schedule!r}")
 
 
-def critic_input_width(algo: str, state_width: int, obs_width: int, n: int, m: int) -> int:
-    if algo == "centralv":
-        return cr.centralv_layout(state_width).width
-    if algo == "coma":
-        return cr.coma_layout(state_width, obs_width, n, m).width
-    if algo == "coma-cc":
-        return cr.comacc_layout(state_width, obs_width, n, m).width
-    raise ValueError(f"unknown algorithm {algo!r}")
-
-
 @dataclass
 class Trainer:
     """Actor/critic parameter bundle with the per-iteration update recipe."""
@@ -545,10 +522,10 @@ class Trainer:
         critic_hidden: Sequence[int] = (128, 128),
     ) -> "Trainer":
         actor = actor_init(actor_rng, actor_cfg)
-        in_width = critic_input_width(
+        in_width = cr.layout_for(
             cfg.algo, state_width, actor_cfg.obs_width,
             actor_cfg.n_agents, actor_cfg.n_actions,
-        )
+        ).width
         out_width = actor_cfg.n_actions if cfg.algo == "coma" else 1
         critic = cr.critic_init(critic_rng, in_width, out_width, critic_hidden)
         return cls(

@@ -3,7 +3,9 @@
 All agents run the same network: a linear layer with ReLU, a GRU cell, and a
 linear output head. Per-agent behaviour differs only through the inputs,
 which concatenate the local observation, the agent's previous action as a
-one-hot, and the agent's one-hot id.
+one-hot, and the agent's one-hot id; ``actor_inputs`` is the one encoder of
+those rows, for a single step of the rollout and for a padded batch alike.
+Recorded histories are replayed by ``learn.unroll_policy`` alone.
 
 The acting distribution masks unavailable actions, softmaxes the remaining
 logits, and mixes in a uniform floor: pi = (1 - eps) * softmax + eps / k over
@@ -32,8 +34,8 @@ class EpsilonSchedule:
     anneal_steps: int = 100_000
 
     def __post_init__(self) -> None:
-        if not self.start >= self.end >= 0.0:
-            raise ValueError(f"need start >= end >= 0, got {self}")
+        if not 1.0 >= self.start >= self.end >= 0.0:
+            raise ValueError(f"need 1 >= start >= end >= 0, got {self}")
         if self.anneal_steps < 1:
             raise ValueError("anneal_steps must be positive")
 
@@ -65,6 +67,21 @@ def actor_init(rng: np.random.Generator, cfg: ActorConfig) -> ParamSet:
     return ad.merge(fc1, gru, fc2)
 
 
+def actor_inputs(cfg: ActorConfig, obs: Array, prev_actions: Array) -> Array:
+    """Actor input rows [observation, previous-action one-hot, agent-id one-hot].
+
+    ``obs`` is (..., n, obs_width) and ``prev_actions`` (..., n) action
+    indices, where -1 (no previous action) encodes as the all-zero one-hot.
+    Agent a's id is its position along the n axis. Returns
+    (..., n, input_width).
+    """
+    obs = np.asarray(obs, dtype=np.float64)
+    prev = np.asarray(prev_actions)[..., None] == np.arange(cfg.n_actions)
+    ids = np.zeros((*obs.shape[:-1], cfg.n_agents))
+    ids[..., range(cfg.n_agents), range(cfg.n_agents)] = 1.0
+    return np.concatenate([obs, prev, ids], axis=-1)
+
+
 def actor_cell(params: ParamSet, x, h) -> tuple[Tensor, Tensor]:
     """One recurrent step: returns (logits, next hidden) for stacked rows."""
     z = ad.relu(ad.mlp_forward(params, x, prefix="fc1."))
@@ -92,58 +109,6 @@ def masked_epsilon_probs(logits, avail: Array, epsilon) -> Tensor:
     return ad.add(ad.mul(soft, 1.0 - eps), (eps / counts) * avail)
 
 
-class AgentHistory:
-    """One agent's running input record and recurrent state within an episode."""
-
-    def __init__(self, cfg: ActorConfig, agent_id: int):
-        self.cfg = cfg
-        self.agent_id = agent_id
-        self.inputs: list[Array] = []
-        self.hidden: Array = np.zeros((1, cfg.gru_hidden), dtype=np.float64)
-
-    def observe(self, obs: Array, prev_action: int | None) -> None:
-        self.inputs.append(
-            build_actor_input(self.cfg, obs, prev_action, self.agent_id)
-        )
-
-    def advance(self, params: ParamSet) -> None:
-        """Consume the latest input, stepping the recurrent state."""
-        with ad.no_grad():
-            _, h = actor_cell(params, self.inputs[-1][None, :], self.hidden)
-        self.hidden = h.data
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-
-def build_actor_input(
-    cfg: ActorConfig, obs: Array, prev_action: int | None, agent_id: int
-) -> Array:
-    prev = np.zeros(cfg.n_actions, dtype=np.float64)
-    if prev_action is not None:
-        prev[prev_action] = 1.0
-    ident = np.zeros(cfg.n_agents, dtype=np.float64)
-    ident[agent_id] = 1.0
-    return np.concatenate([np.asarray(obs, dtype=np.float64), prev, ident])
-
-
-def policy_distribution(
-    params: ParamSet,
-    history: AgentHistory,
-    avail: Array,
-    epsilon: float,
-) -> Array:
-    """Action probabilities at the history's latest step; does not advance it."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    if not history.inputs:
-        raise ValueError("history holds no observations yet")
-    with ad.no_grad():
-        logits, _ = actor_cell(params, history.inputs[-1][None, :], history.hidden)
-        probs = masked_epsilon_probs(logits, np.asarray(avail, dtype=np.float64)[None, :], epsilon)
-    return probs.data[0]
-
-
 def select_action(dist: Array, mode: str, rng: np.random.Generator | None = None) -> int:
     """Greedy argmax (ties break to the lowest index) or a seeded sample."""
     dist = np.asarray(dist, dtype=np.float64)
@@ -154,63 +119,3 @@ def select_action(dist: Array, mode: str, rng: np.random.Generator | None = None
             raise ValueError("sample mode needs a generator")
         return int(rng.choice(dist.size, p=dist / dist.sum()))
     raise ValueError(f"unknown selection mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class PolicySnapshot:
-    """Provenance of an episode: stored per-step distributions or frozen params.
-
-    The stored-distribution form is the default (it is exact and O(T*n*m));
-    the frozen-parameter form replays the network on the recorded histories.
-    """
-
-    generation: int
-    dists: Array | None = None          # (T, n_agents, n_actions)
-    params: ParamSet | None = None
-    actor_cfg: ActorConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.dists is None and self.params is None:
-            raise ValueError("snapshot needs stored distributions or parameters")
-
-
-def evaluate_policy_on_episode(snapshot: PolicySnapshot, episode) -> Array:
-    """Distributions the snapshot assigns at every recorded history.
-
-    Recomputation uses the epsilon in force at recording time, stored per
-    step in the episode. Episodes without the stored epsilon trace are
-    rejected.
-    """
-    if getattr(episode, "epsilons", None) is None:
-        raise ValueError("episode is missing its stored epsilon trace")
-    if snapshot.dists is not None:
-        return np.array(snapshot.dists, dtype=np.float64, copy=True)
-    assert snapshot.params is not None and snapshot.actor_cfg is not None
-    return replay_distributions(snapshot.params, snapshot.actor_cfg, episode)
-
-
-def replay_distributions(params: ParamSet, cfg: ActorConfig, episode) -> Array:
-    """Run the actor over an episode's recorded inputs; (T, n, m) probabilities."""
-    length = episode.length
-    n = cfg.n_agents
-    out = np.zeros((length, n, cfg.n_actions), dtype=np.float64)
-    hidden: Tensor | Array = np.zeros((n, cfg.gru_hidden), dtype=np.float64)
-    with ad.no_grad():
-        for t in range(length):
-            rows = np.stack(
-                [
-                    build_actor_input(
-                        cfg,
-                        episode.obs[t, a],
-                        int(episode.actions[t - 1, a]) if t > 0 else None,
-                        a,
-                    )
-                    for a in range(n)
-                ]
-            )
-            logits, hidden = actor_cell(params, rows, hidden)
-            probs = masked_epsilon_probs(
-                logits, episode.avail[t].astype(np.float64), float(episode.epsilons[t])
-            )
-            out[t] = probs.data
-    return out

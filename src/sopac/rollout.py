@@ -2,9 +2,9 @@
 
 Rollouts stack the n agents into one forward pass per step, which (thanks to
 row-exact batching in the autodiff core) produces distributions bit-identical
-to both single-agent calls and the padded training-time unroll. Each episode
-stores the acting distributions and the epsilon in force at every step, so
-stale episodes can be re-evaluated exactly later.
+to the padded replay of ``learn.unroll_policy``. Each episode stores the
+acting distributions and the epsilon in force at every step, so that replay
+can re-evaluate stale episodes exactly later.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .learn import Episode
 from .policy import (
     ActorConfig,
     EpsilonSchedule,
-    build_actor_input,
     actor_cell,
+    actor_inputs,
     epsilon_at,
     masked_epsilon_probs,
     select_action,
@@ -43,7 +43,7 @@ def rollout_episode(
     n = cfg.n_agents
     state, obs, avail = env.reset(env_seed)
     hidden: Array | ad.Tensor = np.zeros((n, cfg.gru_hidden))
-    prev_actions: list[int | None] = [None] * n
+    prev_actions = [-1] * n
 
     states, all_obs, all_avail, all_actions = [], [], [], []
     rewards, all_dists, epsilons = [], [], []
@@ -52,11 +52,8 @@ def rollout_episode(
     t = 0
     while not terminal:
         eps = epsilon_at(env_steps_done + t, schedule) if mode == "sample" else 0.0
-        rows = np.stack(
-            [build_actor_input(cfg, obs[a], prev_actions[a], a) for a in range(n)]
-        )
         with ad.no_grad():
-            logits, hidden = actor_cell(params, rows, hidden)
+            logits, hidden = actor_cell(params, actor_inputs(cfg, obs, prev_actions), hidden)
             dist = masked_epsilon_probs(logits, avail.astype(np.float64), eps).data
         actions = [
             select_action(dist[a], mode, action_rng) for a in range(n)
@@ -73,7 +70,7 @@ def rollout_episode(
 
         state, obs, avail = result.state, result.obs, result.avail
         terminal, win = result.terminal, result.win
-        prev_actions = list(actions)
+        prev_actions = actions
         t += 1
 
     episode = Episode(

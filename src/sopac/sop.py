@@ -9,9 +9,11 @@ Two training modes reuse recent episodes generated by slightly stale policies:
   the post-update policy by more than ``kl_threshold`` (max over steps and
   agents of KL(current || stored)).
 
-Divergences are computed from the stored per-step distributions, so no old
-network ever needs replaying. The ``sampled`` estimator kind reproduces the
-single-sample form  q/p - 1 - log(q/p)  evaluated at the recorded actions.
+Divergences compare the stored per-step distributions with the current
+policy, replayed over every episode at once by the padded batched unroll of
+``learn.batch_policy_probs``; no old network ever needs replaying. The
+``sampled`` estimator kind reproduces the single-sample form
+q/p - 1 - log(q/p)  evaluated at the recorded actions.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .autodiff import ParamSet
-from .learn import Episode, Trainer
-from .policy import ActorConfig, replay_distributions
+from .learn import Batch, Episode, Trainer, batch_policy_probs
+from .policy import ActorConfig
 
 Array = np.ndarray
 
@@ -32,22 +34,27 @@ Array = np.ndarray
 # KL divergence between categorical policies
 
 
-def kl_exact(p: Array, q: Array) -> float:
-    """Sum of p * log(p/q) with 0 log 0 = 0; infinite when q misses p's support."""
+def kl_exact(p: Array, q: Array) -> float | Array:
+    """Sum over the last axis of p * log(p/q) with 0 log 0 = 0; infinite where
+    q misses p's support. Broadcasts over leading dimensions (..., m).
+
+    For m < 8 each row is bit-identical to summing over the support alone;
+    from m = 8 on numpy's unrolled summation may change the lowest bits.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    support = p > 0.0
-    if np.any(q[support] == 0.0):
-        return float("inf")
-    ps, qs = p[support], q[support]
-    return float(np.sum(ps * np.log(ps / qs)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * np.log(p / q), 0.0).sum(-1)
 
 
-def kl_estimator_term(p_prob: float, q_prob: float) -> float:
-    """Single-sample term q/p - 1 - log(q/p); nonnegative for any ratio."""
-    if p_prob <= 0.0 or q_prob <= 0.0:
+def kl_estimator_term(p_prob, q_prob) -> float | Array:
+    """Single-sample term q/p - 1 - log(q/p); nonnegative for any ratio.
+    Broadcasts over arrays of probabilities."""
+    p_prob = np.asarray(p_prob, dtype=np.float64)
+    q_prob = np.asarray(q_prob, dtype=np.float64)
+    if np.any(p_prob <= 0.0) or np.any(q_prob <= 0.0):
         raise ValueError("estimator terms need strictly positive probabilities")
     ratio = q_prob / p_prob
     return ratio - 1.0 - np.log(ratio)
@@ -116,23 +123,26 @@ class KlReport:
     kind: str
 
 
-def episode_kls(actor: ParamSet, cfg: ActorConfig, episode: Episode, kind: str = "exact") -> Array:
-    """(T, n) per-step divergences KL(current || stored) over one episode."""
-    if episode.dists is None or episode.epsilons is None:
+def episode_kls(actor: ParamSet, cfg: ActorConfig, episodes: Sequence[Episode],
+                kind: str = "exact") -> list[Array]:
+    """Per-step divergences KL(current || stored), one (T_i, n) array per
+    episode, from a single batched replay of the current policy."""
+    if kind not in ("exact", "sampled"):
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    if any(e.dists is None or e.epsilons is None for e in episodes):
         raise ValueError("episode is missing its stored policy provenance")
-    current = replay_distributions(actor, cfg, episode)
-    t_len, n, _ = current.shape
-    out = np.zeros((t_len, n))
-    for t in range(t_len):
-        for a in range(n):
-            if kind == "exact":
-                out[t, a] = kl_exact(current[t, a], episode.dists[t, a])
-            elif kind == "sampled":
-                u = int(episode.actions[t, a])
-                out[t, a] = kl_estimator_term(current[t, a, u], episode.dists[t, a, u])
-            else:
-                raise ValueError(f"unknown estimator kind {kind!r}")
-    return out
+    batch = Batch.from_episodes(episodes)
+    current = batch_policy_probs(actor, cfg, batch)
+    if kind == "exact":
+        kls = kl_exact(current, batch.dists)
+    else:
+        taken = batch.actions[..., None]
+        p = np.take_along_axis(current, taken, axis=-1)[..., 0]
+        q = np.take_along_axis(batch.dists, taken, axis=-1)[..., 0]
+        # padded steps store all-zero dists; give them a neutral ratio
+        real = batch.pad[..., None] > 0.0
+        kls = kl_estimator_term(np.where(real, p, 1.0), np.where(real, q, 1.0))
+    return [kls[i, :length] for i, length in enumerate(batch.lengths)]
 
 
 def max_buffer_kl(
@@ -145,15 +155,13 @@ def max_buffer_kl(
     max across episodes, matching the buffer diagnostic; the mean over all
     (episode, step, agent) entries is reported alongside.
     """
-    per_episode: list[float] = []
-    values: list[float] = []
-    for episode in episodes:
-        kls = episode_kls(actor, cfg, episode, kind)
-        per_episode.append(float(kls.max()))
-        values.extend(kls.reshape(-1).tolist())
-    overall = max(per_episode) if per_episode else 0.0
-    mean = float(np.mean(values)) if values else 0.0
-    return KlReport(per_episode=per_episode, overall_max=overall,
+    episodes = list(episodes)
+    if not episodes:
+        return KlReport(per_episode=[], overall_max=0.0, overall_mean=0.0, kind=kind)
+    kls = episode_kls(actor, cfg, episodes, kind)
+    per_episode = [float(k.max()) for k in kls]
+    mean = float(np.mean(np.concatenate([k.reshape(-1) for k in kls])))
+    return KlReport(per_episode=per_episode, overall_max=max(per_episode),
                     overall_mean=mean, kind=kind)
 
 
@@ -200,13 +208,10 @@ def strict_sop_iteration(
     if on_train_end is not None:
         on_train_end(critic_loss, policy_loss)
     drop = [False] * len(buffer)
-    drop[0] = True
     if np.isfinite(kl_threshold):
-        for i, episode in enumerate(buffer.episodes):
-            if drop[i]:
-                continue
-            max_kl = float(episode_kls(trainer.actor, trainer.actor_cfg, episode).max())
-            drop[i] = max_kl > kl_threshold
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
+        drop = [float(k.max()) > kl_threshold for k in kls]
+    drop[0] = True
     buffer.evict_where(drop)
     return critic_loss, policy_loss
 

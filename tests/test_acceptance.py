@@ -208,7 +208,7 @@ def test_criterion_07_buffer_semantics():
 def learnable_kl(trainer, episode):
     from sopac.sop import episode_kls
 
-    return episode_kls(trainer.actor, trainer.actor_cfg, episode)
+    return episode_kls(trainer.actor, trainer.actor_cfg, [episode])[0]
 
 
 @pytest.mark.slow

@@ -33,9 +33,8 @@ class TestLayouts:
         parts = {name: rng.standard_normal(width) for name, width in layout.fields}
         vec = layout.pack(**parts)
         assert vec.shape == (layout.width,)
-        back = layout.unpack(vec)
-        for name, _ in layout.fields:
-            assert np.array_equal(back[name], parts[name])
+        for name, sl in layout.slices().items():
+            assert np.array_equal(vec[sl], parts[name])
 
     def test_pack_rejects_wrong_fields_and_widths(self):
         layout = cr.centralv_layout(3)
@@ -43,8 +42,6 @@ class TestLayouts:
             layout.pack(state=np.zeros(3), extra=np.zeros(1))
         with pytest.raises(ShapeError):
             layout.pack(state=np.zeros(4))
-        with pytest.raises(ShapeError):
-            layout.unpack(np.zeros(5))
 
     def test_field_order_is_fixed(self):
         layout = cr.coma_layout(4, 3, 2, 5)

@@ -253,6 +253,28 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        {"eps_start": 0.01, "eps_end": 0.5},
+        {"eps_start": 1.5},
+        {"eps_anneal_steps": 0},
+        {"env_config": {"sides": 4}},
+        {"env_config": [["side", 4]]},
+        {"lr": 0},
+        {"rms_alpha": 1.5},
+        {"gamma": 1.5},
+        {"gamma": 0},
+        {"batch_size": 1.5},
+        {"total_steps": 40.0},
+    ], ids=["eps-start-below-end", "eps-start-above-one", "zero-anneal",
+            "unknown-env-key", "list-env-config", "zero-lr", "rms-alpha-above-one",
+            "gamma-above-one", "zero-gamma", "fractional-batch", "float-steps"])
+    def test_invalid_config_exits_two_before_writing(self, tmp_path, bad):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict({"env": "capture", "total_steps": 40}, **bad)))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_config_key_exits_two(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"learning": 1}))

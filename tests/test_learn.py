@@ -162,6 +162,25 @@ class TestAdvantages:
                                  trainer.actor_cfg, 0.99, True)
         assert np.array_equal(adv[:, :, 0], adv[:, :, 1])
 
+    @pytest.mark.parametrize("gamma_adv_one", [True, False])
+    def test_centralv_batch_matches_scalar_advantage_bit_for_bit(self, gamma_adv_one):
+        trainer = make_trainer("centralv", seed=5)
+        batch = random_batch(np.random.default_rng(6), dict(DIMS, batch=5))
+        adv = compute_advantages(batch, "centralv", trainer.critic, trainer.actor,
+                                 trainer.actor_cfg, 0.9, gamma_adv_one)
+        values = learn._critic_values(trainer.critic, batch.states, None).data
+        values = values.reshape(batch.size, batch.max_length)
+        gamma_adv = 1.0 if gamma_adv_one else 0.9
+        expected = np.zeros((batch.size, batch.max_length))  # padding is +0.0
+        for i, length in enumerate(batch.lengths):
+            for t in range(length):
+                v_next = values[i, t + 1] if t + 1 < length else 0.0
+                expected[i, t] = centralv_advantage(
+                    batch.rewards[i, t], values[i, t], v_next, gamma_adv,
+                    terminal=t + 1 >= length)
+        for a in range(DIMS["n"]):
+            assert np.array_equal(adv[:, :, a].view(np.int64), expected.view(np.int64))
+
     def test_comacc_taken_value_consistent_with_baseline_definition(self):
         trainer = make_trainer("coma-cc")
         batch = random_batch(np.random.default_rng(2), DIMS)
@@ -395,10 +414,10 @@ class TestEpisodeContainers:
 
 class TestForwardPathConsistency:
     def test_training_unroll_reproduces_rollout_distributions_bit_exactly(self):
-        # three evaluation paths (n-row rollout, n-row replay, padded B*n
-        # training unroll) must agree to the bit for the generating params
+        # the two evaluation paths (n-row rollout, padded B*n replay used for
+        # training and KL) must agree to the bit for the generating params
         from sopac.envs import CaptureGrid, CaptureGridConfig
-        from sopac.policy import EpsilonSchedule, actor_init, replay_distributions
+        from sopac.policy import EpsilonSchedule, actor_init
         from sopac.rollout import rollout_episode
 
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=6))
@@ -414,8 +433,6 @@ class TestForwardPathConsistency:
         for i, episode in enumerate(episodes):
             t = episode.length
             assert np.array_equal(batched[i, :t], episode.dists)
-            assert np.array_equal(replay_distributions(params, cfg, episode),
-                                  episode.dists)
 
 
 class TestBatchedCriticInputsMatchSingleCalls:

@@ -5,23 +5,20 @@ from hypothesis import strategies as st
 
 from sopac import autodiff as ad
 from sopac.envs import CaptureGrid, CaptureGridConfig
+from sopac.learn import Batch, batch_policy_probs
 from sopac.policy import (
     ActorConfig,
-    AgentHistory,
     EpsilonSchedule,
     MaskError,
-    PolicySnapshot,
+    actor_cell,
     actor_init,
-    build_actor_input,
+    actor_inputs,
     epsilon_at,
-    evaluate_policy_on_episode,
     masked_epsilon_probs,
-    policy_distribution,
-    replay_distributions,
     select_action,
 )
 from sopac.rollout import rollout_episode
-from sopac.sop import kl_exact
+from sopac.sop import episode_kls
 
 CFG = ActorConfig(obs_width=4, n_agents=2, n_actions=3, gru_hidden=8)
 
@@ -50,8 +47,10 @@ class TestEpsilonSchedule:
         assert epsilon_at(2_000_000, sched) == pytest.approx(0.01)
 
     def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            EpsilonSchedule(start=0.1, end=0.5)
+        # start below end, and either end outside [0, 1]
+        for start, end in ((0.1, 0.5), (1.5, 0.01), (0.5, -0.1)):
+            with pytest.raises(ValueError):
+                EpsilonSchedule(start=start, end=end)
 
 
 class TestMaskedEpsilonProbs:
@@ -119,44 +118,22 @@ class TestSelectAction:
 
 
 class TestHistoryAndDistribution:
-    def test_policy_distribution_matches_rollout_records_bit_exactly(self):
-        episode, params, cfg = capture_episode(seed=3)
-        histories = [AgentHistory(cfg, a) for a in range(cfg.n_agents)]
-        for t in range(episode.length):
-            for a, history in enumerate(histories):
-                prev = int(episode.actions[t - 1, a]) if t > 0 else None
-                history.observe(episode.obs[t, a], prev)
-                dist = policy_distribution(
-                    params, history, episode.avail[t, a], float(episode.epsilons[t])
-                )
-                assert np.array_equal(dist, episode.dists[t, a])
-                history.advance(params)
-
     def test_distribution_requires_valid_epsilon(self):
         episode, params, cfg = capture_episode(seed=4)
-        history = AgentHistory(cfg, 0)
-        history.observe(episode.obs[0, 0], None)
-        with pytest.raises(ValueError):
-            policy_distribution(params, history, episode.avail[0, 0], 1.5)
+        episode.epsilons = episode.epsilons.copy()
+        episode.epsilons[0] = 1.5
+        with pytest.raises(ValueError, match="epsilon"):
+            batch_policy_probs(params, cfg, Batch.from_episodes([episode]))
 
 
 class TestSnapshots:
-    def test_frozen_params_snapshot_reproduces_stored_distributions_exactly(self):
-        episode, params, cfg = capture_episode(seed=5)
-        snapshot = PolicySnapshot(generation=0, params=params, actor_cfg=cfg)
-        replayed = evaluate_policy_on_episode(snapshot, episode)
-        assert np.array_equal(replayed, episode.dists)
-
-    def test_stored_distribution_snapshot_roundtrips(self):
-        episode, params, cfg = capture_episode(seed=6)
-        snapshot = PolicySnapshot(generation=0, dists=episode.dists)
-        assert np.array_equal(evaluate_policy_on_episode(snapshot, episode), episode.dists)
+    """Replaying recorded episodes under a fixed parameter set."""
 
     def test_uniform_policy_snapshot_gives_uniform_distributions(self):
         episode, params, cfg = capture_episode(seed=7)
         zero = ad.ParamSet({k: np.zeros_like(v.data) for k, v in params.items()})
         # epsilon mixes uniform with uniform; zero logits give uniform softmax
-        replayed = replay_distributions(zero, cfg, episode)
+        replayed = batch_policy_probs(zero, cfg, Batch.from_episodes([episode]))[0]
         counts = episode.avail.sum(axis=-1, keepdims=True)
         assert np.allclose(replayed, episode.avail / counts, atol=1e-12)
 
@@ -165,24 +142,15 @@ class TestSnapshots:
         bumped = params.copy()
         bumped["fc2.w0"].data += 0.05
         bumped["fc2.b0"].data -= 0.03
-        replayed = replay_distributions(bumped, cfg, episode)
-        kls = [
-            kl_exact(replayed[t, a], episode.dists[t, a])
-            for t in range(episode.length)
-            for a in range(cfg.n_agents)
-        ]
-        assert max(kls) > 0.0 and all(np.isfinite(k) for k in kls)
+        (kls,) = episode_kls(bumped, cfg, [episode])
+        assert kls.shape == (episode.length, cfg.n_agents)
+        assert kls.max() > 0.0 and np.isfinite(kls).all()
 
     def test_missing_epsilon_trace_rejected(self):
         episode, params, cfg = capture_episode(seed=9)
         episode.epsilons = None
-        snapshot = PolicySnapshot(generation=0, params=params, actor_cfg=cfg)
-        with pytest.raises(ValueError, match="epsilon trace"):
-            evaluate_policy_on_episode(snapshot, episode)
-
-    def test_empty_snapshot_rejected(self):
-        with pytest.raises(ValueError):
-            PolicySnapshot(generation=0)
+        with pytest.raises(ValueError, match="provenance"):
+            episode_kls(params, cfg, [episode])
 
 
 class TestParameterSharing:
@@ -190,14 +158,26 @@ class TestParameterSharing:
         # identical observation and previous action, differing id one-hots
         rng = np.random.default_rng(10)
         params = actor_init(rng, CFG)
-        obs = rng.standard_normal(CFG.obs_width)
-        rows = np.stack([build_actor_input(CFG, obs, 1, a) for a in range(2)])
-        same_rows = np.stack([build_actor_input(CFG, obs, 1, 0)] * 2)
+        obs = np.tile(rng.standard_normal(CFG.obs_width), (2, 1))
+        rows = actor_inputs(CFG, obs, [1, 1])
+        assert np.array_equal(rows[:, -CFG.n_agents:], np.eye(2))
+        same_rows = np.stack([rows[0], rows[0]])
         with ad.no_grad():
-            from sopac.policy import actor_cell
-
             h = np.zeros((2, CFG.gru_hidden))
             logits_diff, _ = actor_cell(params, rows, h)
             logits_same, _ = actor_cell(params, same_rows, h)
         assert np.array_equal(logits_same.data[0], logits_same.data[1])
         assert not np.array_equal(logits_diff.data[0], logits_diff.data[1])
+
+    def test_encoder_rows_carry_obs_previous_action_and_id(self):
+        obs = np.arange(2 * 3 * CFG.obs_width, dtype=np.float64).reshape(3, 2, -1)
+        prev = np.array([[-1, -1], [2, 0], [1, 2]])
+        rows = actor_inputs(CFG, obs, prev)
+        assert rows.shape == (3, 2, CFG.input_width)
+        for t in range(3):
+            for a in range(2):
+                one_hot = np.zeros(CFG.n_actions)
+                if prev[t, a] >= 0:
+                    one_hot[prev[t, a]] = 1.0
+                expected = np.concatenate([obs[t, a], one_hot, np.eye(2)[a]])
+                assert np.array_equal(rows[t, a], expected)

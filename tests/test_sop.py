@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sopac.envs import SwitchGame, SwitchGameConfig
-from sopac.learn import LearnConfig, Trainer
-from sopac.policy import ActorConfig, EpsilonSchedule
+from sopac.learn import Batch, LearnConfig, Trainer, batch_policy_probs
+from sopac.policy import ActorConfig, EpsilonSchedule, actor_init
 from sopac.rollout import sample_episode_fn
 from sopac.sop import (
     ReplayBuffer,
@@ -18,12 +18,19 @@ from sopac.sop import (
     strict_sop_iteration,
     warm_fill,
 )
+from sopac.verify import random_episode
 
 
 def random_dist_pair(rng, m):
     p = rng.dirichlet(np.ones(m))
     q = rng.dirichlet(np.ones(m))
     return p, q
+
+
+def replay(trainer, episode):
+    """(T, n, m) current-policy distributions over one recorded episode."""
+    batch = Batch.from_episodes([episode])
+    return batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)[0]
 
 
 def make_setup(b=4, payoff=None, seed=0, lr=0.005):
@@ -61,6 +68,27 @@ class TestKlExact:
 
     def test_zero_p_entries_contribute_nothing(self):
         assert kl_exact(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
+    @settings(max_examples=50, deadline=None)
+    def test_batched_rows_equal_support_only_sums(self, seed, m):
+        # m of the default switch game (3), the capture grid (5) and the
+        # smallest payoff (2); from m = 8 on, numpy sums a full row in another
+        # order and the lowest bits may differ
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(m), size=(4, 3))
+        q = rng.dirichlet(np.ones(m), size=(4, 3))
+        p[rng.random(p.shape) < 0.3] = 0.0
+        q[rng.random(q.shape) < 0.1] = 0.0
+        batched = kl_exact(p, q)
+        assert batched.shape == (4, 3)
+        for idx in np.ndindex(4, 3):
+            support = p[idx] > 0.0
+            ps, qs = p[idx][support], q[idx][support]
+            with np.errstate(divide="ignore"):
+                reference = np.sum(ps * np.log(ps / qs))
+            assert batched[idx] == reference
+            assert kl_exact(p[idx], q[idx]) == reference
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=50, deadline=None)
@@ -147,14 +175,12 @@ class TestMaxBufferKl:
         warm_fill(buffer, trainer, sample)
         stale = buffer.episodes[1]
         stale.dists = 0.6 * stale.dists + 0.4 / trainer.actor_cfg.n_actions
-        expected = float(episode_kls(trainer.actor, trainer.actor_cfg, stale).max())
+        expected = float(episode_kls(trainer.actor, trainer.actor_cfg, [stale])[0].max())
         report = max_buffer_kl(trainer.actor, trainer.actor_cfg, buffer.episodes)
         assert report.overall_max == expected
         assert report.per_episode[0] == 0.0 and report.per_episode[2] == 0.0
         # per-step cross-check against the closed form
-        from sopac.policy import replay_distributions
-
-        current = replay_distributions(trainer.actor, trainer.actor_cfg, stale)
+        current = replay(trainer, stale)
         kls = [
             kl_exact(current[t, a], stale.dists[t, a])
             for t in range(stale.length) for a in range(2)
@@ -166,9 +192,7 @@ class TestMaxBufferKl:
         warm_fill(buffer, trainer, sample)
         episode = buffer.episodes[0]
         episode.dists = 0.8 * episode.dists + 0.2 / trainer.actor_cfg.n_actions
-        from sopac.policy import replay_distributions
-
-        current = replay_distributions(trainer.actor, trainer.actor_cfg, episode)
+        current = replay(trainer, episode)
         for t in range(episode.length):
             for a in range(2):
                 exact = kl_exact(current[t, a], episode.dists[t, a])
@@ -189,6 +213,29 @@ class TestMaxBufferKl:
         episode.dists = None
         with pytest.raises(ValueError):
             max_buffer_kl(trainer.actor, trainer.actor_cfg, [episode])
+
+
+class TestEpisodeKlsBatching:
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1), st.sampled_from(["exact", "sampled"]))
+    @settings(max_examples=25, deadline=None)
+    def test_each_episode_kl_is_independent_of_its_batch(self, lengths, seed, kind):
+        rng = np.random.default_rng(seed)
+        cfg = ActorConfig(obs_width=3, n_agents=2, n_actions=3, gru_hidden=6)
+        actor = actor_init(rng, cfg)
+        episodes = [random_episode(rng, 2, 3, 4, 3, t, generation=i)
+                    for i, t in enumerate(lengths)]
+        base = episode_kls(actor, cfg, episodes, kind)
+        assert [k.shape for k in base] == [(t, 2) for t in lengths]
+        order = rng.permutation(len(episodes))
+        shuffled = episode_kls(actor, cfg, [episodes[i] for i in order], kind)
+        longer = random_episode(rng, 2, 3, 4, 3, max(lengths) + 2)
+        appended = episode_kls(actor, cfg, episodes + [longer], kind)
+        for k, i in enumerate(order):
+            assert shuffled[k].tobytes() == base[i].tobytes()
+        for i, kls in enumerate(base):
+            assert appended[i].tobytes() == kls.tobytes()
+            assert episode_kls(actor, cfg, [episodes[i]], kind)[0].tobytes() == kls.tobytes()
 
 
 class TestPermissiveIteration:
@@ -258,8 +305,8 @@ class TestStrictIteration:
         uniform = 1.0 / trainer.actor_cfg.n_actions
         buffer.episodes[1].dists = 0.5 * buffer.episodes[1].dists + 0.5 * uniform
         buffer.episodes[2].dists = 0.95 * buffer.episodes[2].dists + 0.05 * uniform
-        high = float(episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes[1]).max())
-        low = float(episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes[2]).max())
+        _, high, low = (float(k.max()) for k in
+                        episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes))
         assert high > low > 0.0
         threshold = 0.5 * (high + low)
         strict_sop_iteration(buffer, trainer, sample, threshold)
