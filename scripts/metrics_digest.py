@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Digest the outputs of a fixed set of training runs, for refactor identity checks.
+
+Runs thirteen (config, seed) pairs through ``harness.run_experiment`` with
+the ``sopac`` package of the checkout this script lives in, one BLAS thread,
+and prints one markdown table row per run: the sha256 of ``metrics.csv``,
+the sha256 of ``params.npz``, and the manifest's episode and step totals.
+A change that must not alter training then checks with one ``diff``:
+
+    python3 scripts/metrics_digest.py > after.md   # in the changed checkout
+    python3 scripts/metrics_digest.py > before.md  # in a checkout of its parent
+    diff before.md after.md
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from sopac.harness import RunConfig, run_experiment  # noqa: E402
+
+CAPTURE = {"side": 5, "horizon": 20}
+TINY_CAPTURE = {"side": 4, "horizon": 8, "prey": "walk"}
+
+# Copies of the benchmark's three training workloads, kept here so that a
+# later change to the benchmark leaves these digests comparable.
+WORKLOADS = {
+    "capture-comacc-permissive": dict(
+        env="capture", env_config=dict(CAPTURE, prey="static"), algo="coma-cc",
+        sop="permissive", critic_schedule="wholebatch", batch_size=8,
+        total_steps=800, eval_interval=200, eval_episodes=8),
+    "capture-centralv-strict": dict(
+        env="capture", env_config=dict(CAPTURE, prey="walk"), algo="centralv",
+        sop="strict", kl_threshold=0.0, critic_schedule="minibatch", batch_size=8,
+        total_steps=2000, eval_interval=500, eval_episodes=8),
+    "switch-coma-off": dict(
+        env="switch", algo="coma", sop="off", batch_size=8,
+        total_steps=2000, eval_interval=500, eval_episodes=8),
+}
+
+
+def configs() -> dict[str, dict]:
+    runs = {f"{name}/s{seed}": dict(config, seed=seed)
+            for name, config in WORKLOADS.items() for seed in (0, 1, 2)}
+    # criterion 11's two determinism configs
+    runs["crit11-switch"] = dict(
+        env="switch", algo="coma-cc", sop="permissive", batch_size=3,
+        total_steps=60, eval_interval=30, eval_episodes=2, seed=11)
+    runs["crit11-capture"] = dict(
+        env="capture", algo="centralv", sop="strict", kl_threshold=0.05,
+        batch_size=2, total_steps=80, eval_interval=40, eval_episodes=2,
+        seed=12, env_config=TINY_CAPTURE)
+    runs["tiny-coma-strict"] = dict(
+        env="capture", env_config=TINY_CAPTURE, algo="coma", sop="strict",
+        kl_threshold=0.02, batch_size=3, total_steps=120, eval_interval=40,
+        eval_episodes=2, seed=5)
+    runs["tiny-comacc-off"] = dict(
+        env="capture", env_config={"side": 4, "horizon": 8}, algo="coma-cc",
+        sop="off", batch_size=2, total_steps=120, eval_interval=40,
+        eval_episodes=2, seed=6)
+    return runs
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", help="keep the run directories here "
+                        "(default: a temporary directory, removed afterwards)")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(args.out or scratch)
+        print("| run | sha256 of metrics.csv | sha256 of params.npz | episodes | env_steps |")
+        print("| --- | --- | --- | --- | --- |")
+        for name, config in configs().items():
+            result = run_experiment(RunConfig(**config), out / name)
+            manifest = json.loads(result.manifest_path.read_text())
+            print(f"| `{name}` | `{sha256(result.metrics_path)}` | `{sha256(result.params_path)}` "
+                  f"| {manifest['episodes']} | {manifest['env_steps']} |", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -5,11 +5,17 @@ rollout, and every evaluation draw their randomness from fixed-purpose
 seed-sequence keys, and the metrics CSV is written with deterministic
 formatting so two identical runs produce byte-identical files.
 
-Evaluation rows land on the fixed environment-step grid
-``[k, 2k, ..., total]`` (k = eval interval), checked after every training
-update. Emitting right after the update, before any eviction or fresh
-sampling, makes the on-policy loop with batch size 1 and the permissive
-semi-on-policy loop produce identical traces, which is tested.
+Every sop mode trains through the one loop of ``sop.sop_iteration``: fill
+the buffer, train, evict. Evaluation rows land on the fixed environment-step
+grid ``[k, 2k, ..., total]`` (k = eval interval), checked right after every
+training update, before eviction. The loop stops once the last row is
+written, so no episode is sampled that no update trains on. On-policy
+training with batch size 1 and permissive training then produce identical
+traces, which is tested.
+
+A ``NumericError`` part-way through a run still leaves ``metrics.csv`` with
+the rows written so far and a ``manifest.json`` whose ``status`` is
+``numeric_failure``; the error is then re-raised.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .autodiff import ParamSet, check_rmsprop
+from .autodiff import NumericError, ParamSet, check_rmsprop
 from .envs import make_env, make_env_config
 from .learn import LearnConfig, Trainer
 from .policy import ActorConfig, EpsilonSchedule, epsilon_at
 from .rollout import rollout_episode, sample_episode_fn
-from .sop import ReplayBuffer, max_buffer_kl, permissive_sop_iteration, strict_sop_iteration, warm_fill
+from .sop import SOP_MODES, ReplayBuffer, episode_kls, max_mean_kl, sop_iteration
 
 Array = np.ndarray
 
@@ -41,7 +47,6 @@ METRICS_HEADER = (
 
 ENVS = ("switch", "capture")
 ALGOS = ("centralv", "coma", "coma-cc")
-SOP_MODES = ("off", "permissive", "strict")
 SCHEDULES = ("minibatch", "wholebatch")
 
 
@@ -252,11 +257,13 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
     sample = sample_episode_fn(env, trainer.actor_cfg, schedule, cfg.seed)
     grid = eval_grid(cfg.total_steps, cfg.eval_interval)
 
+    buffer = ReplayBuffer(cfg.batch_size)
     rows: list[dict] = []
     pending = {"next": 0}
 
-    def emit(critic_loss: float, policy_loss: float, trained) -> None:
+    def emit(critic_loss: float, policy_loss: float, kls) -> None:
         steps_done = sample.counter["env_steps"]
+        trained = buffer.episodes
         while pending["next"] < len(grid) and steps_done >= grid[pending["next"]]:
             idx = pending["next"]
             eval_seq = np.random.SeedSequence(cfg.seed, spawn_key=(3, idx))
@@ -264,15 +271,17 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
                 trainer.actor, trainer.actor_cfg, eval_env,
                 cfg.eval_episodes, int(eval_seq.generate_state(1)[0]),
             )
-            kl = max_buffer_kl(trainer.actor, trainer.actor_cfg, trained, "exact")
+            if kls is None:
+                kls = episode_kls(trainer.actor, trainer.actor_cfg, trained)
+            max_kl, mean_kl = max_mean_kl(kls)
             rows.append({
                 "step": grid[idx],
                 "episodes": sample.counter["rollouts"],
                 "train_return": float(np.mean([e.total_return for e in trained])),
                 "test_win_rate": win_rate,
                 "test_return": test_return,
-                "max_buffer_kl": kl.overall_max,
-                "mean_buffer_kl": kl.overall_mean,
+                "max_buffer_kl": max_kl,
+                "mean_buffer_kl": mean_kl,
                 "critic_loss": critic_loss,
                 "policy_loss": policy_loss,
                 "epsilon": epsilon_at(steps_done, schedule),
@@ -280,43 +289,34 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
             })
             pending["next"] += 1
 
-    if cfg.sop == "off":
-        while pending["next"] < len(grid):
-            episodes = [sample(trainer.actor) for _ in range(cfg.batch_size)]
-            critic_loss, policy_loss = trainer.train_on_batch(episodes)
-            emit(critic_loss, policy_loss, episodes)
-    elif cfg.sop == "permissive":
-        buffer = ReplayBuffer(cfg.batch_size)
-        warm_fill(buffer, trainer, sample)
-        while pending["next"] < len(grid):
-            permissive_sop_iteration(
-                buffer, trainer, sample,
-                on_train_end=lambda c, p: emit(c, p, list(buffer.episodes)),
-            )
-    else:
-        buffer = ReplayBuffer(cfg.batch_size)
-        while pending["next"] < len(grid):
-            strict_sop_iteration(
-                buffer, trainer, sample, cfg.kl_threshold,
-                on_train_end=lambda c, p: emit(c, p, list(buffer.episodes)),
-            )
-
     metrics_path = out / "metrics.csv"
-    _write_metrics(metrics_path, rows)
+    manifest_path = out / "manifest.json"
+
+    def write_records(**extra) -> None:
+        _write_metrics(metrics_path, rows)
+        manifest = {
+            "config": cfg.to_dict(),
+            "config_sha256": cfg.sha256(),
+            "package_version": __version__,
+            "environment": f"{cfg.env} {env.config}",
+            "episodes": sample.counter["rollouts"],
+            "env_steps": sample.counter["env_steps"],
+            "rows": len(rows),
+            "wall_seconds": round(time.perf_counter() - start, 3),
+            **extra,
+        }
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+    try:
+        while pending["next"] < len(grid):
+            sop_iteration(buffer, trainer, sample, cfg.sop, cfg.kl_threshold, emit)
+    except NumericError as exc:
+        write_records(status="numeric_failure", env_step=sample.counter["env_steps"],
+                      error=str(exc))
+        raise
     params_path = out / "params.npz"
     _save_params(params_path, trainer)
-    manifest_path = out / "manifest.json"
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_sha256": cfg.sha256(),
-        "package_version": __version__,
-        "environment": f"{cfg.env} {env.config}",
-        "episodes": sample.counter["rollouts"],
-        "env_steps": sample.counter["env_steps"],
-        "rows": len(rows),
-        "wall_seconds": round(time.perf_counter() - start, 3),
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_records()
     return RunResult(out, metrics_path, manifest_path, params_path, rows)
 
 

@@ -45,7 +45,6 @@ class Episode:
     dists: Array         # (T, n_agents, n_actions) acting distributions
     epsilons: Array      # (T,) exploration floor in force at each step
     generation: int
-    terminal: bool = True
     win: bool = False
 
     @property
@@ -294,13 +293,6 @@ def critic_batch_inputs(batch: Batch, algo: str) -> Array:
                      batch.prev_actions, batch.actions)
 
 
-def comacc_counterfactual_batch_inputs(batch: Batch) -> Array:
-    """(B, T, n, m, W) inputs varying one agent's action per row."""
-    layout = _batch_layout(batch, "coma-cc")
-    return cr.counterfactual_inputs(layout, critic_batch_inputs(batch, "coma-cc"),
-                                    batch.dists.shape[-1])
-
-
 def _critic_values(params: ParamSet, inputs: Array, actions: Array | None) -> Tensor:
     """Forward critic inputs with any leading shape; gather per-agent actions
     for the m-headed critic when ``actions`` is given."""
@@ -311,9 +303,10 @@ def _critic_values(params: ParamSet, inputs: Array, actions: Array | None) -> Te
     return ad.gather_last(out, actions.reshape(-1))
 
 
-def critic_bootstrap_values(target: ParamSet, batch: Batch, algo: str) -> Array:
-    """Target-network values used when an n-step return bootstraps at a step."""
-    inputs = critic_batch_inputs(batch, algo)
+def critic_bootstrap_values(target: ParamSet, batch: Batch, inputs: Array,
+                            algo: str) -> Array:
+    """Target-network values used when an n-step return bootstraps at a step;
+    ``inputs`` are the batch's ``critic_batch_inputs``."""
     with ad.no_grad():
         if algo == "coma":
             vals = _critic_values(target, inputs, batch.actions).data
@@ -334,11 +327,11 @@ def critic_loss_tensor(params: ParamSet, inputs: Array, targets: Array,
     return ad.sum_all(ad.mul(ad.square(diff), weights.reshape(-1, 1)))
 
 
-def prepare_critic_batch(batch: Batch, algo: str, target: TargetNetState,
-                         lam: float, gamma: float):
-    """Assemble (inputs, targets, weights, actions) for critic training."""
-    inputs = critic_batch_inputs(batch, algo)
-    boots = critic_bootstrap_values(target.params, batch, algo)
+def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
+                         target: TargetNetState, lam: float, gamma: float):
+    """Assemble (targets, weights, actions) for critic training on the
+    batch's ``critic_batch_inputs``."""
+    boots = critic_bootstrap_values(target.params, batch, inputs, algo)
     targets = batch_td_lambda_targets(batch, boots, lam, gamma)
     if algo == "coma":
         weights = np.broadcast_to(batch.pad[:, :, None], targets.shape).copy()
@@ -346,16 +339,16 @@ def prepare_critic_batch(batch: Batch, algo: str, target: TargetNetState,
     else:
         weights = batch.pad
         actions = None
-    return inputs, targets, weights, actions
+    return targets, weights, actions
 
 
 def critic_update_wholebatch(
-    batch: Batch, algo: str, params: ParamSet, opt: OptimizerState,
+    batch: Batch, inputs: Array, algo: str, params: ParamSet, opt: OptimizerState,
     target: TargetNetState, lam: float, gamma: float,
     lr: float = 0.005, alpha: float = 0.99, eps: float = 1e-5,
 ) -> tuple[ParamSet, OptimizerState, TargetNetState, float]:
     """Accumulate the squared-error gradient over every timestep, then step once."""
-    inputs, targets, weights, actions = prepare_critic_batch(batch, algo, target, lam, gamma)
+    targets, weights, actions = prepare_critic_batch(batch, inputs, algo, target, lam, gamma)
     params.zero_grads()
     loss = critic_loss_tensor(params, inputs, targets, weights, actions)
     value = float(loss.data)
@@ -367,7 +360,7 @@ def critic_update_wholebatch(
 
 
 def critic_update_minibatch(
-    batch: Batch, algo: str, params: ParamSet, opt: OptimizerState,
+    batch: Batch, inputs: Array, algo: str, params: ParamSet, opt: OptimizerState,
     target: TargetNetState, lam: float, gamma: float,
     lr: float = 0.005, alpha: float = 0.99, eps: float = 1e-5,
 ) -> tuple[ParamSet, OptimizerState, TargetNetState, float]:
@@ -376,7 +369,7 @@ def critic_update_minibatch(
     Targets are computed once from the target network before the sweep; the
     target counter advances on every optimiser step.
     """
-    inputs, targets, weights, actions = prepare_critic_batch(batch, algo, target, lam, gamma)
+    targets, weights, actions = prepare_critic_batch(batch, inputs, algo, target, lam, gamma)
     total = 0.0
     for t in range(batch.max_length - 1, -1, -1):
         params.zero_grads()
@@ -397,14 +390,14 @@ def critic_update_minibatch(
 
 
 def compute_advantages(
-    batch: Batch, algo: str, critic_params: ParamSet,
+    batch: Batch, inputs: Array, algo: str, critic_params: ParamSet,
     actor_params: ParamSet, actor_cfg: ActorConfig,
     gamma: float, gamma_adv_one: bool,
 ) -> Array:
-    """(B, T, n) advantages; padded steps come out exactly zero."""
+    """(B, T, n) advantages from the batch's ``critic_batch_inputs``; padded
+    steps come out exactly zero."""
     b, t_max, n, m = batch.dists.shape
     if algo == "centralv":
-        inputs = critic_batch_inputs(batch, algo)
         with ad.no_grad():
             values = _critic_values(critic_params, inputs, None).data.reshape(b, t_max)
         gamma_adv = 1.0 if gamma_adv_one else gamma
@@ -420,16 +413,12 @@ def compute_advantages(
         return np.broadcast_to(adv[:, :, None], (b, t_max, n)).copy()
 
     cur_dists = batch_policy_probs(actor_params, actor_cfg, batch)
-    if algo == "coma":
-        inputs = critic_batch_inputs(batch, algo)
-        with ad.no_grad():
-            rows = _critic_values(critic_params, inputs, None).data.reshape(b, t_max, n, m)
-    elif algo == "coma-cc":
-        inputs = comacc_counterfactual_batch_inputs(batch)
-        with ad.no_grad():
-            rows = _critic_values(critic_params, inputs, None).data.reshape(b, t_max, n, m)
-    else:
+    if algo == "coma-cc":
+        inputs = cr.counterfactual_inputs(_batch_layout(batch, algo), inputs, m)
+    elif algo != "coma":
         raise ValueError(f"unknown algorithm {algo!r}")
+    with ad.no_grad():
+        rows = _critic_values(critic_params, inputs, None).data.reshape(b, t_max, n, m)
     taken = np.take_along_axis(rows, batch.actions[..., None], axis=-1)[..., 0]
     baseline = np.einsum("btam,btam->bta", cur_dists, rows)
     return (taken - baseline) * batch.pad[:, :, None]
@@ -541,15 +530,16 @@ class Trainer:
     def train_on_batch(self, episodes: Sequence[Episode]) -> tuple[float, float]:
         """Critic first, then actor, one optimiser step each; returns losses."""
         batch = Batch.from_episodes(episodes)
+        inputs = critic_batch_inputs(batch, self.cfg.algo)
         update = (critic_update_minibatch if self.cfg.critic_schedule == "minibatch"
                   else critic_update_wholebatch)
         self.critic, self.critic_opt, self.target, critic_loss = update(
-            batch, self.cfg.algo, self.critic, self.critic_opt, self.target,
+            batch, inputs, self.cfg.algo, self.critic, self.critic_opt, self.target,
             self.cfg.lam, self.cfg.gamma,
             self.cfg.lr, self.cfg.rms_alpha, self.cfg.rms_eps,
         )
         advantages = compute_advantages(
-            batch, self.cfg.algo, self.critic, self.actor, self.actor_cfg,
+            batch, inputs, self.cfg.algo, self.critic, self.actor, self.actor_cfg,
             self.cfg.gamma, self.cfg.gamma_adv_one,
         )
         self.actor, self.actor_opt, policy_loss = policy_gradient_update(

@@ -82,7 +82,6 @@ def rollout_episode(
         dists=np.asarray(all_dists),
         epsilons=np.asarray(epsilons),
         generation=generation,
-        terminal=True,
         win=win,
     )
     return episode

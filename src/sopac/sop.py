@@ -1,11 +1,14 @@
 """Semi-on-policy training: the rolling buffer, KL eligibility, and diagnostics.
 
-Two training modes reuse recent episodes generated by slightly stale policies:
+Every training mode runs the same iteration over a rolling window of at most
+b episodes (:func:`sop_iteration`): fill the window with current-policy
+episodes, train on all of it, then evict. The modes differ only in what the
+eviction rule flags:
 
-* permissive: train on all b buffered episodes, evict only the oldest, and
-  roll out exactly one replacement with the freshly updated policy;
-* strict: refill the buffer with current-policy episodes, train, then evict
-  the oldest episode plus every episode whose generating policy diverges from
+* off: every episode, so each update trains on b fresh episodes (on-policy);
+* permissive: the oldest, so each update after the first samples exactly one
+  episode with the freshly updated policy;
+* strict: the oldest plus every episode whose generating policy diverges from
   the post-update policy by more than ``kl_threshold`` (max over steps and
   agents of KL(current || stored)).
 
@@ -18,8 +21,7 @@ q/p - 1 - log(q/p)  evaluated at the recorded actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,9 +98,6 @@ class ReplayBuffer:
             raise RuntimeError("buffer is full; evict before inserting")
         self.episodes.append(episode)
 
-    def evict_oldest(self) -> Episode:
-        return self.episodes.pop(0)
-
     def evict_where(self, drop: Sequence[bool]) -> list[Episode]:
         """Drop flagged episodes; survivors keep their order."""
         if len(drop) != len(self.episodes):
@@ -113,14 +112,6 @@ class ReplayBuffer:
 
 # ---------------------------------------------------------------------------
 # Buffer divergence diagnostics
-
-
-@dataclass
-class KlReport:
-    per_episode: list[float]
-    overall_max: float
-    overall_mean: float
-    kind: str
 
 
 def episode_kls(actor: ParamSet, cfg: ActorConfig, episodes: Sequence[Episode],
@@ -145,79 +136,56 @@ def episode_kls(actor: ParamSet, cfg: ActorConfig, episodes: Sequence[Episode],
     return [kls[i, :length] for i, length in enumerate(batch.lengths)]
 
 
-def max_buffer_kl(
-    actor: ParamSet, cfg: ActorConfig,
-    episodes: Iterable[Episode], kind: str = "exact",
-) -> KlReport:
-    """Divergence of the current policy from each buffered episode's policy.
-
-    Per episode: the max over timesteps and agents. ``overall_max`` is the
-    max across episodes, matching the buffer diagnostic; the mean over all
-    (episode, step, agent) entries is reported alongside.
-    """
-    episodes = list(episodes)
-    if not episodes:
-        return KlReport(per_episode=[], overall_max=0.0, overall_mean=0.0, kind=kind)
-    kls = episode_kls(actor, cfg, episodes, kind)
-    per_episode = [float(k.max()) for k in kls]
-    mean = float(np.mean(np.concatenate([k.reshape(-1) for k in kls])))
-    return KlReport(per_episode=per_episode, overall_max=max(per_episode),
-                    overall_mean=mean, kind=kind)
+def max_mean_kl(kls: Sequence[Array]) -> tuple[float, float]:
+    """The max over every (episode, step, agent) divergence, and their mean
+    in episode-major order."""
+    return (max(float(k.max()) for k in kls),
+            float(np.mean(np.concatenate([k.reshape(-1) for k in kls]))))
 
 
 # ---------------------------------------------------------------------------
-# Training iterations
+# The training iteration
 
 
-def permissive_sop_iteration(
+SOP_MODES = ("off", "permissive", "strict")
+
+
+def eviction_flags(mode: str, kls: Sequence[Array] | None, kl_threshold: float,
+                   size: int) -> list[bool]:
+    """Which of ``size`` buffered episodes, oldest first, leave after an update."""
+    if mode == "off":
+        return [True] * size
+    drop = [False] * size
+    if kls is not None:
+        drop = [float(k.max()) > kl_threshold for k in kls]
+    drop[0] = True
+    return drop
+
+
+def sop_iteration(
     buffer: ReplayBuffer,
     trainer: Trainer,
-    sample_episode: Callable[[ParamSet], Episode],
-    on_train_end: Callable[[float, float], None] | None = None,
-) -> tuple[float, float]:
-    """Train on the full buffer, evict the oldest episode, roll out one new.
-
-    The buffer must have been warm-filled to capacity beforehand. Consumes
-    exactly one fresh environment episode per call.
-    """
-    if not buffer.full:
-        raise RuntimeError("permissive iteration needs a warm-filled buffer")
-    critic_loss, policy_loss = trainer.train_on_batch(buffer.episodes)
-    if on_train_end is not None:
-        on_train_end(critic_loss, policy_loss)
-    buffer.evict_oldest()
-    buffer.insert(sample_episode(trainer.actor))
-    return critic_loss, policy_loss
-
-
-def strict_sop_iteration(
-    buffer: ReplayBuffer,
-    trainer: Trainer,
-    sample_episode: Callable[[ParamSet], Episode],
+    sample: Callable[[ParamSet], Episode],
+    mode: str,
     kl_threshold: float,
-    on_train_end: Callable[[float, float], None] | None = None,
-) -> tuple[float, float]:
-    """Refill with fresh episodes, train, then evict the oldest episode and
-    every episode whose max divergence from the post-update policy exceeds
-    the threshold."""
+    on_train_end: Callable[[float, float, list[Array] | None], None],
+) -> None:
+    """Fill the buffer with current-policy episodes, train on all of it, evict.
+
+    ``on_train_end(critic_loss, policy_loss, kls)`` sees the buffer as it was
+    trained on. ``kls`` holds the post-update divergence of every buffered
+    episode in strict mode with a finite threshold, computed once for both
+    the callback and the eviction, and is None otherwise.
+    """
+    if mode not in SOP_MODES:
+        raise ValueError(f"unknown sop mode {mode!r}")
     if kl_threshold < 0.0:
         raise ValueError("kl_threshold must be nonnegative")
     while not buffer.full:
-        buffer.insert(sample_episode(trainer.actor))
+        buffer.insert(sample(trainer.actor))
     critic_loss, policy_loss = trainer.train_on_batch(buffer.episodes)
-    if on_train_end is not None:
-        on_train_end(critic_loss, policy_loss)
-    drop = [False] * len(buffer)
-    if np.isfinite(kl_threshold):
+    kls = None
+    if mode == "strict" and np.isfinite(kl_threshold):
         kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
-        drop = [float(k.max()) > kl_threshold for k in kls]
-    drop[0] = True
-    buffer.evict_where(drop)
-    return critic_loss, policy_loss
-
-
-def warm_fill(buffer: ReplayBuffer, trainer: Trainer,
-              sample_episode: Callable[[ParamSet], Episode]) -> None:
-    """Fill the buffer to capacity with fresh current-policy episodes."""
-    while not buffer.full:
-        buffer.insert(sample_episode(trainer.actor))
+    on_train_end(critic_loss, policy_loss, kls)
+    buffer.evict_where(eviction_flags(mode, kls, kl_threshold, len(buffer)))

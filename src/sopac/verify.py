@@ -24,6 +24,7 @@ from .learn import (
     LearnConfig,
     Trainer,
     compute_advantages,
+    critic_batch_inputs,
     critic_loss_tensor,
     critic_update_wholebatch,
     policy_loss_tensor,
@@ -141,15 +142,16 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5, dims: dict | None = None
         rng = np.random.default_rng(1000 + seed)
         batch = random_batch(rng, d)
         for algo in ("centralv", "coma", "coma-cc"):
+            inputs = critic_batch_inputs(batch, algo)
             for _ in range(200):
                 trainer = _check_trainer(rng, algo, d)
-                inputs, targets, weights, actions = prepare_critic_batch(
-                    batch, algo, trainer.target, lam=0.8, gamma=0.99)
+                targets, weights, actions = prepare_critic_batch(
+                    batch, inputs, algo, trainer.target, lam=0.8, gamma=0.99)
 
                 def critic_loss(params: ParamSet) -> ad.Tensor:
                     return critic_loss_tensor(params, inputs, targets, weights, actions)
 
-                adv = compute_advantages(batch, algo, trainer.critic,
+                adv = compute_advantages(batch, inputs, algo, trainer.critic,
                                          trainer.actor, trainer.actor_cfg,
                                          gamma=0.99, gamma_adv_one=False)
 
@@ -239,8 +241,8 @@ def switch_oracle_check(
             episodes = uniform_switch_episodes(env, rng, batch)
             b = Batch.from_episodes(episodes)
             trainer.critic, trainer.critic_opt, trainer.target, _ = critic_update_wholebatch(
-                b, algo, trainer.critic, trainer.critic_opt, trainer.target,
-                lam=0.8, gamma=0.99,
+                b, critic_batch_inputs(b, algo), algo, trainer.critic, trainer.critic_opt,
+                trainer.target, lam=0.8, gamma=0.99,
             )
             if updates % 25 == 0 or updates == max_updates:
                 if algo == "centralv":

@@ -23,9 +23,7 @@ from sopac.sop import (
     kl_estimator_expectation,
     kl_estimator_term,
     kl_exact,
-    permissive_sop_iteration,
-    strict_sop_iteration,
-    warm_fill,
+    sop_iteration,
 )
 from sopac.verify import gradient_suite, random_batch, switch_oracle_check
 
@@ -148,8 +146,9 @@ def test_criterion_06_target_semantics():
     trainer = Trainer.create(
         LearnConfig(algo="coma-cc"), ActorConfig(3, 2, 3, 6), 4,
         np.random.default_rng(61), np.random.default_rng(62), critic_hidden=(8, 8))
-    inputs, targets, weights, actions = learn.prepare_critic_batch(
-        batch, "coma-cc", trainer.target, 0.8, 0.99)
+    inputs = learn.critic_batch_inputs(batch, "coma-cc")
+    targets, weights, actions = learn.prepare_critic_batch(
+        batch, inputs, "coma-cc", trainer.target, 0.8, 0.99)
     trainer.critic.zero_grads()
     learn.critic_loss_tensor(trainer.critic, inputs, targets, weights, actions).backward()
     whole = trainer.critic.grad_set()
@@ -177,30 +176,35 @@ def _switch_setup(b, seed):
     return trainer, ReplayBuffer(b), sample
 
 
+def trained_window(buffer, trainer, sample, mode, kl_threshold=float("inf")):
+    """Run one sop iteration; the generations its update trained on."""
+    window = []
+    sop_iteration(buffer, trainer, sample, mode, kl_threshold,
+                  lambda c, p, kls: window.extend(buffer.generations()))
+    return window
+
+
 def test_criterion_07_buffer_semantics():
     trainer, buffer, sample = _switch_setup(b=8, seed=70)
-    warm_fill(buffer, trainer, sample)
     for k in range(1, 6):
-        permissive_sop_iteration(buffer, trainer, sample)
-        assert buffer.generations() == list(range(k, k + 8)), (
-            f"after {k} iterations expected generations {{{k}..{k + 7}}}, "
-            f"got {buffer.generations()}")
+        window = trained_window(buffer, trainer, sample, "permissive")
+        assert window == list(range(k - 1, k + 7)), (
+            f"update {k} should train on generations {{{k - 1}..{k + 6}}}, got {window}")
 
     trainer, buffer, sample = _switch_setup(b=4, seed=71)
     for _ in range(3):
-        strict_sop_iteration(buffer, trainer, sample, 0.0)
+        trained_window(buffer, trainer, sample, "strict", 0.0)
         stale = [e for e in buffer.episodes
                  if float(np.max(learnable_kl(trainer, e))) > 0.0]
         assert not stale, "strict mode with zero threshold kept a diverged episode"
 
     t_a, buf_a, s_a = _switch_setup(b=4, seed=72)
     t_b, buf_b, s_b = _switch_setup(b=4, seed=72)
-    warm_fill(buf_a, t_a, s_a)
     for _ in range(4):
-        permissive_sop_iteration(buf_a, t_a, s_a)
-        strict_sop_iteration(buf_b, t_b, s_b, float("inf"))
-    assert buf_b.generations() == buf_a.generations()[: len(buf_b)], (
-        "infinite threshold did not reproduce permissive eviction")
+        permissive = trained_window(buf_a, t_a, s_a, "permissive")
+        strict = trained_window(buf_b, t_b, s_b, "strict", float("inf"))
+        assert strict == permissive, "infinite threshold did not reproduce permissive eviction"
+    assert buf_b.generations() == buf_a.generations()
     report(7, "FIFO generation traces, zero-threshold pruning, "
               "infinite threshold = permissive")
 

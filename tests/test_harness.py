@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from sopac import cli
+from sopac import cli, harness, sop
 from sopac.autodiff import ParamSet
 from sopac.envs import SwitchGame
+from sopac.learn import Trainer
 from sopac.harness import (
     METRICS_HEADER,
     ConfigError,
@@ -148,10 +149,43 @@ class TestRunExperiment:
         cfg = small_config()
         result = run_experiment(cfg, tmp_path / "r")
         manifest = json.loads(result.manifest_path.read_text())
+        assert set(manifest) == {"config", "config_sha256", "package_version", "environment",
+                                 "episodes", "env_steps", "rows", "wall_seconds"}
         assert manifest["config_sha256"] == cfg.sha256()
         assert manifest["rows"] == len(result.rows)
         assert manifest["env_steps"] >= cfg.total_steps
         assert result.params_path.exists()
+
+    @pytest.mark.parametrize("mode", ["off", "permissive", "strict"])
+    def test_no_episode_is_sampled_after_the_last_update(self, tmp_path, mode):
+        cfg = small_config(sop=mode, batch_size=3, kl_threshold=0.05, total_steps=50)
+        result = run_experiment(cfg, tmp_path / "r")
+        manifest = json.loads(result.manifest_path.read_text())
+        assert manifest["episodes"] == result.rows[-1]["episodes"]
+        assert manifest["env_steps"] == result.rows[-1]["episodes"]  # one step each
+
+    def test_strict_replays_the_buffer_kl_once_per_update(self, tmp_path, monkeypatch):
+        # criterion 11's strict config: 8 updates, 2 of them evaluation rows
+        counts = {"kls": 0, "updates": 0}
+        episode_kls, train_on_batch = sop.episode_kls, Trainer.train_on_batch
+
+        def counted_kls(*args, **kwargs):
+            counts["kls"] += 1
+            return episode_kls(*args, **kwargs)
+
+        def counted_update(self, episodes):
+            counts["updates"] += 1
+            return train_on_batch(self, episodes)
+
+        monkeypatch.setattr(sop, "episode_kls", counted_kls)
+        monkeypatch.setattr(harness, "episode_kls", counted_kls, raising=False)
+        monkeypatch.setattr(Trainer, "train_on_batch", counted_update)
+        cfg = RunConfig(env="capture", algo="centralv", sop="strict", kl_threshold=0.05,
+                        batch_size=2, total_steps=80, eval_interval=40, eval_episodes=2,
+                        seed=12, env_config={"side": 4, "horizon": 8, "prey": "walk"})
+        result = run_experiment(cfg, tmp_path / "r")
+        assert len(result.rows) == 2
+        assert counts == {"kls": 8, "updates": 8}
 
     def test_capture_environment_runs_all_algorithms(self, tmp_path):
         for algo in ("centralv", "coma", "coma-cc"):
@@ -293,6 +327,13 @@ class TestCli:
                              "--out", str(tmp_path / "run")])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+        rows = read_metrics(tmp_path / "run" / "metrics.csv")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["status"] == "numeric_failure"
+        assert manifest["rows"] == len(rows)
+        assert manifest["env_step"] == manifest["env_steps"] > 0
+        assert "not finite" in manifest["error"]
+        assert manifest["config"]["lr"] == 1e200
 
     def test_aggregate_subcommand(self, tmp_path):
         for seed in (0, 1):

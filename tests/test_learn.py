@@ -17,6 +17,7 @@ from sopac.learn import (
     coma_advantage,
     compute_advantages,
     counterfactual_baseline,
+    critic_batch_inputs,
     critic_update_minibatch,
     critic_update_wholebatch,
     n_step_return,
@@ -158,16 +159,17 @@ class TestAdvantages:
     def test_centralv_advantages_identical_across_agents(self):
         trainer = make_trainer("centralv")
         batch = random_batch(np.random.default_rng(1), DIMS)
-        adv = compute_advantages(batch, "centralv", trainer.critic, trainer.actor,
-                                 trainer.actor_cfg, 0.99, True)
+        adv = compute_advantages(batch, critic_batch_inputs(batch, "centralv"), "centralv",
+                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, True)
         assert np.array_equal(adv[:, :, 0], adv[:, :, 1])
 
     @pytest.mark.parametrize("gamma_adv_one", [True, False])
     def test_centralv_batch_matches_scalar_advantage_bit_for_bit(self, gamma_adv_one):
         trainer = make_trainer("centralv", seed=5)
         batch = random_batch(np.random.default_rng(6), dict(DIMS, batch=5))
-        adv = compute_advantages(batch, "centralv", trainer.critic, trainer.actor,
-                                 trainer.actor_cfg, 0.9, gamma_adv_one)
+        adv = compute_advantages(batch, critic_batch_inputs(batch, "centralv"), "centralv",
+                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.9,
+                                 gamma_adv_one)
         values = learn._critic_values(trainer.critic, batch.states, None).data
         values = values.reshape(batch.size, batch.max_length)
         gamma_adv = 1.0 if gamma_adv_one else 0.9
@@ -184,8 +186,8 @@ class TestAdvantages:
     def test_comacc_taken_value_consistent_with_baseline_definition(self):
         trainer = make_trainer("coma-cc")
         batch = random_batch(np.random.default_rng(2), DIMS)
-        adv = compute_advantages(batch, "coma-cc", trainer.critic, trainer.actor,
-                                 trainer.actor_cfg, 0.99, False)
+        adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
+                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, False)
         assert np.isfinite(adv).all()
         assert (adv[batch.pad == 0.0] == 0.0).all()
 
@@ -219,8 +221,8 @@ class TestPolicyGradientUpdate:
     def test_gradient_matches_finite_differences(self):
         trainer = make_trainer("coma-cc", seed=6)
         batch = random_batch(np.random.default_rng(7), DIMS)
-        adv = compute_advantages(batch, "coma-cc", trainer.critic, trainer.actor,
-                                 trainer.actor_cfg, 0.99, False)
+        adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
+                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, False)
 
         def loss(params):
             return learn.policy_loss_tensor(batch, adv, params, trainer.actor_cfg)
@@ -241,8 +243,8 @@ class TestPolicyGradientUpdate:
         trainer = make_trainer("coma-cc", seed=10)
         batch = random_batch(np.random.default_rng(11), DIMS)
         critic_before = trainer.critic.copy()
-        adv = compute_advantages(batch, "coma-cc", trainer.critic, trainer.actor,
-                                 trainer.actor_cfg, 0.99, False)
+        adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
+                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, False)
         policy_gradient_update(batch, adv, trainer.actor, trainer.actor_cfg,
                                trainer.actor_opt)
         assert trainer.critic.equals(critic_before)
@@ -258,10 +260,11 @@ class TestCriticSchedules:
         ])
         a = make_trainer("coma-cc", seed=13)
         b = make_trainer("coma-cc", seed=13)
-        pa, _, ta, la = critic_update_minibatch(batch, "coma-cc", a.critic, a.critic_opt,
-                                                a.target, 0.8, 0.99)
-        pb, _, tb, lb = critic_update_wholebatch(batch, "coma-cc", b.critic, b.critic_opt,
-                                                 b.target, 0.8, 0.99)
+        inputs = critic_batch_inputs(batch, "coma-cc")
+        pa, _, ta, la = critic_update_minibatch(batch, inputs, "coma-cc", a.critic,
+                                                a.critic_opt, a.target, 0.8, 0.99)
+        pb, _, tb, lb = critic_update_wholebatch(batch, inputs, "coma-cc", b.critic,
+                                                 b.critic_opt, b.target, 0.8, 0.99)
         assert pa.equals(pb)
         assert la == lb
         assert ta.counter == tb.counter
@@ -275,7 +278,8 @@ class TestCriticSchedules:
         batch = Batch.from_episodes([episode])
         target = TargetNetState(zero_critic.copy(), 0, 200)
         new_params, _, _, loss = critic_update_wholebatch(
-            batch, "centralv", zero_critic, ad.rmsprop_init(zero_critic), target, 0.8, 0.99)
+            batch, critic_batch_inputs(batch, "centralv"), "centralv", zero_critic,
+            ad.rmsprop_init(zero_critic), target, 0.8, 0.99)
         assert loss == 0.0
         assert new_params.equals(zero_critic)
 
@@ -283,17 +287,19 @@ class TestCriticSchedules:
         batch = random_batch(np.random.default_rng(16), dict(DIMS, max_len=2))
         a = make_trainer("centralv", seed=17)
         b = make_trainer("centralv", seed=17)
-        pa, *_ = critic_update_minibatch(batch, "centralv", a.critic, a.critic_opt,
+        inputs = critic_batch_inputs(batch, "centralv")
+        pa, *_ = critic_update_minibatch(batch, inputs, "centralv", a.critic, a.critic_opt,
                                          a.target, 0.8, 0.99)
-        pb, *_ = critic_update_wholebatch(batch, "centralv", b.critic, b.critic_opt,
+        pb, *_ = critic_update_wholebatch(batch, inputs, "centralv", b.critic, b.critic_opt,
                                           b.target, 0.8, 0.99)
         assert not pa.equals(pb)
 
     def test_wholebatch_gradient_is_sum_of_per_step_gradients(self):
         trainer = make_trainer("coma-cc", seed=18)
         batch = random_batch(np.random.default_rng(19), DIMS)
-        inputs, targets, weights, actions = prepare_critic_batch(
-            batch, "coma-cc", trainer.target, 0.8, 0.99)
+        inputs = critic_batch_inputs(batch, "coma-cc")
+        targets, weights, actions = prepare_critic_batch(
+            batch, inputs, "coma-cc", trainer.target, 0.8, 0.99)
 
         trainer.critic.zero_grads()
         learn.critic_loss_tensor(trainer.critic, inputs, targets, weights, actions).backward()
@@ -335,10 +341,11 @@ class TestCriticSchedules:
                                  env.spec.state_width,
                                  np.random.default_rng(20), np.random.default_rng(21),
                                  critic_hidden=(32, 32))
+        inputs = critic_batch_inputs(batch, "coma-cc")
         loss = np.inf
         for _ in range(4000):
             trainer.critic, trainer.critic_opt, trainer.target, loss = critic_update_wholebatch(
-                batch, "coma-cc", trainer.critic, trainer.critic_opt, trainer.target,
+                batch, inputs, "coma-cc", trainer.critic, trainer.critic_opt, trainer.target,
                 0.8, 0.99)
             if loss < 1e-3:
                 break
@@ -351,8 +358,9 @@ class TestCriticSchedules:
         episode.rewards[0] = np.inf
         batch = Batch.from_episodes([episode])
         with pytest.raises(NumericError):
-            critic_update_wholebatch(batch, "centralv", trainer.critic,
-                                     trainer.critic_opt, trainer.target, 0.8, 0.99)
+            critic_update_wholebatch(batch, critic_batch_inputs(batch, "centralv"), "centralv",
+                                     trainer.critic, trainer.critic_opt, trainer.target,
+                                     0.8, 0.99)
 
 
 class TestTargetNetwork:
@@ -375,11 +383,12 @@ class TestTargetNetwork:
     def test_exactly_one_sync_in_two_hundred_wholebatch_iterations(self):
         trainer = make_trainer("centralv", seed=26, target_period=200)
         batch = random_batch(np.random.default_rng(27), DIMS)
+        inputs = critic_batch_inputs(batch, "centralv")
         syncs = 0
         for _ in range(200):
             before = trainer.target.params
             trainer.critic, trainer.critic_opt, trainer.target, _ = critic_update_wholebatch(
-                batch, "centralv", trainer.critic, trainer.critic_opt, trainer.target,
+                batch, inputs, "centralv", trainer.critic, trainer.critic_opt, trainer.target,
                 0.8, 0.99)
             if trainer.target.params is not before:
                 syncs += 1
@@ -439,7 +448,10 @@ class TestBatchedCriticInputsMatchSingleCalls:
     def test_comacc_batched_tables_equal_single_pass_tables(self):
         trainer = make_trainer("coma-cc", seed=40)
         batch = random_batch(np.random.default_rng(41), DIMS)
-        inputs = learn.comacc_counterfactual_batch_inputs(batch)
+        layout = cr.layout_for("coma-cc", DIMS["state_width"], DIMS["obs_width"],
+                               DIMS["n"], DIMS["m"])
+        inputs = cr.counterfactual_inputs(
+            layout, critic_batch_inputs(batch, "coma-cc"), DIMS["m"])
         with ad.no_grad():
             rows = learn._critic_values(trainer.critic, inputs, None).data
         rows = rows.reshape(batch.size, batch.max_length, DIMS["n"], DIMS["m"])
@@ -468,6 +480,25 @@ class TestBatchedCriticInputsMatchSingleCalls:
                     assert np.array_equal(rows[b, t, a], single)
 
 
+class TestTrainOnBatch:
+    @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
+    @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])
+    def test_critic_inputs_are_encoded_once_per_update(self, monkeypatch, algo, schedule):
+        calls = []
+        encode = learn.critic_batch_inputs
+
+        def counted(batch, algo):
+            calls.append(algo)
+            return encode(batch, algo)
+
+        monkeypatch.setattr(learn, "critic_batch_inputs", counted)
+        trainer = make_trainer(algo, seed=30, critic_schedule=schedule)
+        rng = np.random.default_rng(31)
+        for k in range(1, 4):
+            trainer.train_on_batch(random_batch(rng, DIMS).episodes)
+            assert calls == [algo] * k
+
+
 class TestPadding:
     def test_padded_content_is_irrelevant_to_losses_and_gradients(self):
         rng = np.random.default_rng(28)
@@ -487,8 +518,8 @@ class TestPadding:
         poisoned.epsilons[hole] = 0.7
 
         trainer = make_trainer("coma-cc", seed=29)
-        adv = compute_advantages(batch, "coma-cc", trainer.critic, trainer.actor,
-                                 trainer.actor_cfg, 0.99, False)
+        adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
+                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, False)
         for b in (batch, poisoned):
             trainer.actor.zero_grads()
             loss = learn.policy_loss_tensor(b, adv, trainer.actor, trainer.actor_cfg)

@@ -10,13 +10,12 @@ from sopac.rollout import sample_episode_fn
 from sopac.sop import (
     ReplayBuffer,
     episode_kls,
+    eviction_flags,
     kl_estimator_expectation,
     kl_estimator_term,
     kl_exact,
-    max_buffer_kl,
-    permissive_sop_iteration,
-    strict_sop_iteration,
-    warm_fill,
+    max_mean_kl,
+    sop_iteration,
 )
 from sopac.verify import random_episode
 
@@ -44,6 +43,20 @@ def make_setup(b=4, payoff=None, seed=0, lr=0.005):
     )
     sample = sample_episode_fn(env, actor_cfg, EpsilonSchedule(), master_seed=seed)
     return env, trainer, ReplayBuffer(b), sample
+
+
+def fill(buffer, trainer, sample):
+    while not buffer.full:
+        buffer.insert(sample(trainer.actor))
+
+
+def iterate(buffer, trainer, sample, mode, kl_threshold=float("inf"), iterations=1):
+    """Run sop iterations; the generations each update trained on."""
+    windows = []
+    for _ in range(iterations):
+        sop_iteration(buffer, trainer, sample, mode, kl_threshold,
+                      lambda c, p, kls: windows.append(buffer.generations()))
+    return windows
 
 
 class TestKlExact:
@@ -141,7 +154,7 @@ class TestReplayBuffer:
         assert buffer.generations() == [0, 1, 2]
         with pytest.raises(RuntimeError):
             buffer.insert(sample(trainer.actor))
-        assert buffer.evict_oldest().generation == 0
+        assert [e.generation for e in buffer.evict_where([True, False, False])] == [0]
         assert buffer.generations() == [1, 2]
 
     @given(st.lists(st.booleans(), min_size=1, max_size=10))
@@ -164,32 +177,31 @@ class TestReplayBuffer:
 class TestMaxBufferKl:
     def test_current_policy_buffer_reports_zero(self):
         env, trainer, buffer, sample = make_setup(b=3)
-        warm_fill(buffer, trainer, sample)
-        report = max_buffer_kl(trainer.actor, trainer.actor_cfg, buffer.episodes)
-        assert report.overall_max == 0.0
-        assert report.overall_mean == 0.0
-        assert report.per_episode == [0.0, 0.0, 0.0]
+        fill(buffer, trainer, sample)
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
+        assert max_mean_kl(kls) == (0.0, 0.0)
+        assert [float(k.max()) for k in kls] == [0.0, 0.0, 0.0]
 
     def test_single_stale_episode_dominates(self):
         env, trainer, buffer, sample = make_setup(b=3)
-        warm_fill(buffer, trainer, sample)
+        fill(buffer, trainer, sample)
         stale = buffer.episodes[1]
         stale.dists = 0.6 * stale.dists + 0.4 / trainer.actor_cfg.n_actions
         expected = float(episode_kls(trainer.actor, trainer.actor_cfg, [stale])[0].max())
-        report = max_buffer_kl(trainer.actor, trainer.actor_cfg, buffer.episodes)
-        assert report.overall_max == expected
-        assert report.per_episode[0] == 0.0 and report.per_episode[2] == 0.0
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
+        assert max_mean_kl(kls)[0] == expected
+        assert float(kls[0].max()) == 0.0 and float(kls[2].max()) == 0.0
         # per-step cross-check against the closed form
         current = replay(trainer, stale)
-        kls = [
+        per_step = [
             kl_exact(current[t, a], stale.dists[t, a])
             for t in range(stale.length) for a in range(2)
         ]
-        assert expected == max(kls)
+        assert expected == max(per_step)
 
     def test_exact_and_expectation_forms_agree(self):
         env, trainer, buffer, sample = make_setup(b=2)
-        warm_fill(buffer, trainer, sample)
+        fill(buffer, trainer, sample)
         episode = buffer.episodes[0]
         episode.dists = 0.8 * episode.dists + 0.2 / trainer.actor_cfg.n_actions
         current = replay(trainer, episode)
@@ -201,18 +213,19 @@ class TestMaxBufferKl:
 
     def test_sampled_kind_is_nonnegative_and_reported(self):
         env, trainer, buffer, sample = make_setup(b=2)
-        warm_fill(buffer, trainer, sample)
+        fill(buffer, trainer, sample)
         buffer.episodes[0].dists = 0.5 * buffer.episodes[0].dists + 0.5 / 3
-        report = max_buffer_kl(trainer.actor, trainer.actor_cfg, buffer.episodes, "sampled")
-        assert report.kind == "sampled"
-        assert report.overall_max >= 0.0
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes, "sampled")
+        max_kl, mean_kl = max_mean_kl(kls)
+        assert max_kl > 0.0 and mean_kl >= 0.0
+        assert all((k >= 0.0).all() for k in kls)
 
     def test_missing_provenance_rejected(self):
         env, trainer, buffer, sample = make_setup(b=1)
         episode = sample(trainer.actor)
         episode.dists = None
         with pytest.raises(ValueError):
-            max_buffer_kl(trainer.actor, trainer.actor_cfg, [episode])
+            episode_kls(trainer.actor, trainer.actor_cfg, [episode])
 
 
 class TestEpisodeKlsBatching:
@@ -238,33 +251,46 @@ class TestEpisodeKlsBatching:
             assert episode_kls(actor, cfg, [episodes[i]], kind)[0].tobytes() == kls.tobytes()
 
 
-class TestPermissiveIteration:
-    def test_requires_warm_filled_buffer(self):
-        env, trainer, buffer, sample = make_setup(b=2)
-        with pytest.raises(RuntimeError):
-            permissive_sop_iteration(buffer, trainer, sample)
+class TestEvictionRule:
+    def test_each_mode_flags_its_episodes(self):
+        kls = [np.array([[0.0]]), np.array([[0.3]]), np.array([[0.1]])]
+        assert eviction_flags("off", None, 0.2, 3) == [True, True, True]
+        assert eviction_flags("permissive", None, 0.2, 3) == [True, False, False]
+        assert eviction_flags("strict", None, 0.2, 3) == [True, False, False]
+        assert eviction_flags("strict", kls, 0.2, 3) == [True, True, False]
 
+    def test_unknown_mode_rejected_before_sampling(self):
+        env, trainer, buffer, sample = make_setup(b=2)
+        with pytest.raises(ValueError, match="sop mode"):
+            iterate(buffer, trainer, sample, "on")
+        assert sample.counter["rollouts"] == 0
+
+
+class TestOffIteration:
+    def test_every_update_trains_on_fresh_episodes(self):
+        env, trainer, buffer, sample = make_setup(b=3)
+        windows = iterate(buffer, trainer, sample, "off", iterations=3)
+        assert windows == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert buffer.generations() == []
+
+
+class TestPermissiveIteration:
     def test_buffer_generations_slide_by_one_per_iteration(self):
         env, trainer, buffer, sample = make_setup(b=4)
-        warm_fill(buffer, trainer, sample)
-        assert buffer.generations() == [0, 1, 2, 3]
-        for k in range(1, 6):
-            permissive_sop_iteration(buffer, trainer, sample)
-            assert buffer.generations() == [k, k + 1, k + 2, k + 3]
+        windows = iterate(buffer, trainer, sample, "permissive", iterations=5)
+        assert windows == [[k - 1, k, k + 1, k + 2] for k in range(1, 6)]
+        assert buffer.generations() == [5, 6, 7]
 
     def test_capacity_one_trains_on_single_latest_episode(self):
         env, trainer, buffer, sample = make_setup(b=1)
-        warm_fill(buffer, trainer, sample)
-        for k in range(1, 4):
-            permissive_sop_iteration(buffer, trainer, sample)
-            assert buffer.generations() == [k]
+        windows = iterate(buffer, trainer, sample, "permissive", iterations=3)
+        assert windows == [[0], [1], [2]]
 
     def test_consumes_exactly_one_episode_per_iteration(self):
         env, trainer, buffer, sample = make_setup(b=3)
-        warm_fill(buffer, trainer, sample)
+        iterate(buffer, trainer, sample, "permissive")
         before = sample.counter["rollouts"]
-        for _ in range(4):
-            permissive_sop_iteration(buffer, trainer, sample)
+        iterate(buffer, trainer, sample, "permissive", iterations=4)
         assert sample.counter["rollouts"] == before + 4
 
 
@@ -272,21 +298,18 @@ class TestStrictIteration:
     def test_infinite_threshold_matches_permissive_eviction(self):
         env_a, trainer_a, buf_a, sample_a = make_setup(b=3, seed=11)
         env_b, trainer_b, buf_b, sample_b = make_setup(b=3, seed=11)
-        warm_fill(buf_a, trainer_a, sample_a)
-        for _ in range(3):
-            permissive_sop_iteration(buf_a, trainer_a, sample_a)
-            strict_sop_iteration(buf_b, trainer_b, sample_b, float("inf"))
-        # strict refills at the start of the next call, so its survivors are
-        # exactly the permissive buffer minus the episode permissive re-sampled
-        assert buf_b.generations() == buf_a.generations()[: len(buf_b)]
-        assert len(buf_b) == len(buf_a) - 1
+        permissive = iterate(buf_a, trainer_a, sample_a, "permissive", iterations=3)
+        strict = iterate(buf_b, trainer_b, sample_b, "strict", float("inf"), iterations=3)
+        assert strict == permissive
+        assert buf_b.generations() == buf_a.generations()
+        assert trainer_b.actor.equals(trainer_a.actor)
 
     def test_zero_threshold_with_policy_change_empties_the_buffer(self):
         env, trainer, buffer, sample = make_setup(b=3, seed=12)
-        strict_sop_iteration(buffer, trainer, sample, 0.0)
+        iterate(buffer, trainer, sample, "strict", 0.0)
         assert buffer.generations() == []
         rollouts_before = sample.counter["rollouts"]
-        strict_sop_iteration(buffer, trainer, sample, 0.0)
+        iterate(buffer, trainer, sample, "strict", 0.0)
         # the next iteration trained purely on freshly sampled episodes
         assert sample.counter["rollouts"] == rollouts_before + 3
 
@@ -309,20 +332,37 @@ class TestStrictIteration:
                         episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes))
         assert high > low > 0.0
         threshold = 0.5 * (high + low)
-        strict_sop_iteration(buffer, trainer, sample, threshold)
+        iterate(buffer, trainer, sample, "strict", threshold)
         # evicted: generation 0 (oldest) and generation 1 (diverged past threshold)
         assert buffer.generations() == [2, 3]
 
     def test_negative_threshold_rejected(self):
         env, trainer, buffer, sample = make_setup(b=2)
         with pytest.raises(ValueError):
-            strict_sop_iteration(buffer, trainer, sample, -0.1)
+            iterate(buffer, trainer, sample, "strict", -0.1)
 
     def test_consumes_exactly_as_many_episodes_as_it_evicted(self):
         env, trainer, buffer, sample = make_setup(b=4, seed=14)
-        strict_sop_iteration(buffer, trainer, sample, float("inf"))
+        iterate(buffer, trainer, sample, "strict", float("inf"))
         for _ in range(3):
             evicted = buffer.capacity - len(buffer)
             before = sample.counter["rollouts"]
-            strict_sop_iteration(buffer, trainer, sample, float("inf"))
+            iterate(buffer, trainer, sample, "strict", float("inf"))
             assert sample.counter["rollouts"] == before + evicted
+
+    def test_callback_receives_the_kls_eviction_uses(self):
+        env, trainer, buffer, sample = make_setup(b=3, seed=15)
+        seen = []
+
+        def on_train_end(critic_loss, policy_loss, kls):
+            expected = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
+            assert [k.tobytes() for k in kls] == [k.tobytes() for k in expected]
+            seen.append(eviction_flags("strict", kls, 0.01, len(buffer)))
+
+        sop_iteration(buffer, trainer, sample, "strict", 0.01, on_train_end)
+        survivors = [g for g, d in zip([0, 1, 2], seen[0]) if not d]
+        assert buffer.generations() == survivors
+        for mode, threshold in (("off", 0.01), ("permissive", 0.01), ("strict", np.inf)):
+            sop_iteration(buffer, trainer, sample, mode, threshold,
+                          lambda c, p, kls: seen.append(kls))
+            assert seen[-1] is None
