@@ -6,11 +6,24 @@ constraints that shape the implementation:
 
 * everything is float64, and forward passes are bit-deterministic;
 * a batched matrix product is computed as a stack of single-row products
-  (``np.matmul(x[:, None, :], w)``), so evaluating k stacked inputs yields
-  bit-identical rows to k independent single-input calls -- several tests
-  and the counterfactual critic rely on this;
+  (``np.matmul(x[:, None, :], w)``, in the one helper ``_rowwise``, shared by
+  ``matmul``, ``linear`` and ``gru_step``), so evaluating k stacked inputs
+  yields bit-identical rows to k independent single-input calls -- several
+  tests and the counterfactual critic rely on this;
 * gradients accumulate in a fixed topological order, so whole-batch
   training is reproducible down to the last bit.
+
+Besides elementwise ops, the tape has fused nodes: ``linear`` (a dense layer,
+used by ``mlp_forward``), ``gru_step`` and ``policy.masked_epsilon_probs``.
+Each computes its forward in plain numpy with the grouping and order of the
+elementwise ops it replaces, e.g. ``(x Wr + h Ur) + br``, and records one
+node whose hand-written backward reproduces the composed ops' gradients bit
+for bit. The rule that makes this hold: a fused backward passes each term
+that the composed graph would have sent to an input through its own
+``accumulate`` call, in the order the composed graph sent it, and never
+pre-sums terms bound for the same input. Floating-point addition is not
+associative, so ``g + (a + b)`` and ``(g + a) + b`` can differ in the last
+bit. ``tests/reference.py`` keeps the composed versions as oracles.
 """
 
 from __future__ import annotations
@@ -88,7 +101,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        _accumulate(self, np.asarray(seed, dtype=np.float64))
+        accumulate(self, np.asarray(seed, dtype=np.float64))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -129,7 +142,8 @@ def _data(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-def _accumulate(t: Tensor, g: Array) -> None:
+def accumulate(t: Tensor, g: Array) -> None:
+    """Add one gradient term into ``t.grad``; terms are summed in call order."""
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -143,7 +157,9 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
-def _result(data: Array, parents: tuple, backward) -> Tensor:
+def record(data: Array, parents: tuple, backward) -> Tensor:
+    """A node on the tape when gradients are on and a parent is a Tensor;
+    ``backward(g)`` must ``accumulate`` into the Tensor parents."""
     if _grad_enabled and any(isinstance(p, Tensor) for p in parents):
         tens = tuple(p for p in parents if isinstance(p, Tensor))
         return Tensor(data, tens, backward)
@@ -156,11 +172,11 @@ def add(a, b) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(g, ad.shape))
+            accumulate(a, _unbroadcast(g, ad.shape))
         if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(g, bd.shape))
+            accumulate(b, _unbroadcast(g, bd.shape))
 
-    return _result(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -169,11 +185,11 @@ def sub(a, b) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(g, ad.shape))
+            accumulate(a, _unbroadcast(g, ad.shape))
         if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(-g, bd.shape))
+            accumulate(b, _unbroadcast(-g, bd.shape))
 
-    return _result(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -182,11 +198,11 @@ def mul(a, b) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(g * bd, ad.shape))
+            accumulate(a, _unbroadcast(g * bd, ad.shape))
         if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(g * ad, bd.shape))
+            accumulate(b, _unbroadcast(g * ad, bd.shape))
 
-    return _result(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
@@ -195,31 +211,51 @@ def div(a, b) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(g / bd, ad.shape))
+            accumulate(a, _unbroadcast(g / bd, ad.shape))
         if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(-g * ad / (bd * bd), bd.shape))
+            accumulate(b, _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
-    return _result(out, (a, b), backward)
+    return record(out, (a, b), backward)
+
+
+def _rowwise(xd: Array, wd: Array) -> Array:
+    """``xd @ wd`` as a stack of single-row products: row i is bit-identical
+    to the product of row i alone, whatever the number of rows."""
+    return np.matmul(xd[:, None, :], wd)[:, 0, :]
 
 
 def matmul(x, w) -> Tensor:
-    """2-D matrix product ``(k, n) @ (n, m)`` with row-exact batching.
-
-    Computed as a stack of k single-row products so that every output row is
-    bit-identical to the corresponding single-input product, regardless of k.
-    """
+    """2-D matrix product ``(k, n) @ (n, m)`` with row-exact batching."""
     xd, wd = _data(x), _data(w)
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {xd.shape} @ {wd.shape}")
-    out = np.matmul(xd[:, None, :], wd)[:, 0, :]
+    out = _rowwise(xd, wd)
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, g @ wd.T)
+            accumulate(x, g @ wd.T)
         if isinstance(w, Tensor):
-            _accumulate(w, xd.T @ g)
+            accumulate(w, xd.T @ g)
 
-    return _result(out, (x, w), backward)
+    return record(out, (x, w), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """Dense layer ``x @ w + b`` as one node: row-exact product plus bias."""
+    xd, wd, bd = _data(x), _data(w), _data(b)
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {xd.shape} @ {wd.shape}")
+    out = _rowwise(xd, wd) + bd
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, g @ wd.T)
+        if isinstance(w, Tensor):
+            accumulate(w, xd.T @ g)
+        if isinstance(b, Tensor):
+            accumulate(b, _unbroadcast(g, bd.shape))
+
+    return record(out, (x, w, b), backward)
 
 
 def relu(x) -> Tensor:
@@ -228,20 +264,24 @@ def relu(x) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, g * (xd > 0.0))
+            accumulate(x, g * (xd > 0.0))
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
+
+
+def _sigmoid(xd: Array) -> Array:
+    return 1.0 / (1.0 + np.exp(-xd))
 
 
 def sigmoid(x) -> Tensor:
     xd = _data(x)
-    out = 1.0 / (1.0 + np.exp(-xd))
+    out = _sigmoid(xd)
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, g * out * (1.0 - out))
+            accumulate(x, g * out * (1.0 - out))
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 def tanh(x) -> Tensor:
@@ -250,9 +290,9 @@ def tanh(x) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, g * (1.0 - out * out))
+            accumulate(x, g * (1.0 - out * out))
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 def exp(x) -> Tensor:
@@ -261,9 +301,9 @@ def exp(x) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, g * out)
+            accumulate(x, g * out)
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 def log(x) -> Tensor:
@@ -272,9 +312,9 @@ def log(x) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, g / xd)
+            accumulate(x, g / xd)
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 def square(x) -> Tensor:
@@ -283,9 +323,9 @@ def square(x) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, g * 2.0 * xd)
+            accumulate(x, g * 2.0 * xd)
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 def sum_all(x) -> Tensor:
@@ -294,9 +334,9 @@ def sum_all(x) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, np.broadcast_to(g, xd.shape).copy())
+            accumulate(x, np.broadcast_to(g, xd.shape).copy())
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 def sum_last(x) -> Tensor:
@@ -306,9 +346,9 @@ def sum_last(x) -> Tensor:
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
-            _accumulate(x, np.broadcast_to(g, xd.shape).copy())
+            accumulate(x, np.broadcast_to(g, xd.shape).copy())
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 def gather_last(x, index) -> Tensor:
@@ -323,9 +363,9 @@ def gather_last(x, index) -> Tensor:
         if isinstance(x, Tensor):
             gx = np.zeros_like(xd)
             np.put_along_axis(gx, idx, g, axis=1)
-            _accumulate(x, gx)
+            accumulate(x, gx)
 
-    return _result(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +517,9 @@ def mlp_forward(params: ParamSet, x, prefix: str = "") -> Tensor:
             f"mlp_forward: input shape {xd.shape} does not match first layer "
             f"width {expected}"
         )
-    h = x if isinstance(x, Tensor) else Tensor(xd)
+    h = x
     for i in range(n_layers):
-        h = add(matmul(h, params[f"{prefix}w{i}"]), params[f"{prefix}b{i}"])
+        h = linear(h, params[f"{prefix}w{i}"], params[f"{prefix}b{i}"])
         if i < n_layers - 1:
             h = relu(h)
     return h
@@ -497,21 +537,54 @@ def gru_init(
 
 
 def gru_step(params: ParamSet, x, h, prefix: str = "") -> Tensor:
-    """One GRU cell step.
+    """One GRU cell step, recorded as one node.
 
     reset    r = sigmoid(x Wr + h Ur + br)
     update   z = sigmoid(x Wz + h Uz + bz)
     cand     c = tanh(x Wh + (r*h) Uh + bh)
     next     h' = (1 - z) * h + z * c
     """
-    hd = _data(h)
-    hidden = params[f"{prefix}ur"].data.shape[0]
+    xd, hd = _data(x), _data(h)
+    wr, ur, br, wz, uz, bz, wh, uh, bh = (
+        params[f"{prefix}{name}"]
+        for name in ("wr", "ur", "br", "wz", "uz", "bz", "wh", "uh", "bh"))
+    hidden = ur.data.shape[0]
     if hd.ndim != 2 or hd.shape[1] != hidden:
         raise ShapeError(f"gru_step: hidden state {hd.shape} vs width {hidden}")
-    r = sigmoid(add(add(matmul(x, params[f"{prefix}wr"]), matmul(h, params[f"{prefix}ur"])), params[f"{prefix}br"]))
-    z = sigmoid(add(add(matmul(x, params[f"{prefix}wz"]), matmul(h, params[f"{prefix}uz"])), params[f"{prefix}bz"]))
-    c = tanh(add(add(matmul(x, params[f"{prefix}wh"]), matmul(mul(r, h), params[f"{prefix}uh"])), params[f"{prefix}bh"]))
-    return add(mul(sub(1.0, z), h), mul(z, c))
+    r = _sigmoid((_rowwise(xd, wr.data) + _rowwise(hd, ur.data)) + br.data)
+    z = _sigmoid((_rowwise(xd, wz.data) + _rowwise(hd, uz.data)) + bz.data)
+    rh = r * hd
+    c = np.tanh((_rowwise(xd, wh.data) + _rowwise(rh, uh.data)) + bh.data)
+    keep = 1.0 - z
+    out = keep * hd + z * c
+
+    def backward(g: Array) -> None:
+        # The composed graph's terms, grouped as it grouped them.
+        g_z = g * c - g * hd
+        g_zpre = (g_z * z) * keep
+        g_cpre = (g * z) * (1.0 - c * c)
+        g_rh = g_cpre @ uh.data.T
+        g_rpre = ((g_rh * hd) * r) * (1.0 - r)
+        for p, gp in ((wr, xd.T @ g_rpre), (ur, hd.T @ g_rpre), (br, g_rpre),
+                      (wz, xd.T @ g_zpre), (uz, hd.T @ g_zpre), (bz, g_zpre),
+                      (wh, xd.T @ g_cpre), (uh, rh.T @ g_cpre), (bh, g_cpre)):
+            accumulate(p, _unbroadcast(gp, p.data.shape))
+        # Each term separately and in the composed graph's order.
+        if isinstance(x, Tensor):
+            accumulate(x, g_cpre @ wh.data.T)
+            accumulate(x, g_zpre @ wz.data.T)
+            accumulate(x, g_rpre @ wr.data.T)
+        if isinstance(h, Tensor):
+            accumulate(h, g * keep)
+            accumulate(h, g_zpre @ uz.data.T)
+            accumulate(h, g_rh * r)
+            accumulate(h, g_rpre @ ur.data.T)
+
+    # x before h: backward()'s depth-first ordering then explores the earlier
+    # steps before this step's input layer, as in the composed graph, so a
+    # shared parameter such as fc1's receives its per-step terms in the same
+    # order (last step first).
+    return record(out, (x, h, wr, ur, br, wz, uz, bz, wh, uh, bh), backward)
 
 
 # ---------------------------------------------------------------------------

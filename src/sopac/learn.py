@@ -132,25 +132,6 @@ class Batch:
 # Returns and targets
 
 
-def n_step_return(rewards: Sequence[float], bootstrap: float, gamma: float, n: int) -> float:
-    """n-step bootstrapped return from the front of a reward tail.
-
-    ``rewards`` holds the rewards remaining from the step in question. When
-    fewer than n remain, the episode ends inside the window: the sum
-    truncates at the terminal step and the bootstrap term is dropped.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rewards = np.asarray(rewards, dtype=np.float64)
-    steps = min(n, rewards.size)
-    total = 0.0
-    for i in range(steps):
-        total += (gamma ** i) * rewards[i]
-    if n <= rewards.size:
-        total += (gamma ** n) * bootstrap
-    return total
-
-
 def td_lambda_targets(rewards: Array, boot_values: Array, lam: float, gamma: float) -> Array:
     """Lambda-mixture of n-step returns for one finite episode.
 
@@ -188,36 +169,6 @@ def batch_td_lambda_targets(batch: Batch, boots: Array, lam: float, gamma: float
             rewards = np.broadcast_to(rewards, (length, *boots.shape[2:]))
         out[i, :length] = td_lambda_targets(rewards, boots[i, :length], lam, gamma)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Advantages
-
-
-def centralv_advantage(reward: float, v_now: float, v_next: float,
-                       gamma_adv: float, terminal: bool) -> float:
-    """Shared temporal-difference advantage; terminal steps bootstrap zero."""
-    future = 0.0 if terminal else gamma_adv * v_next
-    return reward + future - v_now
-
-
-def counterfactual_baseline(dist: Array, q_row: Array) -> float:
-    """Policy-weighted value over one agent's alternative actions."""
-    dist = np.asarray(dist, dtype=np.float64)
-    q_row = np.asarray(q_row, dtype=np.float64)
-    if dist.shape != q_row.shape:
-        raise ValueError(f"distribution {dist.shape} vs Q row {q_row.shape}")
-    return float(np.dot(dist, q_row))
-
-
-def coma_advantage(table: cr.CounterfactualQTable, dists: Array) -> Array:
-    """Per-agent advantage: taken-action value minus the counterfactual baseline."""
-    dists = np.asarray(dists, dtype=np.float64)
-    if dists.shape != table.values.shape:
-        raise ValueError(f"dists {dists.shape} vs table {table.values.shape}")
-    taken = table.taken_values()
-    baselines = np.einsum("am,am->a", dists, table.values)
-    return taken - baselines
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +225,16 @@ def unroll_policy(params: ParamSet, cfg: ActorConfig, batch: Batch) -> list[Tens
     return probs
 
 
+def _stacked_probs(batch: Batch, probs: Sequence[Tensor]) -> Array:
+    """(B, T, n, m) array of the per-step probabilities of an unroll."""
+    b, _, n, m = batch.dists.shape
+    return np.stack([p.data.reshape(b, n, m) for p in probs], axis=1)
+
+
 def batch_policy_probs(params: ParamSet, cfg: ActorConfig, batch: Batch) -> Array:
     """(B, T, n, m) current-policy probabilities as plain arrays."""
-    b, t_max, n, m = batch.dists.shape
     with ad.no_grad():
-        probs = unroll_policy(params, cfg, batch)
-    return np.stack([p.data.reshape(b, n, m) for p in probs], axis=1)
+        return _stacked_probs(batch, unroll_policy(params, cfg, batch))
 
 
 def _batch_layout(batch: Batch, algo: str) -> cr.CriticInputLayout:
@@ -391,11 +346,15 @@ def critic_update_minibatch(
 
 def compute_advantages(
     batch: Batch, inputs: Array, algo: str, critic_params: ParamSet,
-    actor_params: ParamSet, actor_cfg: ActorConfig,
-    gamma: float, gamma_adv_one: bool,
+    probs: Sequence[Tensor] | None, gamma: float, gamma_adv_one: bool,
 ) -> Array:
     """(B, T, n) advantages from the batch's ``critic_batch_inputs``; padded
-    steps come out exactly zero."""
+    steps come out exactly zero.
+
+    ``probs`` is ``unroll_policy`` of the current actor over the batch; the
+    counterfactual baselines of ``coma`` and ``coma-cc`` read its values, and
+    ``centralv`` ignores it.
+    """
     b, t_max, n, m = batch.dists.shape
     if algo == "centralv":
         with ad.no_grad():
@@ -405,14 +364,13 @@ def compute_advantages(
         v_next[:, :-1] = values[:, 1:]
         steps = np.arange(t_max)[None, :]
         lengths = batch.lengths[:, None]
-        # The operations of centralv_advantage, in its order. np.where sets the
+        # r + gamma_adv * V(s') - V(s), in that order. np.where sets the
         # terminal bootstrap term and padded entries to exactly +0.0, where
         # masking by a product could give -0.0.
         future = np.where(steps + 1 >= lengths, 0.0, gamma_adv * v_next)
         adv = np.where(steps < lengths, batch.rewards + future - values, 0.0)
         return np.broadcast_to(adv[:, :, None], (b, t_max, n)).copy()
 
-    cur_dists = batch_policy_probs(actor_params, actor_cfg, batch)
     if algo == "coma-cc":
         inputs = cr.counterfactual_inputs(_batch_layout(batch, algo), inputs, m)
     elif algo != "coma":
@@ -420,7 +378,7 @@ def compute_advantages(
     with ad.no_grad():
         rows = _critic_values(critic_params, inputs, None).data.reshape(b, t_max, n, m)
     taken = np.take_along_axis(rows, batch.actions[..., None], axis=-1)[..., 0]
-    baseline = np.einsum("btam,btam->bta", cur_dists, rows)
+    baseline = np.einsum("btam,btam->bta", _stacked_probs(batch, probs), rows)
     return (taken - baseline) * batch.pad[:, :, None]
 
 
@@ -428,14 +386,13 @@ def compute_advantages(
 # Policy update
 
 
-def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
-                       cfg: ActorConfig) -> Tensor:
-    """-sum over valid (t, a) of log pi(u_t^a | tau_t^a) * A, padding-masked."""
+def policy_loss(batch: Batch, advantages: Array, probs: Sequence[Tensor]) -> Tensor:
+    """-sum over valid (t, a) of log pi(u_t^a | tau_t^a) * A, padding-masked;
+    ``probs`` is a taped ``unroll_policy`` over the batch."""
     b, t_max, n, m = batch.dists.shape
     advantages = np.asarray(advantages, dtype=np.float64)
     if advantages.shape != (b, t_max, n):
         raise ValueError(f"advantages shape {advantages.shape} != {(b, t_max, n)}")
-    probs = unroll_policy(params, cfg, batch)
     pad_rows = np.repeat(batch.pad, n, axis=0).reshape(b, n, t_max)
     total: Tensor | None = None
     for t in range(t_max):
@@ -449,18 +406,26 @@ def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
     return ad.mul(total, -1.0)
 
 
+def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
+                       cfg: ActorConfig) -> Tensor:
+    """The policy loss as a function of the actor parameters (for finite
+    differences): ``policy_loss`` of a fresh unroll."""
+    return policy_loss(batch, advantages, unroll_policy(params, cfg, batch))
+
+
 def policy_gradient_update(
-    batch: Batch, advantages: Array, params: ParamSet, cfg: ActorConfig,
+    batch: Batch, advantages: Array, probs: Sequence[Tensor], params: ParamSet,
     opt: OptimizerState,
     lr: float = 0.005, alpha: float = 0.99, eps: float = 1e-5,
 ) -> tuple[ParamSet, OptimizerState, float]:
-    """One optimiser step on the policy-gradient loss.
+    """One optimiser step on the policy-gradient loss of ``probs``, a taped
+    ``unroll_policy`` of ``params`` over the batch.
 
     Advantages enter as constants; no gradient reaches the critic. A
     non-finite loss raises without touching the parameters.
     """
     params.zero_grads()
-    loss = policy_loss_tensor(batch, advantages, params, cfg)
+    loss = policy_loss(batch, advantages, probs)
     value = float(loss.data)
     if not np.isfinite(value):
         raise NumericError("policy loss is not finite")
@@ -528,7 +493,11 @@ class Trainer:
         )
 
     def train_on_batch(self, episodes: Sequence[Episode]) -> tuple[float, float]:
-        """Critic first, then actor, one optimiser step each; returns losses."""
+        """Critic first, then actor, one optimiser step each; returns losses.
+
+        The actor is unrolled once: the counterfactual baselines read the
+        values of the same taped unroll that the policy loss differentiates.
+        """
         batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, self.cfg.algo)
         update = (critic_update_minibatch if self.cfg.critic_schedule == "minibatch"
@@ -538,12 +507,13 @@ class Trainer:
             self.cfg.lam, self.cfg.gamma,
             self.cfg.lr, self.cfg.rms_alpha, self.cfg.rms_eps,
         )
+        probs = unroll_policy(self.actor, self.actor_cfg, batch)
         advantages = compute_advantages(
-            batch, inputs, self.cfg.algo, self.critic, self.actor, self.actor_cfg,
+            batch, inputs, self.cfg.algo, self.critic, probs,
             self.cfg.gamma, self.cfg.gamma_adv_one,
         )
-        self.actor, self.actor_opt, policy_loss = policy_gradient_update(
-            batch, advantages, self.actor, self.actor_cfg, self.actor_opt,
+        self.actor, self.actor_opt, actor_loss = policy_gradient_update(
+            batch, advantages, probs, self.actor, self.actor_opt,
             self.cfg.lr, self.cfg.rms_alpha, self.cfg.rms_eps,
         )
-        return critic_loss, policy_loss
+        return critic_loss, actor_loss

@@ -95,18 +95,29 @@ def masked_epsilon_probs(logits, avail: Array, epsilon) -> Tensor:
 
     ``logits`` is (k, m); ``avail`` is a (k, m) 0/1 array; ``epsilon`` is a
     scalar or (k, 1) array. Unavailable actions come out exactly zero.
+    Recorded as one autodiff node.
     """
     avail = np.asarray(avail, dtype=np.float64)
     counts = avail.sum(axis=-1, keepdims=True)
     if (counts < 1.0).any():
         raise MaskError("a row masks out every action")
-    logits_data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    ld = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
     # Stop-gradient shift; softmax is invariant to it, so gradients are exact.
-    shift = np.max(np.where(avail > 0.0, logits_data, -np.inf), axis=-1, keepdims=True)
-    z = ad.mul(ad.exp(ad.mul(ad.sub(logits, shift), avail)), avail)
-    soft = ad.div(z, ad.sum_last(z))
+    shift = np.max(np.where(avail > 0.0, ld, -np.inf), axis=-1, keepdims=True)
+    ex = np.exp((ld - shift) * avail)
+    e = ex * avail
+    total = e.sum(axis=-1, keepdims=True)
+    soft = e / total
     eps = np.asarray(epsilon, dtype=np.float64)
-    return ad.add(ad.mul(soft, 1.0 - eps), (eps / counts) * avail)
+    keep = 1.0 - eps
+    out = soft * keep + (eps / counts) * avail
+
+    def backward(g: Array) -> None:
+        g_soft = g * keep
+        g_e = g_soft / total + (-g_soft * e / (total * total)).sum(axis=-1, keepdims=True)
+        ad.accumulate(logits, ((g_e * avail) * ex) * avail)
+
+    return ad.record(out, (logits,), backward)
 
 
 def select_action(dist: Array, mode: str, rng: np.random.Generator | None = None) -> int:

@@ -29,6 +29,7 @@ from .learn import (
     critic_update_wholebatch,
     policy_loss_tensor,
     prepare_critic_batch,
+    unroll_policy,
 )
 from .oracle import exact_action_values, exact_state_values, uniform_policy
 from .policy import ActorConfig
@@ -151,8 +152,9 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5, dims: dict | None = None
                 def critic_loss(params: ParamSet) -> ad.Tensor:
                     return critic_loss_tensor(params, inputs, targets, weights, actions)
 
-                adv = compute_advantages(batch, inputs, algo, trainer.critic,
-                                         trainer.actor, trainer.actor_cfg,
+                with ad.no_grad():
+                    probs = unroll_policy(trainer.actor, trainer.actor_cfg, batch)
+                adv = compute_advantages(batch, inputs, algo, trainer.critic, probs,
                                          gamma=0.99, gamma_adv_one=False)
 
                 def actor_loss(params: ParamSet) -> ad.Tensor:

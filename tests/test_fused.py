@@ -1,0 +1,238 @@
+"""The fused autodiff nodes against the composed graphs they replace.
+
+``linear``, ``gru_step`` and ``masked_epsilon_probs`` each record one tape
+node with a hand-written backward. These tests build the same computations
+from the elementwise ops (``reference.py``) and require every forward value
+and every gradient to be identical down to the bit, compared as int64 views.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from sopac import autodiff as ad
+from sopac import learn
+from sopac.learn import Batch, LearnConfig, Trainer, critic_batch_inputs
+from sopac.policy import ActorConfig, actor_cell, actor_init, masked_epsilon_probs
+from sopac.verify import random_episode
+
+from reference import (
+    composed_gru_step,
+    composed_masked_epsilon_probs,
+    composed_mlp_forward,
+)
+
+DIMS = dict(n=2, m=4, state_width=5, obs_width=3, gru_hidden=7,
+            critic_hidden=(9, 9), batch=3, max_len=5)
+
+
+def assert_bits_equal(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_each_bits_equal(fused: dict, composed: dict):
+    assert fused.keys() == composed.keys()
+    for name in fused:
+        assert fused[name] is not None, name
+        assert_bits_equal(fused[name], composed[name])
+
+
+@contextmanager
+def composed_nodes():
+    """Route every network in ``sopac`` through the composed graphs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "mlp_forward", composed_mlp_forward)
+        mp.setattr(ad, "gru_step", composed_gru_step)
+        mp.setattr(learn, "masked_epsilon_probs", composed_masked_epsilon_probs)
+        yield
+
+
+def both(run):
+    """``run()`` with the fused nodes, then with the composed graphs."""
+    fused = run()
+    with composed_nodes():
+        composed = run()
+    return fused, composed
+
+
+def param_grads(params: ad.ParamSet) -> dict:
+    return {name: t.grad for name, t in params.items()}
+
+
+def tape_nodes(out: ad.Tensor) -> int:
+    """Nodes with a backward closure reachable from ``out``."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
+class TestSingleNodes:
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_dense_stack(self, rows):
+        def run():
+            rng = np.random.default_rng(rows)
+            params = ad.mlp_init(rng, (4, 8, 8, 3))
+            x = ad.Tensor(rng.standard_normal((rows, 4)))
+            out = ad.mlp_forward(params, x)
+            out.backward(rng.standard_normal(out.shape))
+            return out.data, dict(param_grads(params), x=x.grad)
+
+        (fused_out, fused), (composed_out, composed) = both(run)
+        assert_bits_equal(fused_out, composed_out)
+        assert_each_bits_equal(fused, composed)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_gru_cell(self, rows):
+        def run():
+            rng = np.random.default_rng(10 + rows)
+            params = ad.gru_init(rng, 4, 6, prefix="gru.")
+            x = ad.Tensor(rng.standard_normal((rows, 4)))
+            h = ad.Tensor(rng.standard_normal((rows, 6)))
+            out = ad.gru_step(params, x, h, prefix="gru.")
+            out.backward(rng.standard_normal(out.shape))
+            return out.data, dict(param_grads(params), x=x.grad, h=h.grad)
+
+        (fused_out, fused), (composed_out, composed) = both(run)
+        assert_bits_equal(fused_out, composed_out)
+        assert_each_bits_equal(fused, composed)
+
+    @pytest.mark.parametrize("per_row_epsilon", [False, True])
+    def test_masked_epsilon_softmax(self, per_row_epsilon):
+        def run(probs_fn):
+            rng = np.random.default_rng(20)
+            logits = ad.Tensor(rng.standard_normal((6, 5)) * 3.0)
+            avail = (rng.uniform(size=(6, 5)) < 0.6).astype(np.float64)
+            avail[:, 0] = 1.0
+            eps = rng.uniform(0.0, 1.0, size=(6, 1)) if per_row_epsilon else 0.3
+            out = probs_fn(logits, avail, eps)
+            out.backward(rng.standard_normal(out.shape))
+            return out.data, {"logits": logits.grad}
+
+        fused_out, fused = run(masked_epsilon_probs)
+        composed_out, composed = run(composed_masked_epsilon_probs)
+        assert_bits_equal(fused_out, composed_out)
+        assert_each_bits_equal(fused, composed)
+
+
+class TestActorUnroll:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unroll_gradients_reach_params_inputs_and_state(self, seed):
+        # Each hidden state feeds fc2 at its own step and the GRU at the next,
+        # so its gradient collects one fc2 term and four GRU terms.
+        cfg = ActorConfig(obs_width=3, n_agents=2, n_actions=4, gru_hidden=7)
+        steps, rows = 4, 6
+
+        def run():
+            rng = np.random.default_rng(seed)
+            params = actor_init(rng, cfg)
+            xs = [ad.Tensor(rng.standard_normal((rows, cfg.input_width)))
+                  for _ in range(steps)]
+            h0 = ad.Tensor(rng.standard_normal((rows, cfg.gru_hidden)))
+            h, total, outs = h0, None, []
+            for x in xs:
+                logits, h = actor_cell(params, x, h)
+                probs = learn.masked_epsilon_probs(logits, np.ones((rows, cfg.n_actions)), 0.2)
+                term = ad.sum_all(ad.mul(ad.log(probs), rng.standard_normal(probs.shape)))
+                total = term if total is None else ad.add(total, term)
+                outs.append(probs.data)
+            total.backward()
+            grads = dict(param_grads(params), h0=h0.grad)
+            grads.update({f"x{t}": x.grad for t, x in enumerate(xs)})
+            return outs, grads
+
+        (fused_out, fused), (composed_out, composed) = both(run)
+        for a, b in zip(fused_out, composed_out):
+            assert_bits_equal(a, b)
+        assert_each_bits_equal(fused, composed)
+
+    def test_one_step_records_five_nodes(self):
+        cfg = ActorConfig(obs_width=3, n_agents=2, n_actions=4, gru_hidden=7)
+
+        def run():
+            params = actor_init(np.random.default_rng(0), cfg)
+            x = np.random.default_rng(1).standard_normal((2, cfg.input_width))
+            logits, _ = actor_cell(params, x, np.zeros((2, cfg.gru_hidden)))
+            return tape_nodes(learn.masked_epsilon_probs(logits, np.ones((2, 4)), 0.1))
+
+        fused, composed = both(run)
+        assert fused == 5   # fc1, ReLU, GRU, fc2, masked epsilon-softmax
+        assert composed == 33
+
+
+class TestLossesOnPaddedBatch:
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        episodes = [
+            random_episode(rng, DIMS["n"], DIMS["m"], DIMS["state_width"],
+                           DIMS["obs_width"], t, generation=i)
+            for i, t in enumerate((5, 2, 4))]
+        # mask one action that was not taken, on a real step
+        episodes[0].avail[1, 0, (episodes[0].actions[1, 0] + 1) % DIMS["m"]] = 0.0
+        return Batch.from_episodes(episodes)
+
+    def trainer(self, algo, seed, schedule="wholebatch"):
+        actor_cfg = ActorConfig(DIMS["obs_width"], DIMS["n"], DIMS["m"], DIMS["gru_hidden"])
+        return Trainer.create(
+            LearnConfig(algo=algo, critic_schedule=schedule), actor_cfg,
+            DIMS["state_width"], np.random.default_rng(seed),
+            np.random.default_rng(seed + 1), critic_hidden=DIMS["critic_hidden"])
+
+    def test_policy_loss_tensor(self):
+        batch = self.batch(30)
+
+        def run():
+            trainer = self.trainer("coma-cc", 31)
+            adv = np.random.default_rng(32).standard_normal(
+                (batch.size, batch.max_length, DIMS["n"])) * batch.pad[:, :, None]
+            loss = learn.policy_loss_tensor(batch, adv, trainer.actor, trainer.actor_cfg)
+            loss.backward()
+            return loss.data, param_grads(trainer.actor)
+
+        (fused_loss, fused), (composed_loss, composed) = both(run)
+        assert_bits_equal(fused_loss, composed_loss)
+        assert_each_bits_equal(fused, composed)
+
+    @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])
+    def test_critic_loss_gradients(self, algo):
+        batch = self.batch(33)
+        inputs = critic_batch_inputs(batch, algo)
+
+        def run():
+            trainer = self.trainer(algo, 34)
+            targets, weights, actions = learn.prepare_critic_batch(
+                batch, inputs, algo, trainer.target, 0.8, 0.99)
+            loss = learn.critic_loss_tensor(trainer.critic, inputs, targets, weights, actions)
+            loss.backward()
+            return loss.data, param_grads(trainer.critic)
+
+        (fused_loss, fused), (composed_loss, composed) = both(run)
+        assert_bits_equal(fused_loss, composed_loss)
+        assert_each_bits_equal(fused, composed)
+
+    @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
+    @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])
+    def test_train_on_batch(self, algo, schedule):
+        def run():
+            trainer = self.trainer(algo, 35, schedule)
+            losses = [trainer.train_on_batch(self.batch(36 + k).episodes) for k in range(2)]
+            return losses, trainer
+
+        (fused_losses, fused), (composed_losses, composed) = both(run)
+        assert_bits_equal(fused_losses, composed_losses)
+        for mine, theirs in ((fused.actor, composed.actor), (fused.critic, composed.critic),
+                             (fused.target.params, composed.target.params)):
+            assert_each_bits_equal({k: v.data for k, v in mine.items()},
+                               {k: v.data for k, v in theirs.items()})
+        for mine, theirs in ((fused.actor_opt, composed.actor_opt),
+                             (fused.critic_opt, composed.critic_opt)):
+            assert_each_bits_equal(mine.acc, theirs.acc)
+

@@ -13,14 +13,10 @@ from sopac.learn import (
     LearnConfig,
     TargetNetState,
     Trainer,
-    centralv_advantage,
-    coma_advantage,
     compute_advantages,
-    counterfactual_baseline,
     critic_batch_inputs,
     critic_update_minibatch,
     critic_update_wholebatch,
-    n_step_return,
     policy_gradient_update,
     prepare_critic_batch,
     target_sync,
@@ -28,6 +24,13 @@ from sopac.learn import (
 )
 from sopac.policy import ActorConfig
 from sopac.verify import random_batch, random_episode, uniform_switch_episodes
+
+from reference import (
+    centralv_advantage,
+    coma_advantage,
+    counterfactual_baseline,
+    n_step_return,
+)
 
 DIMS = dict(n=2, m=3, state_width=4, obs_width=3, gru_hidden=6,
             critic_hidden=(8, 8), batch=3, max_len=4)
@@ -41,6 +44,11 @@ def make_trainer(algo, seed=0, **overrides):
         np.random.default_rng(seed), np.random.default_rng(seed + 1),
         critic_hidden=DIMS["critic_hidden"],
     )
+
+
+def unrolled(trainer, batch):
+    """The trainer's taped actor unroll over the batch."""
+    return learn.unroll_policy(trainer.actor, trainer.actor_cfg, batch)
 
 
 class TestNStepReturn:
@@ -160,7 +168,7 @@ class TestAdvantages:
         trainer = make_trainer("centralv")
         batch = random_batch(np.random.default_rng(1), DIMS)
         adv = compute_advantages(batch, critic_batch_inputs(batch, "centralv"), "centralv",
-                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, True)
+                                 trainer.critic, unrolled(trainer, batch), 0.99, True)
         assert np.array_equal(adv[:, :, 0], adv[:, :, 1])
 
     @pytest.mark.parametrize("gamma_adv_one", [True, False])
@@ -168,7 +176,7 @@ class TestAdvantages:
         trainer = make_trainer("centralv", seed=5)
         batch = random_batch(np.random.default_rng(6), dict(DIMS, batch=5))
         adv = compute_advantages(batch, critic_batch_inputs(batch, "centralv"), "centralv",
-                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.9,
+                                 trainer.critic, unrolled(trainer, batch), 0.9,
                                  gamma_adv_one)
         values = learn._critic_values(trainer.critic, batch.states, None).data
         values = values.reshape(batch.size, batch.max_length)
@@ -187,7 +195,7 @@ class TestAdvantages:
         trainer = make_trainer("coma-cc")
         batch = random_batch(np.random.default_rng(2), DIMS)
         adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
-                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, False)
+                                 trainer.critic, unrolled(trainer, batch), 0.99, False)
         assert np.isfinite(adv).all()
         assert (adv[batch.pad == 0.0] == 0.0).all()
 
@@ -199,7 +207,7 @@ class TestPolicyGradientUpdate:
         before = trainer.actor.copy()
         after, _, loss = policy_gradient_update(
             batch, np.zeros((batch.size, batch.max_length, DIMS["n"])),
-            trainer.actor, trainer.actor_cfg, trainer.actor_opt,
+            unrolled(trainer, batch), trainer.actor, trainer.actor_opt,
         )
         assert loss == 0.0
         assert after.equals(before)
@@ -213,7 +221,7 @@ class TestPolicyGradientUpdate:
         adv[0, 0, 0] = 1.0
         probs_before = learn.batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)
         new_actor, _, _ = policy_gradient_update(
-            batch, adv, trainer.actor, trainer.actor_cfg, trainer.actor_opt)
+            batch, adv, unrolled(trainer, batch), trainer.actor, trainer.actor_opt)
         probs_after = learn.batch_policy_probs(new_actor, trainer.actor_cfg, batch)
         u = episode.actions[0, 0]
         assert probs_after[0, 0, 0, u] > probs_before[0, 0, 0, u]
@@ -222,7 +230,7 @@ class TestPolicyGradientUpdate:
         trainer = make_trainer("coma-cc", seed=6)
         batch = random_batch(np.random.default_rng(7), DIMS)
         adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
-                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, False)
+                                 trainer.critic, unrolled(trainer, batch), 0.99, False)
 
         def loss(params):
             return learn.policy_loss_tensor(batch, adv, params, trainer.actor_cfg)
@@ -235,7 +243,7 @@ class TestPolicyGradientUpdate:
         before = trainer.actor.copy()
         bad = np.full((batch.size, batch.max_length, DIMS["n"]), np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            policy_gradient_update(batch, bad, trainer.actor, trainer.actor_cfg,
+            policy_gradient_update(batch, bad, unrolled(trainer, batch), trainer.actor,
                                    trainer.actor_opt)
         assert trainer.actor.equals(before)
 
@@ -244,8 +252,8 @@ class TestPolicyGradientUpdate:
         batch = random_batch(np.random.default_rng(11), DIMS)
         critic_before = trainer.critic.copy()
         adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
-                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, False)
-        policy_gradient_update(batch, adv, trainer.actor, trainer.actor_cfg,
+                                 trainer.critic, unrolled(trainer, batch), 0.99, False)
+        policy_gradient_update(batch, adv, unrolled(trainer, batch), trainer.actor,
                                trainer.actor_opt)
         assert trainer.critic.equals(critic_before)
         assert all(v.grad is None for _, v in trainer.critic.items())
@@ -498,6 +506,24 @@ class TestTrainOnBatch:
             trainer.train_on_batch(random_batch(rng, DIMS).episodes)
             assert calls == [algo] * k
 
+    @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
+    @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])
+    def test_actor_is_unrolled_once_per_update(self, monkeypatch, algo, schedule):
+        # the counterfactual baselines read the unroll the policy loss uses
+        calls = []
+        unroll = learn.unroll_policy
+
+        def counted(params, cfg, batch):
+            calls.append(batch.size)
+            return unroll(params, cfg, batch)
+
+        monkeypatch.setattr(learn, "unroll_policy", counted)
+        trainer = make_trainer(algo, seed=32, critic_schedule=schedule)
+        rng = np.random.default_rng(33)
+        for k in range(1, 4):
+            trainer.train_on_batch(random_batch(rng, DIMS).episodes)
+            assert calls == [DIMS["batch"]] * k
+
 
 class TestPadding:
     def test_padded_content_is_irrelevant_to_losses_and_gradients(self):
@@ -519,7 +545,7 @@ class TestPadding:
 
         trainer = make_trainer("coma-cc", seed=29)
         adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
-                                 trainer.critic, trainer.actor, trainer.actor_cfg, 0.99, False)
+                                 trainer.critic, unrolled(trainer, batch), 0.99, False)
         for b in (batch, poisoned):
             trainer.actor.zero_grads()
             loss = learn.policy_loss_tensor(b, adv, trainer.actor, trainer.actor_cfg)
