@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the outputs of a fixed set of training runs, for refactor identity checks.
 
-Runs thirteen (config, seed) pairs through ``harness.run_experiment`` with
+Runs fifteen (config, seed) pairs through ``harness.run_experiment`` with
 the ``sopac`` package of the checkout this script lives in, one BLAS thread,
 and prints one markdown table row per run: the sha256 of ``metrics.csv``,
 the sha256 of ``params.npz``, and the manifest's episode and step totals.
@@ -71,6 +71,16 @@ def configs() -> dict[str, dict]:
         env="capture", env_config={"side": 4, "horizon": 8}, algo="coma-cc",
         sop="off", batch_size=2, total_steps=120, eval_interval=40,
         eval_episodes=2, seed=6)
+    # epsilon anneals until step 200: requests before it play one episode at
+    # a time, later ones as one lockstep group
+    runs["tiny-centralv-off-anneal"] = dict(
+        env="capture", env_config=TINY_CAPTURE, algo="centralv", sop="off",
+        batch_size=4, eps_anneal_steps=200, total_steps=400, eval_interval=100,
+        eval_episodes=4, seed=7)
+    # one lockstep group of 32 greedy episodes per evaluation row
+    runs["switch-coma-permissive-eval32"] = dict(
+        env="switch", algo="coma", sop="permissive", batch_size=4,
+        total_steps=200, eval_interval=50, eval_episodes=32, seed=8)
     return runs
 
 

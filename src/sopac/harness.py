@@ -20,6 +20,7 @@ the rows written so far and a ``manifest.json`` whose ``status`` is
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -35,7 +36,7 @@ from .autodiff import NumericError, ParamSet, check_rmsprop
 from .envs import make_env, make_env_config
 from .learn import LearnConfig, Trainer
 from .policy import ActorConfig, EpsilonSchedule, epsilon_at
-from .rollout import rollout_episode, sample_episode_fn
+from .rollout import rollout_episodes, sample_episode_fn
 from .sop import SOP_MODES, ReplayBuffer, episode_kls, max_mean_kl, sop_iteration
 
 Array = np.ndarray
@@ -184,25 +185,25 @@ def evaluate(
     """Win rate and mean return over evaluation rollouts.
 
     Greedy by default (argmax action selection, exploration off); sampling
-    mode draws from the policy instead. Evaluation owns its seed stream and
-    never touches the actor or any training generator.
+    mode draws from the policy instead. Every episode runs with epsilon 0, so
+    all of them play as one lockstep group on copies of ``env``. Evaluation
+    owns its seed stream and never touches the actor or any training
+    generator.
     """
     if episodes < 1:
         raise ValueError("need at least one evaluation episode")
-    wins = 0
-    returns = []
-    for i in range(episodes):
-        seq = np.random.SeedSequence(seed, spawn_key=(2, i))
-        env_seed, action_seed = (int(s) for s in seq.generate_state(2))
-        episode = rollout_episode(
-            env, actor, actor_cfg, EpsilonSchedule(0.0, 0.0, 1),
-            env_steps_done=0, env_seed=env_seed,
-            action_rng=np.random.default_rng(action_seed),
-            generation=-1, mode=mode,
-        )
-        wins += int(episode.win)
-        returns.append(episode.total_return)
-    return wins / episodes, float(np.mean(returns))
+    seeds = [np.random.SeedSequence(seed, spawn_key=(2, i)).generate_state(2)
+             for i in range(episodes)]
+    played = rollout_episodes(
+        [env] + [copy.deepcopy(env) for _ in range(episodes - 1)],
+        actor, actor_cfg, EpsilonSchedule(0.0, 0.0, 1),
+        starts=[0] * episodes,
+        env_seeds=[int(s[0]) for s in seeds],
+        action_rngs=[np.random.default_rng(int(s[1])) for s in seeds],
+        generations=[-1] * episodes, mode=mode,
+    )
+    return (sum(e.win for e in played) / episodes,
+            float(np.mean([e.total_return for e in played])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,24 @@
 """Episode generation: exploratory rollouts and greedy evaluation runs.
 
-Rollouts stack the n agents into one forward pass per step, which (thanks to
-row-exact batching in the autodiff core) produces distributions bit-identical
-to the padded replay of ``learn.unroll_policy``. Each episode stores the
-acting distributions and the epsilon in force at every step, so that replay
-can re-evaluate stale episodes exactly later.
+:func:`rollout_episodes` plays a group of episodes in lockstep, one env
+instance each: every step makes one stacked actor forward over the n agent
+rows of every episode still running. Each episode keeps its own env and its
+own seeded action generator, so row-exact batching in the autodiff core
+makes each stored episode bit-identical to playing it alone, and to the
+padded replay of ``learn.unroll_policy``. A group of one is the sequential
+case. Each episode stores the acting distributions and the epsilon in force
+at every step, so that replay can re-evaluate stale episodes exactly later.
+
+Epsilon follows the global env-step counter, so episode j of a sampled run
+starts at S + L_0 + ... + L_{j-1}: its epsilon depends on the lengths of the
+episodes before it. The sampler therefore groups only requests whose every
+epsilon is known before they start (see :func:`sample_episode_fn`).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import copy
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,63 +37,83 @@ from .policy import (
 Array = np.ndarray
 
 
-def rollout_episode(
-    env,
+def rollout_episodes(
+    envs: Sequence,
     params: ad.ParamSet,
     cfg: ActorConfig,
     schedule: EpsilonSchedule,
-    env_steps_done: int,
-    env_seed: int,
-    action_rng: np.random.Generator,
-    generation: int,
+    starts: Sequence[int],
+    env_seeds: Sequence[int],
+    action_rngs: Sequence[np.random.Generator],
+    generations: Sequence[int],
     mode: str = "sample",
-) -> Episode:
-    """Play one episode; epsilon follows the global environment-step counter."""
-    n = cfg.n_agents
-    state, obs, avail = env.reset(env_seed)
-    hidden: Array | ad.Tensor = np.zeros((n, cfg.gru_hidden))
-    prev_actions = [-1] * n
+) -> list[Episode]:
+    """Play one episode on each env in lockstep.
 
-    states, all_obs, all_avail, all_actions = [], [], [], []
-    rewards, all_dists, epsilons = [], [], []
-    terminal = False
-    win = False
+    Episode i's epsilon at its step t is ``epsilon_at(starts[i] + t)`` in
+    sample mode and 0 otherwise. Finished episodes drop out of the stack.
+    """
+    k, n = len(envs), cfg.n_agents
+    if not k == len(starts) == len(env_seeds) == len(action_rngs) == len(generations):
+        raise ValueError("one env, start, seed, generator and generation per episode")
+    records = [{"states": [], "obs": [], "avail": [], "actions": [],
+                "rewards": [], "dists": [], "epsilons": []} for _ in range(k)]
+    wins = [False] * k
+    current = [env.reset(seed) for env, seed in zip(envs, env_seeds)]
+    prev_actions = [[-1] * n for _ in range(k)]
+    hidden: Array | ad.Tensor = np.zeros((k * n, cfg.gru_hidden))
+    live = list(range(k))
     t = 0
-    while not terminal:
-        eps = epsilon_at(env_steps_done + t, schedule) if mode == "sample" else 0.0
+    while live:
+        rows = len(live) * n
+        obs = np.array([current[i][1] for i in live])
+        avail = np.array([current[i][2] for i in live], dtype=np.float64)
+        eps = [epsilon_at(starts[i] + t, schedule) if mode == "sample" else 0.0
+               for i in live]
         with ad.no_grad():
-            logits, hidden = actor_cell(params, actor_inputs(cfg, obs, prev_actions), hidden)
-            dist = masked_epsilon_probs(logits, avail.astype(np.float64), eps).data
-        actions = [
-            select_action(dist[a], mode, action_rng) for a in range(n)
-        ]
-        result = env.step(actions)
+            x = actor_inputs(cfg, obs, [prev_actions[i] for i in live]).reshape(rows, -1)
+            logits, hidden = actor_cell(params, x, hidden)
+            dist = masked_epsilon_probs(
+                logits, avail.reshape(rows, -1),
+                np.array(eps)[:, None].repeat(n, 0)).data.reshape(len(live), n, -1)
 
-        states.append(state)
-        all_obs.append(obs)
-        all_avail.append(avail.astype(np.float64))
-        all_actions.append(actions)
-        rewards.append(result.reward)
-        all_dists.append(dist)
-        epsilons.append(eps)
-
-        state, obs, avail = result.state, result.obs, result.avail
-        terminal, win = result.terminal, result.win
-        prev_actions = actions
+        still = []
+        for j, i in enumerate(live):
+            actions = [select_action(dist[j, a], mode, action_rngs[i]) for a in range(n)]
+            result = envs[i].step(actions)
+            record = records[i]
+            record["states"].append(current[i][0])
+            record["obs"].append(obs[j])
+            record["avail"].append(avail[j])
+            record["actions"].append(actions)
+            record["rewards"].append(result.reward)
+            record["dists"].append(dist[j])
+            record["epsilons"].append(eps[j])
+            current[i] = (result.state, result.obs, result.avail)
+            prev_actions[i] = actions
+            wins[i] = result.win
+            if not result.terminal:
+                still.append(j)
+        if len(still) < len(live):
+            keep = (np.asarray(still, dtype=np.int64)[:, None] * n + np.arange(n)).reshape(-1)
+            hidden = hidden.data[keep]
+            live = [live[j] for j in still]
         t += 1
 
-    episode = Episode(
-        states=np.asarray(states),
-        obs=np.asarray(all_obs),
-        avail=np.asarray(all_avail),
-        actions=np.asarray(all_actions, dtype=np.int64),
-        rewards=np.asarray(rewards),
-        dists=np.asarray(all_dists),
-        epsilons=np.asarray(epsilons),
-        generation=generation,
-        win=win,
-    )
-    return episode
+    return [
+        Episode(
+            states=np.asarray(r["states"]),
+            obs=np.asarray(r["obs"]),
+            avail=np.asarray(r["avail"]),
+            actions=np.asarray(r["actions"], dtype=np.int64),
+            rewards=np.asarray(r["rewards"]),
+            dists=np.asarray(r["dists"]),
+            epsilons=np.asarray(r["epsilons"]),
+            generation=g,
+            win=w,
+        )
+        for r, g, w in zip(records, generations, wins)
+    ]
 
 
 def sample_episode_fn(
@@ -92,26 +121,48 @@ def sample_episode_fn(
 ) -> Callable:
     """Build the seeded episode sampler used by the training loops.
 
-    Episode k always draws the same (env seed, action stream) regardless of
-    which training mode requests it, so on-policy and semi-on-policy runs see
-    identical rollouts whenever they request them in the same order.
+    ``sample(params, count)`` plays the next ``count`` episodes with one set
+    of parameters. Episode k always draws the same (env seed, action stream)
+    regardless of which training mode requests it, so on-policy and
+    semi-on-policy runs see identical rollouts whenever they request them in
+    the same order.
+
+    Episode j of a request starting at env step S runs with
+    ``epsilon_at(S + L_0 + ... + L_{j-1} + t)``. The request plays as one
+    lockstep group when that is known before it starts: with one-step
+    episodes (episode j starts at S + j), or when epsilon is flat over the
+    whole window [S, S + count * horizon) (the schedule is monotone, so equal
+    endpoints suffice; every start inside the window then gives the same
+    epsilon). Otherwise the episodes play one at a time.
     """
     counter = {"rollouts": 0, "env_steps": 0}
+    envs = [env]
+    horizon = env.spec.horizon
 
-    def sample(params: ad.ParamSet) -> Episode:
-        k = counter["rollouts"]
-        seq = np.random.SeedSequence(master_seed, spawn_key=(1, k))
-        env_seed, action_seed = (int(s) for s in seq.generate_state(2))
-        episode = rollout_episode(
-            env, params, cfg, schedule,
-            env_steps_done=counter["env_steps"],
-            env_seed=env_seed,
-            action_rng=np.random.default_rng(action_seed),
-            generation=k,
-        )
-        counter["rollouts"] += 1
-        counter["env_steps"] += episode.length
-        return episode
+    def sample(params: ad.ParamSet, count: int) -> list[Episode]:
+        if count < 1:
+            raise ValueError("need at least one episode")
+        first, steps = counter["rollouts"], counter["env_steps"]
+        while len(envs) < count:
+            envs.append(copy.deepcopy(env))
+        seeds = [np.random.SeedSequence(master_seed, spawn_key=(1, first + j)).generate_state(2)
+                 for j in range(count)]
+        grouped = horizon == 1 or (
+            epsilon_at(steps, schedule) == epsilon_at(steps + count * horizon - 1, schedule))
+        groups = [range(count)] if grouped else [range(j, j + 1) for j in range(count)]
+        episodes: list[Episode] = []
+        for group in groups:
+            played = rollout_episodes(
+                envs[:len(group)], params, cfg, schedule,
+                starts=[counter["env_steps"] + j * horizon for j in range(len(group))],
+                env_seeds=[int(seeds[j][0]) for j in group],
+                action_rngs=[np.random.default_rng(int(seeds[j][1])) for j in group],
+                generations=[first + j for j in group],
+            )
+            counter["env_steps"] += sum(e.length for e in played)
+            episodes += played
+        counter["rollouts"] += count
+        return episodes
 
     sample.counter = counter  # type: ignore[attr-defined]
     return sample

@@ -165,7 +165,7 @@ def eviction_flags(mode: str, kls: Sequence[Array] | None, kl_threshold: float,
 def sop_iteration(
     buffer: ReplayBuffer,
     trainer: Trainer,
-    sample: Callable[[ParamSet], Episode],
+    sample: Callable[[ParamSet, int], list[Episode]],
     mode: str,
     kl_threshold: float,
     on_train_end: Callable[[float, float, list[Array] | None], None],
@@ -181,8 +181,9 @@ def sop_iteration(
         raise ValueError(f"unknown sop mode {mode!r}")
     if kl_threshold < 0.0:
         raise ValueError("kl_threshold must be nonnegative")
-    while not buffer.full:
-        buffer.insert(sample(trainer.actor))
+    if not buffer.full:
+        for episode in sample(trainer.actor, buffer.capacity - len(buffer)):
+            buffer.insert(episode)
     critic_loss, policy_loss = trainer.train_on_batch(buffer.episodes)
     kls = None
     if mode == "strict" and np.isfinite(kl_threshold):

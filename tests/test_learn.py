@@ -409,13 +409,13 @@ class TestEpisodeContainers:
     def test_validate_accepts_rollout_episodes(self):
         from sopac.envs import CaptureGrid, CaptureGridConfig
         from sopac.policy import EpsilonSchedule, actor_init
-        from sopac.rollout import rollout_episode
+        from sopac.rollout import rollout_episodes
 
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=5))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(0), cfg)
-        episode = rollout_episode(env, params, cfg, EpsilonSchedule(), 0, 1,
-                                  np.random.default_rng(2), generation=0)
+        [episode] = rollout_episodes([env], params, cfg, EpsilonSchedule(), [0], [1],
+                                     [np.random.default_rng(2)], generations=[0])
         episode.validate()
 
     def test_validate_rejects_ragged_and_unnormalised_records(self):
@@ -433,18 +433,20 @@ class TestForwardPathConsistency:
     def test_training_unroll_reproduces_rollout_distributions_bit_exactly(self):
         # the two evaluation paths (n-row rollout, padded B*n replay used for
         # training and KL) must agree to the bit for the generating params
+        import copy
+
         from sopac.envs import CaptureGrid, CaptureGridConfig
         from sopac.policy import EpsilonSchedule, actor_init
-        from sopac.rollout import rollout_episode
+        from sopac.rollout import rollout_episodes
 
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=6))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(3), cfg)
-        episodes = [
-            rollout_episode(env, params, cfg, EpsilonSchedule(), k, 10 + k,
-                            np.random.default_rng(20 + k), generation=k)
-            for k in range(3)
-        ]
+        episodes = rollout_episodes(
+            [copy.deepcopy(env) for _ in range(3)], params, cfg, EpsilonSchedule(),
+            starts=[0, 1, 2], env_seeds=[10, 11, 12],
+            action_rngs=[np.random.default_rng(20 + k) for k in range(3)],
+            generations=[0, 1, 2])
         batch = Batch.from_episodes(episodes)
         batched = learn.batch_policy_probs(params, cfg, batch)
         for i, episode in enumerate(episodes):
@@ -556,3 +558,43 @@ class TestPadding:
             else:
                 assert float(loss.data) == ref_loss
                 assert grads.equals(ref_grads)
+
+
+class TestBatchComposition:
+    """An episode's targets and advantages do not depend on its batch-mates."""
+
+    @staticmethod
+    def rows(trainer, algo, episodes):
+        """Each episode's (targets, advantages) rows, cut to its length."""
+        batch = Batch.from_episodes(episodes)
+        inputs = critic_batch_inputs(batch, algo)
+        boots = learn.critic_bootstrap_values(trainer.target.params, batch, inputs, algo)
+        targets = learn.batch_td_lambda_targets(batch, boots, 0.8, 0.99)
+        adv = compute_advantages(batch, inputs, algo, trainer.critic,
+                                 unrolled(trainer, batch), 0.99, False)
+        return [(targets[i, :n].tobytes(), adv[i, :n].tobytes())
+                for i, n in enumerate(batch.lengths)]
+
+    @given(st.sampled_from(["centralv", "coma", "coma-cc"]),
+           st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           st.integers(1, 3), st.randoms(use_true_random=False),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_reordering_and_longer_padding_leave_rows_bit_identical(
+            self, algo, lengths, extra, shuffle, seed):
+        rng = np.random.default_rng(seed)
+        episodes = [
+            random_episode(rng, DIMS["n"], DIMS["m"], DIMS["state_width"],
+                           DIMS["obs_width"], n, generation=i)
+            for i, n in enumerate(lengths)
+        ]
+        longer = random_episode(rng, DIMS["n"], DIMS["m"], DIMS["state_width"],
+                                DIMS["obs_width"], max(lengths) + extra)
+        trainer = make_trainer(algo, seed=seed % 1000)
+        alone = self.rows(trainer, algo, episodes)
+
+        order = list(range(len(episodes)))
+        shuffle.shuffle(order)
+        reordered = self.rows(trainer, algo, [episodes[i] for i in order])
+        assert reordered == [alone[i] for i in order]
+        assert self.rows(trainer, algo, episodes + [longer])[:-1] == alone

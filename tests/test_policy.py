@@ -17,7 +17,7 @@ from sopac.policy import (
     masked_epsilon_probs,
     select_action,
 )
-from sopac.rollout import rollout_episode
+from sopac.rollout import rollout_episodes
 from sopac.sop import episode_kls
 
 CFG = ActorConfig(obs_width=4, n_agents=2, n_actions=3, gru_hidden=8)
@@ -27,9 +27,9 @@ def capture_episode(seed=0, params=None, cfg=None):
     env = CaptureGrid(CaptureGridConfig(side=4, horizon=6))
     actor_cfg = cfg or ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
     params = params or actor_init(np.random.default_rng(seed), actor_cfg)
-    episode = rollout_episode(
-        env, params, actor_cfg, EpsilonSchedule(), env_steps_done=0,
-        env_seed=seed, action_rng=np.random.default_rng(seed + 1), generation=0,
+    [episode] = rollout_episodes(
+        [env], params, actor_cfg, EpsilonSchedule(), starts=[0],
+        env_seeds=[seed], action_rngs=[np.random.default_rng(seed + 1)], generations=[0],
     )
     return episode, params, actor_cfg
 

@@ -47,7 +47,7 @@ def make_setup(b=4, payoff=None, seed=0, lr=0.005):
 
 def fill(buffer, trainer, sample):
     while not buffer.full:
-        buffer.insert(sample(trainer.actor))
+        buffer.insert(sample(trainer.actor, 1)[0])
 
 
 def iterate(buffer, trainer, sample, mode, kl_threshold=float("inf"), iterations=1):
@@ -150,10 +150,10 @@ class TestReplayBuffer:
     def test_fifo_order_and_capacity(self):
         env, trainer, buffer, sample = make_setup(b=3)
         for _ in range(3):
-            buffer.insert(sample(trainer.actor))
+            buffer.insert(sample(trainer.actor, 1)[0])
         assert buffer.generations() == [0, 1, 2]
         with pytest.raises(RuntimeError):
-            buffer.insert(sample(trainer.actor))
+            buffer.insert(sample(trainer.actor, 1)[0])
         assert [e.generation for e in buffer.evict_where([True, False, False])] == [0]
         assert buffer.generations() == [1, 2]
 
@@ -163,7 +163,7 @@ class TestReplayBuffer:
         buffer = ReplayBuffer(len(drop))
         env, trainer, _, sample = make_setup(b=1)
         for _ in drop:
-            buffer.episodes.append(sample(trainer.actor))
+            buffer.episodes.append(sample(trainer.actor, 1)[0])
         before = buffer.generations()
         buffer.evict_where(drop)
         survivors = [g for g, d in zip(before, drop) if not d]
@@ -222,7 +222,7 @@ class TestMaxBufferKl:
 
     def test_missing_provenance_rejected(self):
         env, trainer, buffer, sample = make_setup(b=1)
-        episode = sample(trainer.actor)
+        episode = sample(trainer.actor, 1)[0]
         episode.dists = None
         with pytest.raises(ValueError):
             episode_kls(trainer.actor, trainer.actor_cfg, [episode])
@@ -324,7 +324,7 @@ class TestStrictIteration:
             v.data[...] = 0.0
         trainer.target = TargetNetState(trainer.critic.copy(), 0, 200)
         for _ in range(3):
-            buffer.insert(sample(trainer.actor))
+            buffer.insert(sample(trainer.actor, 1)[0])
         uniform = 1.0 / trainer.actor_cfg.n_actions
         buffer.episodes[1].dists = 0.5 * buffer.episodes[1].dists + 0.5 * uniform
         buffer.episodes[2].dists = 0.95 * buffer.episodes[2].dists + 0.05 * uniform
