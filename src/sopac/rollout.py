@@ -8,11 +8,8 @@ makes each stored episode bit-identical to playing it alone, and to the
 padded replay of ``learn.unroll_policy``. A group of one is the sequential
 case. Each episode stores the acting distributions and the epsilon in force
 at every step, so that replay can re-evaluate stale episodes exactly later.
-
-Epsilon follows the global env-step counter, so episode j of a sampled run
-starts at S + L_0 + ... + L_{j-1}: its epsilon depends on the lengths of the
-episodes before it. The sampler therefore groups only requests whose every
-epsilon is known before they start (see :func:`sample_episode_fn`).
+Epsilon follows the global env-step counter, so the sampler groups only
+requests whose every epsilon is known before they start.
 """
 
 from __future__ import annotations
