@@ -5,7 +5,10 @@ Runs fifteen (config, seed) pairs through ``harness.run_experiment`` with
 the ``sopac`` package of the checkout this script lives in, one BLAS thread,
 and prints one markdown table row per run: the sha256 of ``metrics.csv``,
 the sha256 of ``params.npz``, and the manifest's episode and step totals.
-A change that must not alter training then checks with one ``diff``:
+A last row digests the verification path: the sha256 of the gradient
+suite's per-loss maximum errors over 20 seeds, and of the four numbers the
+switch oracle check returns. A change that must not alter training or
+verification then checks with one ``diff``:
 
     python3 scripts/metrics_digest.py > after.md   # in the changed checkout
     python3 scripts/metrics_digest.py > before.md  # in a checkout of its parent
@@ -27,10 +30,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from sopac.harness import RunConfig, run_experiment  # noqa: E402
+from sopac.verify import gradient_suite, switch_oracle_check  # noqa: E402
 
 CAPTURE = {"side": 5, "horizon": 20}
 TINY_CAPTURE = {"side": 4, "horizon": 8, "prey": "walk"}
@@ -88,6 +94,19 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def verify_digests() -> tuple[str, str]:
+    """sha256 of the gradient suite's max errors (20 seeds, in loss-name
+    order) and of the oracle check's (v_error, q_error, v_updates, q_updates),
+    each packed as float64."""
+    suite = gradient_suite(seeds=20).max_errors
+    errors = np.array([suite[name] for name in sorted(suite)], dtype=np.float64)
+    check = switch_oracle_check()
+    oracle = np.array([check.v_error, check.q_error, check.v_updates, check.q_updates],
+                      dtype=np.float64)
+    return (hashlib.sha256(errors.tobytes()).hexdigest(),
+            hashlib.sha256(oracle.tobytes()).hexdigest())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", help="keep the run directories here "
@@ -103,6 +122,8 @@ def main() -> None:
             manifest = json.loads(result.manifest_path.read_text())
             print(f"| `{name}` | `{sha256(result.metrics_path)}` | `{sha256(result.params_path)}` "
                   f"| {manifest['episodes']} | {manifest['env_steps']} |", flush=True)
+    suite, oracle = verify_digests()
+    print(f"| `verify` | `{suite}` (gradient suite) | `{oracle}` (oracle check) | - | - |")
 
 
 if __name__ == "__main__":

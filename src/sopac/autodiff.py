@@ -7,9 +7,9 @@ constraints that shape the implementation:
 * everything is float64, and forward passes are bit-deterministic;
 * a batched matrix product is computed as a stack of single-row products
   (``np.matmul(x[:, None, :], w)``, in the one helper ``_rowwise``, shared by
-  ``matmul``, ``linear`` and ``gru_step``), so evaluating k stacked inputs
-  yields bit-identical rows to k independent single-input calls -- several
-  tests and the counterfactual critic rely on this;
+  ``linear`` and ``gru_step``), so evaluating k stacked inputs yields
+  bit-identical rows to k independent single-input calls -- several tests
+  and the counterfactual critic rely on this;
 * gradients accumulate in a fixed topological order, so whole-batch
   training is reproducible down to the last bit.
 
@@ -23,7 +23,9 @@ that the composed graph would have sent to an input through its own
 ``accumulate`` call, in the order the composed graph sent it, and never
 pre-sums terms bound for the same input. Floating-point addition is not
 associative, so ``g + (a + b)`` and ``(g + a) + b`` can differ in the last
-bit. ``tests/reference.py`` keeps the composed versions as oracles.
+bit. ``tests/reference.py`` keeps the composed versions as oracles, with
+the elementwise ops only they use (``matmul``, ``sigmoid``, ``tanh``,
+``exp``, ``div``, ``sum_last``).
 """
 
 from __future__ import annotations
@@ -123,14 +125,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -205,39 +201,10 @@ def mul(a, b) -> Tensor:
     return record(out, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    out = ad / bd
-
-    def backward(g: Array) -> None:
-        if isinstance(a, Tensor):
-            accumulate(a, _unbroadcast(g / bd, ad.shape))
-        if isinstance(b, Tensor):
-            accumulate(b, _unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-    return record(out, (a, b), backward)
-
-
 def _rowwise(xd: Array, wd: Array) -> Array:
     """``xd @ wd`` as a stack of single-row products: row i is bit-identical
     to the product of row i alone, whatever the number of rows."""
     return np.matmul(xd[:, None, :], wd)[:, 0, :]
-
-
-def matmul(x, w) -> Tensor:
-    """2-D matrix product ``(k, n) @ (n, m)`` with row-exact batching."""
-    xd, wd = _data(x), _data(w)
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {xd.shape} @ {wd.shape}")
-    out = _rowwise(xd, wd)
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            accumulate(x, g @ wd.T)
-        if isinstance(w, Tensor):
-            accumulate(w, xd.T @ g)
-
-    return record(out, (x, w), backward)
 
 
 def linear(x, w, b) -> Tensor:
@@ -273,39 +240,6 @@ def _sigmoid(xd: Array) -> Array:
     return 1.0 / (1.0 + np.exp(-xd))
 
 
-def sigmoid(x) -> Tensor:
-    xd = _data(x)
-    out = _sigmoid(xd)
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            accumulate(x, g * out * (1.0 - out))
-
-    return record(out, (x,), backward)
-
-
-def tanh(x) -> Tensor:
-    xd = _data(x)
-    out = np.tanh(xd)
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            accumulate(x, g * (1.0 - out * out))
-
-    return record(out, (x,), backward)
-
-
-def exp(x) -> Tensor:
-    xd = _data(x)
-    out = np.exp(xd)
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            accumulate(x, g * out)
-
-    return record(out, (x,), backward)
-
-
 def log(x) -> Tensor:
     xd = _data(x)
     out = np.log(xd)
@@ -331,18 +265,6 @@ def square(x) -> Tensor:
 def sum_all(x) -> Tensor:
     xd = _data(x)
     out = np.asarray(xd.sum())
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            accumulate(x, np.broadcast_to(g, xd.shape).copy())
-
-    return record(out, (x,), backward)
-
-
-def sum_last(x) -> Tensor:
-    """Sum over the last axis, keeping it as size 1."""
-    xd = _data(x)
-    out = xd.sum(axis=-1, keepdims=True)
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):

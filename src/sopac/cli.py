@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .autodiff import NumericError
@@ -114,7 +115,17 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """A verification tolerance that is not finite and positive makes the
+    check pass or fail whatever it measures."""
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ConfigError(f"--tolerance must be finite and > 0, got {tolerance}")
+
+
 def _cmd_grad_check(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    _check_tolerance(args.tolerance)
     from .verify import gradient_suite
 
     result = gradient_suite(seeds=args.seeds)
@@ -125,6 +136,7 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    _check_tolerance(args.tolerance)
     from .verify import switch_oracle_check
 
     result = switch_oracle_check(tol=args.tolerance)

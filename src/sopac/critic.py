@@ -10,12 +10,14 @@ differ in input layout and head width:
   same joint action generally disagree, because their inputs differ.
 * ``coma-cc``: input [state, all observations, previous joint action,
   current joint action], one output -- Q(s, u). Identical joint actions give
-  bit-identical estimates no matter which agent asks, and the full n x m
-  counterfactual table is evaluated in one stacked forward pass.
+  bit-identical estimates no matter which agent asks.
 
 Field order inside each layout is fixed and part of the tested contract; it
 is written down only in the three layout constructors. ``encode`` packs
-every critic input, single or batched, by field name.
+every critic input, single or batched, by field name, and
+``counterfactual_values`` is the one path to the n x m counterfactual values
+of encoded steps: n input rows per step for ``coma``, n * m for ``coma-cc``,
+all in one stacked forward pass.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class CriticInputLayout:
-    """Ordered (field name, width) pairs describing one critic input vector."""
+    """Ordered (field name, width) pairs describing one critic input vector,
+    and the joint-action shape (n agents, m actions) of counterfactual
+    critics (0 for ``centralv``)."""
 
     kind: str
     fields: tuple[tuple[str, int], ...]
+    n: int = 0
+    m: int = 0
 
     @property
     def width(self) -> int:
@@ -86,6 +92,7 @@ def coma_layout(state_width: int, obs_width: int, n: int, m: int) -> CriticInput
             ("joint_others", n * m),
             ("agent_id", n),
         ),
+        n, m,
     )
 
 
@@ -98,6 +105,7 @@ def comacc_layout(state_width: int, obs_width: int, n: int, m: int) -> CriticInp
             ("prev_joint", n * m),
             ("joint", n * m),
         ),
+        n, m,
     )
 
 
@@ -162,8 +170,7 @@ def encode(layout: CriticInputLayout, state: Array, obs: Array,
     if layout.kind == "centralv":
         return layout.pack(state=state)
     obs = np.asarray(obs, dtype=np.float64)
-    n = obs.shape[-2]
-    m = dict(layout.fields)["prev_joint"] // n
+    n, m = layout.n, layout.m
     prev = joint_one_hot(prev_actions, m)
     joint = joint_one_hot(actions, m)
     if layout.kind == "coma-cc":
@@ -175,11 +182,11 @@ def encode(layout: CriticInputLayout, state: Array, obs: Array,
                        agent_id=np.eye(n))
 
 
-def counterfactual_inputs(layout: CriticInputLayout, inputs: Array, m: int) -> Array:
+def counterfactual_inputs(layout: CriticInputLayout, inputs: Array) -> Array:
     """(..., n, m, W) copies of packed ``coma-cc`` inputs (..., W) in which
     row (a, u) replaces agent a's block of the current joint action by u."""
+    n, m = layout.n, layout.m
     joint = layout.slices()["joint"]
-    n = (joint.stop - joint.start) // m
     out = np.broadcast_to(inputs[..., None, None, :], (*inputs.shape[:-1], n, m, layout.width)).copy()
     for a in range(n):
         start = joint.start + a * m
@@ -187,112 +194,23 @@ def counterfactual_inputs(layout: CriticInputLayout, inputs: Array, m: int) -> A
     return out
 
 
-def _single_input(algo: str, state: Array, obs: Array, prev_joint: Array | None,
-                  joint_action: Sequence[int], m: int) -> tuple[CriticInputLayout, Array]:
-    """Layout and encoded input of one step; ``obs`` flattens to (n, obs_width)."""
-    actions = np.asarray(joint_action, dtype=np.int64)
-    n = actions.shape[0]
-    obs = np.asarray(obs, dtype=np.float64).reshape(n, -1)
-    prev = np.full(n, -1) if prev_joint is None else prev_joint
-    layout = layout_for(algo, np.asarray(state).size, obs.shape[-1], n, m)
-    return layout, encode(layout, state, obs, prev, actions)
+def counterfactual_values(params: ParamSet, layout: CriticInputLayout, inputs: Array) -> Array:
+    """(..., n, m) counterfactual values of ``encode``d inputs with any
+    leading shape ``...``: entry (a, u) values the step's joint action with
+    agent a's action replaced by u.
 
-
-# ---------------------------------------------------------------------------
-# Evaluation entry points
-
-
-def v_value(params: ParamSet, state: Array) -> float:
-    """Scalar state value from the centralised V critic."""
-    state = np.asarray(state, dtype=np.float64)
-    out = _forward_single(params, centralv_layout(state.size).pack(state=state))
-    return float(out[0])
-
-
-def coma_counterfactual_qs(
-    params: ParamSet,
-    state: Array,
-    obs_a: Array,
-    prev_joint: Array | None,
-    joint_action: Sequence[int],
-    agent: int,
-    m: int,
-) -> Array:
-    """Agent's counterfactual Q row: one forward pass, m outputs.
-
-    ``prev_joint`` is the previous joint action as indices, or None at the
-    first step (encoded as the all-zeros block). The agent's own block in the
-    current joint action is zeroed before it enters the network.
+    ``coma`` forwards the n per-agent rows of each step through its m-headed
+    critic; ``coma-cc`` forwards the n * m rows of ``counterfactual_inputs``.
+    Either way it is one no-grad forward, and row-exact batching makes every
+    entry bit-identical to a forward of its row alone.
     """
-    # Every agent's row gets obs_a; only row ``agent`` is forwarded.
-    obs = np.tile(np.ravel(obs_a), (len(joint_action), 1))
-    _, rows = _single_input("coma", state, obs, prev_joint, joint_action, m)
-    return _forward_single(params, rows[agent])
-
-
-def comacc_q(
-    params: ParamSet,
-    state: Array,
-    all_obs: Array,
-    prev_joint: Array | None,
-    joint_action: Sequence[int],
-    m: int,
-) -> float:
-    """Consistent joint-action value: a pure function of the shared inputs."""
-    _, vec = _single_input("coma-cc", state, all_obs, prev_joint, joint_action, m)
-    return float(_forward_single(params, vec)[0])
-
-
-@dataclass
-class CounterfactualQTable:
-    """n x m counterfactual values; row a varies agent a's action."""
-
-    values: Array               # (n_agents, n_actions)
-    taken: Array                # (n_agents,) action indices
-
-    def taken_values(self) -> Array:
-        return self.values[np.arange(self.values.shape[0]), self.taken]
-
-
-def comacc_counterfactual_table(
-    params: ParamSet,
-    state: Array,
-    all_obs: Array,
-    prev_joint: Array | None,
-    joint_action: Sequence[int],
-    m: int,
-) -> CounterfactualQTable:
-    """All n*m counterfactual joint-action values in a single forward pass.
-
-    Row a, column u holds Q(s, (u_t with agent a's action replaced by u)).
-    Because the batched matmul is row-exact, every entry is bit-identical to
-    a separate ``comacc_q`` call on the same counterfactual action.
-    """
-    actions = np.asarray(joint_action, dtype=np.int64)
-    n = actions.shape[0]
-    layout, vec = _single_input("coma-cc", state, all_obs, prev_joint, actions, m)
-    rows = counterfactual_inputs(layout, vec, m).reshape(n * m, layout.width)
+    if layout.kind == "coma":
+        lead = inputs.shape[:-2]
+    elif layout.kind == "coma-cc":
+        lead = inputs.shape[:-1]
+        inputs = counterfactual_inputs(layout, inputs)
+    else:
+        raise ValueError(f"the {layout.kind!r} critic has no counterfactual values")
     with ad.no_grad():
-        out = critic_forward(params, rows).data[:, 0]
-    return CounterfactualQTable(values=out.reshape(n, m), taken=actions.copy())
-
-
-def count_critic_inputs(kind: str, n: int, m: int) -> int:
-    """Network inputs needed for one full counterfactual baseline computation."""
-    if n < 1 or m < 1:
-        raise ValueError("need n, m >= 1")
-    if kind == "coma":
-        return n
-    if kind == "coma-cc":
-        return n * m
-    raise ValueError(f"unknown critic kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-
-
-def _forward_single(params: ParamSet, vector: Array) -> Array:
-    with ad.no_grad():
-        out = critic_forward(params, vector.reshape(1, -1))
-    return out.data[0]
-
+        out = critic_forward(params, inputs.reshape(-1, layout.width)).data
+    return out.reshape(*lead, layout.n, layout.m)

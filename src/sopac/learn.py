@@ -55,15 +55,6 @@ class Episode:
     def total_return(self) -> float:
         return float(self.rewards.sum())
 
-    def validate(self) -> None:
-        t = self.length
-        for name in ("obs", "avail", "actions", "rewards", "dists", "epsilons"):
-            if getattr(self, name).shape[0] != t:
-                raise ValueError(f"episode field {name} does not span {t} steps")
-        sums = self.dists.sum(axis=-1)
-        if not np.allclose(sums, 1.0, atol=1e-9):
-            raise ValueError("stored distributions do not sum to 1")
-
 
 @dataclass
 class Batch:
@@ -355,7 +346,7 @@ def compute_advantages(
     counterfactual baselines of ``coma`` and ``coma-cc`` read its values, and
     ``centralv`` ignores it.
     """
-    b, t_max, n, m = batch.dists.shape
+    b, t_max, n, _ = batch.dists.shape
     if algo == "centralv":
         with ad.no_grad():
             values = _critic_values(critic_params, inputs, None).data.reshape(b, t_max)
@@ -371,12 +362,7 @@ def compute_advantages(
         adv = np.where(steps < lengths, batch.rewards + future - values, 0.0)
         return np.broadcast_to(adv[:, :, None], (b, t_max, n)).copy()
 
-    if algo == "coma-cc":
-        inputs = cr.counterfactual_inputs(_batch_layout(batch, algo), inputs, m)
-    elif algo != "coma":
-        raise ValueError(f"unknown algorithm {algo!r}")
-    with ad.no_grad():
-        rows = _critic_values(critic_params, inputs, None).data.reshape(b, t_max, n, m)
+    rows = cr.counterfactual_values(critic_params, _batch_layout(batch, algo), inputs)
     taken = np.take_along_axis(rows, batch.actions[..., None], axis=-1)[..., 0]
     baseline = np.einsum("btam,btam->bta", _stacked_probs(batch, probs), rows)
     return (taken - baseline) * batch.pad[:, :, None]

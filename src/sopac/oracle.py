@@ -42,18 +42,6 @@ def uniform_policy(env) -> Policy:
     return policy
 
 
-def fixed_joint_policy(joint_action) -> Policy:
-    joint = tuple(int(a) for a in joint_action)
-
-    def policy(key, avail: Array) -> Array:
-        probs = np.zeros_like(avail, dtype=np.float64)
-        for agent, action in enumerate(joint):
-            probs[agent, action] = 1.0
-        return probs
-
-    return policy
-
-
 class _Enumerator:
     def __init__(self, env, policy: Policy, gamma: float, max_paths: int):
         self.env = env

@@ -16,7 +16,9 @@ Divergences compare the stored per-step distributions with the current
 policy, replayed over every episode at once by the padded batched unroll of
 ``learn.batch_policy_probs``; no old network ever needs replaying. The
 ``sampled`` estimator kind reproduces the single-sample form
-q/p - 1 - log(q/p)  evaluated at the recorded actions.
+q/p - 1 - log(q/p)  evaluated at the recorded actions (``kl_estimator_term``);
+its expectation over the full support equals ``kl_exact`` (acceptance
+criterion 2).
 """
 
 from __future__ import annotations
@@ -60,17 +62,6 @@ def kl_estimator_term(p_prob, q_prob) -> float | Array:
         raise ValueError("estimator terms need strictly positive probabilities")
     ratio = q_prob / p_prob
     return ratio - 1.0 - np.log(ratio)
-
-
-def kl_estimator_expectation(p: Array, q: Array) -> float:
-    """Full-support expectation of the estimator; equals kl_exact identically."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 0.0:
-            total += pi * kl_estimator_term(pi, qi)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -226,13 +226,18 @@ def switch_oracle_check(
     v_table = exact_state_values(env, uniform_policy(env))
     q_table = exact_action_values(env, uniform_policy(env))
     v_star = v_table.initial_value
-    state = env.state_vector(0)
-    obs_all = env.observations(0).reshape(-1)
+    # The first step at joint actions (j, 0): V reads the state alone, and
+    # counterfactual row (j, agent 1, u) is Q(s, (j, u)), so one stacked
+    # forward of m * 2m rows covers all m^2 joint actions.
+    base = np.stack([np.arange(m), np.zeros(m, dtype=np.int64)], axis=-1)
+    first_step = (env.state_vector(0), env.observations(0), np.full(2, -1), base)
 
     results: dict[str, tuple[float, int]] = {}
     for algo in ("centralv", "coma-cc"):
         rng = np.random.default_rng(seed)
         actor_cfg = ActorConfig(env.spec.obs_width, 2, m)
+        layout = cr.layout_for(algo, env.spec.state_width, env.spec.obs_width, 2, m)
+        inputs = cr.encode(layout, *first_step)
         trainer = Trainer.create(
             LearnConfig(algo=algo), actor_cfg, env.spec.state_width,
             np.random.default_rng(seed + 1), np.random.default_rng(seed + 2),
@@ -248,15 +253,13 @@ def switch_oracle_check(
             )
             if updates % 25 == 0 or updates == max_updates:
                 if algo == "centralv":
-                    error = abs(cr.v_value(trainer.critic, state) - v_star)
+                    with ad.no_grad():
+                        v = cr.critic_forward(trainer.critic, inputs[None]).data[0, 0]
+                    error = abs(v - v_star)
                 else:
-                    error = max(
-                        abs(
-                            cr.comacc_q(trainer.critic, state, obs_all, None, joint, m)
-                            - q_table.action_values[(0, joint)]
-                        )
-                        for joint in itertools.product(range(m), repeat=2)
-                    )
+                    q = cr.counterfactual_values(trainer.critic, layout, inputs)[:, 1]
+                    error = max(abs(q[joint] - q_table.action_values[(0, joint)])
+                                for joint in itertools.product(range(m), repeat=2))
                 if error < 0.6 * tol:
                     break
         results[algo] = (float(error), updates)

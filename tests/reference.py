@@ -1,10 +1,13 @@
 """Reference implementations kept only as test oracles.
 
 The composed dense stack, GRU cell and masked epsilon-softmax build their
-graphs from the elementwise autodiff ops, one tape node per op; the fused
-nodes in ``sopac`` must match them bit for bit, forward and backward. The
-scalar return and advantage formulas are the per-step definitions that the
-batched code in ``sopac.learn`` vectorises.
+graphs from elementwise autodiff ops, one tape node per op; the fused nodes
+in ``sopac`` must match them bit for bit, forward and backward. The ops that
+only these compositions use (``matmul``, ``sigmoid``, ``tanh``, ``exp``,
+``div``, ``sum_last``) live here, on the engine's tape helpers. The scalar
+return, advantage and KL formulas are the per-step definitions that the
+batched code in ``sopac`` vectorises, and ``comacc_q`` is the one-row
+critic call that the stacked counterfactual pass must reproduce.
 """
 
 from __future__ import annotations
@@ -15,9 +18,89 @@ import numpy as np
 
 from sopac import autodiff as ad
 from sopac import critic as cr
+from sopac.autodiff import Tensor, _data, _rowwise, _sigmoid, _unbroadcast, accumulate, record
 from sopac.policy import MaskError
+from sopac.sop import kl_estimator_term
 
 Array = np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# Elementwise ops used only by the composed networks
+
+
+def matmul(x, w) -> Tensor:
+    """2-D matrix product ``(k, n) @ (n, m)`` with row-exact batching."""
+    xd, wd = _data(x), _data(w)
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise ad.ShapeError(f"matmul: incompatible shapes {xd.shape} @ {wd.shape}")
+    out = _rowwise(xd, wd)
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, g @ wd.T)
+        if isinstance(w, Tensor):
+            accumulate(w, xd.T @ g)
+
+    return record(out, (x, w), backward)
+
+
+def div(a, b) -> Tensor:
+    da, db = _data(a), _data(b)
+    out = da / db
+
+    def backward(g: Array) -> None:
+        if isinstance(a, Tensor):
+            accumulate(a, _unbroadcast(g / db, da.shape))
+        if isinstance(b, Tensor):
+            accumulate(b, _unbroadcast(-g * da / (db * db), db.shape))
+
+    return record(out, (a, b), backward)
+
+
+def sigmoid(x) -> Tensor:
+    xd = _data(x)
+    out = _sigmoid(xd)
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, g * out * (1.0 - out))
+
+    return record(out, (x,), backward)
+
+
+def tanh(x) -> Tensor:
+    xd = _data(x)
+    out = np.tanh(xd)
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, g * (1.0 - out * out))
+
+    return record(out, (x,), backward)
+
+
+def exp(x) -> Tensor:
+    xd = _data(x)
+    out = np.exp(xd)
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, g * out)
+
+    return record(out, (x,), backward)
+
+
+def sum_last(x) -> Tensor:
+    """Sum over the last axis, keeping it as size 1."""
+    xd = _data(x)
+    out = xd.sum(axis=-1, keepdims=True)
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, np.broadcast_to(g, xd.shape).copy())
+
+    return record(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +111,7 @@ def composed_mlp_forward(params: ad.ParamSet, x, prefix: str = "") -> ad.Tensor:
     n_layers = ad.mlp_layer_count(params, prefix)
     h = x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, dtype=np.float64))
     for i in range(n_layers):
-        h = ad.add(ad.matmul(h, params[f"{prefix}w{i}"]), params[f"{prefix}b{i}"])
+        h = ad.add(matmul(h, params[f"{prefix}w{i}"]), params[f"{prefix}b{i}"])
         if i < n_layers - 1:
             h = ad.relu(h)
     return h
@@ -37,9 +120,9 @@ def composed_mlp_forward(params: ad.ParamSet, x, prefix: str = "") -> ad.Tensor:
 def composed_gru_step(params: ad.ParamSet, x, h, prefix: str = "") -> ad.Tensor:
     p = {name: params[f"{prefix}{name}"]
          for name in ("wr", "ur", "br", "wz", "uz", "bz", "wh", "uh", "bh")}
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p["wr"]), ad.matmul(h, p["ur"])), p["br"]))
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p["wz"]), ad.matmul(h, p["uz"])), p["bz"]))
-    c = ad.tanh(ad.add(ad.add(ad.matmul(x, p["wh"]), ad.matmul(ad.mul(r, h), p["uh"])),
+    r = sigmoid(ad.add(ad.add(matmul(x, p["wr"]), matmul(h, p["ur"])), p["br"]))
+    z = sigmoid(ad.add(ad.add(matmul(x, p["wz"]), matmul(h, p["uz"])), p["bz"]))
+    c = tanh(ad.add(ad.add(matmul(x, p["wh"]), matmul(ad.mul(r, h), p["uh"])),
                        p["bh"]))
     return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
 
@@ -51,8 +134,8 @@ def composed_masked_epsilon_probs(logits, avail: Array, epsilon) -> ad.Tensor:
         raise MaskError("a row masks out every action")
     logits_data = logits.data if isinstance(logits, ad.Tensor) else np.asarray(logits)
     shift = np.max(np.where(avail > 0.0, logits_data, -np.inf), axis=-1, keepdims=True)
-    z = ad.mul(ad.exp(ad.mul(ad.sub(logits, shift), avail)), avail)
-    soft = ad.div(z, ad.sum_last(z))
+    z = ad.mul(exp(ad.mul(ad.sub(logits, shift), avail)), avail)
+    soft = div(z, sum_last(z))
     eps = np.asarray(epsilon, dtype=np.float64)
     return ad.add(ad.mul(soft, 1.0 - eps), (eps / counts) * avail)
 
@@ -91,9 +174,36 @@ def counterfactual_baseline(dist: Array, q_row: Array) -> float:
     return float(np.dot(dist, q_row))
 
 
-def coma_advantage(table: cr.CounterfactualQTable, dists: Array) -> Array:
-    """Per-agent advantage: taken-action value minus the counterfactual baseline."""
+def coma_advantage(values: Array, taken: Array, dists: Array) -> Array:
+    """Per-agent advantage from an (n, m) counterfactual table: the taken
+    action's value minus the policy-weighted counterfactual baseline."""
+    values = np.asarray(values, dtype=np.float64)
     dists = np.asarray(dists, dtype=np.float64)
-    if dists.shape != table.values.shape:
-        raise ValueError(f"dists {dists.shape} vs table {table.values.shape}")
-    return table.taken_values() - np.einsum("am,am->a", dists, table.values)
+    if dists.shape != values.shape:
+        raise ValueError(f"dists {dists.shape} vs table {values.shape}")
+    taken_values = values[np.arange(values.shape[0]), taken]
+    return taken_values - np.einsum("am,am->a", dists, values)
+
+
+def kl_estimator_expectation(p: Array, q: Array) -> float:
+    """Full-support expectation of the estimator; equals kl_exact identically."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    total = 0.0
+    for pi, qi in zip(p, q):
+        if pi > 0.0:
+            total += pi * kl_estimator_term(pi, qi)
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
+# One-row critic calls
+
+
+def comacc_q(params: ad.ParamSet, layout: cr.CriticInputLayout, state: Array,
+             obs: Array, prev_actions: Array, actions: Array) -> float:
+    """Q(s, u) of one step from a forward of its ``encode``d row alone;
+    ``prev_actions`` is -1 throughout at an episode's first step."""
+    row = cr.encode(layout, state, obs, prev_actions, actions)
+    with ad.no_grad():
+        return float(cr.critic_forward(params, row.reshape(1, -1)).data[0, 0])

@@ -18,14 +18,10 @@ from sopac.harness import RunConfig, aggregate, read_metrics, run_experiment
 from sopac.learn import LearnConfig, Trainer, td_lambda_targets
 from sopac.policy import ActorConfig, EpsilonSchedule
 from sopac.rollout import sample_episode_fn
-from sopac.sop import (
-    ReplayBuffer,
-    kl_estimator_expectation,
-    kl_estimator_term,
-    kl_exact,
-    sop_iteration,
-)
+from sopac.sop import ReplayBuffer, kl_estimator_term, kl_exact, sop_iteration
 from sopac.verify import gradient_suite, random_batch, switch_oracle_check
+
+from reference import comacc_q, kl_estimator_expectation
 
 
 def report(number: int, name: str) -> None:
@@ -63,50 +59,74 @@ def test_criterion_02_kl_estimator():
 
 def test_criterion_03_consistency_and_inconsistency():
     n, m, s_w, z_w = 2, 3, 4, 3
-    coma_in = cr.coma_layout(s_w, z_w, n, m).width
-    comacc_in = cr.comacc_layout(s_w, z_w, n, m).width
+    coma_layout = cr.coma_layout(s_w, z_w, n, m)
+    cc_layout = cr.comacc_layout(s_w, z_w, n, m)
     coma_disagreements = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        coma_params = cr.critic_init(rng, coma_in, m, hidden=(16, 16))
-        cc_params = cr.critic_init(rng, comacc_in, 1, hidden=(16, 16))
+        coma_params = cr.critic_init(rng, coma_layout.width, m, hidden=(16, 16))
+        cc_params = cr.critic_init(rng, cc_layout.width, 1, hidden=(16, 16))
         state = rng.standard_normal(s_w)
         obs = rng.standard_normal((n, z_w))
         prev = rng.integers(m, size=n)
         joint = rng.integers(m, size=n)
-        table = cr.comacc_counterfactual_table(
-            cc_params, state, obs.reshape(-1), prev, joint, m)
-        taken = table.taken_values()
+        step = (state, obs, prev, joint)
+        taken = cr.counterfactual_values(
+            cc_params, cc_layout, cr.encode(cc_layout, *step))[np.arange(n), joint]
         assert taken[0] == taken[1], "consistent critic disagreed with itself"
-        per_agent = [
-            cr.coma_counterfactual_qs(coma_params, state, obs[a], prev, joint, a, m)[joint[a]]
-            for a in range(n)
-        ]
+        per_agent = cr.counterfactual_values(
+            coma_params, coma_layout, cr.encode(coma_layout, *step))[np.arange(n), joint]
         coma_disagreements += per_agent[0] != per_agent[1]
     assert coma_disagreements >= 95, f"only {coma_disagreements}/100 draws disagreed"
     report(3, "taken-action estimates: consistent critic bit-identical, "
               f"per-agent critic differs on {coma_disagreements}/100")
 
 
-def test_criterion_04_single_pass_equivalence_and_input_count():
+def test_criterion_04_single_pass_equivalence_and_input_count(monkeypatch):
     n, m, s_w, z_w = 3, 4, 5, 3
     rng = np.random.default_rng(4)
-    params = cr.critic_init(rng, cr.comacc_layout(s_w, z_w, n, m).width, 1, hidden=(16, 16))
+    layout = cr.comacc_layout(s_w, z_w, n, m)
+    params = cr.critic_init(rng, layout.width, 1, hidden=(16, 16))
     state = rng.standard_normal(s_w)
     obs = rng.standard_normal((n, z_w))
     prev = rng.integers(m, size=n)
     joint = rng.integers(m, size=n)
-    table = cr.comacc_counterfactual_table(params, state, obs.reshape(-1), prev, joint, m)
+    table = cr.counterfactual_values(params, layout, cr.encode(layout, state, obs, prev, joint))
     for a in range(n):
         for u in range(m):
             counter = joint.copy()
             counter[a] = u
-            looped = cr.comacc_q(params, state, obs.reshape(-1), prev, counter, m)
-            assert table.values[a, u] == looped, "single-pass value differs from loop"
+            looped = comacc_q(params, layout, state, obs, prev, counter)
+            assert table[a, u] == looped, "single-pass value differs from loop"
+    # Critic input rows per step, read off every forward of the production
+    # path over a (2, 3) grid of steps.
+    rows: list[int] = []
+    forward = cr.critic_forward
+
+    def counted(critic_params, inputs):
+        rows.append(inputs.shape[0])
+        return forward(critic_params, inputs)
+
+    monkeypatch.setattr(cr, "critic_forward", counted)
+    steps = (2, 3)
     for n_check in (1, 2, 5, 9):
         for m_check in (2, 3, 10):
-            assert (cr.count_critic_inputs("coma-cc", n_check, m_check)
-                    == m_check * cr.count_critic_inputs("coma", n_check, m_check))
+            per_step = {}
+            for kind, out_width in (("coma", m_check), ("coma-cc", 1)):
+                check = cr.layout_for(kind, s_w, z_w, n_check, m_check)
+                check_params = cr.critic_init(rng, check.width, out_width, hidden=(4, 4))
+                inputs = cr.encode(
+                    check, rng.standard_normal((*steps, s_w)),
+                    rng.standard_normal((*steps, n_check, z_w)),
+                    rng.integers(m_check, size=(*steps, n_check)),
+                    rng.integers(m_check, size=(*steps, n_check)))
+                rows.clear()
+                values = cr.counterfactual_values(check_params, check, inputs)
+                assert values.shape == (*steps, n_check, m_check)
+                assert len(rows) == 1, "counterfactual values took more than one forward"
+                per_step[kind] = rows[0] / np.prod(steps)
+            assert per_step["coma"] == n_check
+            assert per_step["coma-cc"] == n_check * m_check == m_check * per_step["coma"]
     report(4, "single-pass counterfactual table bit-equals looped calls; "
               "input-count ratio is exactly m")
 

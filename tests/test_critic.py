@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from sopac import critic as cr
 from sopac.autodiff import ParamSet, ShapeError
 
+from reference import comacc_q
+
 
 def zero_params(in_width, out_width):
     rng = np.random.default_rng(0)
@@ -68,21 +70,54 @@ class TestJointEncodings:
         assert np.array_equal(vec, [0, 1, 0, 1, 0, 0])  # original untouched
 
 
+def v_value(params, state):
+    layout = cr.centralv_layout(np.size(state))
+    return cr.critic_forward(params, cr.encode(layout, state, None, None, None)[None]).data[0, 0]
+
+
+def step_values(params, layout, state, obs, prev, joint):
+    """Counterfactual values of one ``encode``d step."""
+    return cr.counterfactual_values(params, layout, cr.encode(layout, state, obs, prev, joint))
+
+
+def rows_per_step(kind, n, m, steps=3):
+    """Critic input rows that ``counterfactual_values`` forwards per step,
+    read by wrapping ``critic_forward``."""
+    rng = np.random.default_rng(n * 100 + m)
+    layout = cr.layout_for(kind, 4, 3, n, m)
+    params = cr.critic_init(rng, layout.width, m if kind == "coma" else 1, hidden=(4, 4))
+    inputs = cr.encode(layout, rng.standard_normal((steps, 4)),
+                       rng.standard_normal((steps, n, 3)),
+                       rng.integers(m, size=(steps, n)), rng.integers(m, size=(steps, n)))
+    rows = []
+    forward = cr.critic_forward
+
+    def counted(params, inputs):
+        rows.append(inputs.shape[0])
+        return forward(params, inputs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cr, "critic_forward", counted)
+        values = cr.counterfactual_values(params, layout, inputs)
+    assert values.shape == (steps, n, m) and len(rows) == 1
+    return rows[0] / steps
+
+
 class TestVValue:
     def test_zero_weight_critic_returns_zero(self):
         params = zero_params(4, 1)
-        assert cr.v_value(params, np.random.default_rng(0).standard_normal(4)) == 0.0
+        assert v_value(params, np.random.default_rng(0).standard_normal(4)) == 0.0
 
     def test_identical_states_identical_values(self):
         rng = np.random.default_rng(2)
         params = cr.critic_init(rng, 4, 1, hidden=(8, 8))
         s = rng.standard_normal(4)
-        assert cr.v_value(params, s) == cr.v_value(params, s.copy())
+        assert v_value(params, s) == v_value(params, s.copy())
 
     def test_width_mismatch_rejected(self):
         params = zero_params(4, 1)
         with pytest.raises(ShapeError):
-            cr.v_value(params, np.zeros(5))
+            v_value(params, np.zeros(5))
 
 
 class TestComaCritic:
@@ -92,8 +127,8 @@ class TestComaCritic:
         params = zero_params(layout.width, m)
         rng = np.random.default_rng(3)
         state, obs, prev, joint = random_inputs(rng, n, m)
-        row = cr.coma_counterfactual_qs(params, state, obs[0], prev, joint, 0, m)
-        assert np.array_equal(row, np.zeros(m))
+        assert np.array_equal(step_values(params, layout, state, obs, prev, joint),
+                              np.zeros((n, m)))
 
     def test_taken_action_estimates_disagree_across_agents(self):
         # with differing observations the per-agent estimates of the same
@@ -105,10 +140,7 @@ class TestComaCritic:
             rng = np.random.default_rng(seed)
             params = cr.critic_init(rng, layout.width, m, hidden=(8, 8))
             state, obs, prev, joint = random_inputs(rng, n, m)
-            q = [
-                cr.coma_counterfactual_qs(params, state, obs[a], prev, joint, a, m)[joint[a]]
-                for a in range(n)
-            ]
+            q = step_values(params, layout, state, obs, prev, joint)[np.arange(n), joint]
             disagreements += q[0] != q[1]
         assert disagreements >= 95
 
@@ -139,7 +171,9 @@ class TestComaCCCritic:
         params = zero_params(layout.width, 1)
         rng = np.random.default_rng(5)
         state, obs, prev, joint = random_inputs(rng, n, m)
-        assert cr.comacc_q(params, state, obs.reshape(-1), prev, joint, m) == 0.0
+        assert comacc_q(params, layout, state, obs, prev, joint) == 0.0
+        assert np.array_equal(step_values(params, layout, state, obs, prev, joint),
+                              np.zeros((n, m)))
 
     def test_same_joint_action_same_value_for_any_requester(self):
         n, m = 2, 3
@@ -148,7 +182,7 @@ class TestComaCCCritic:
         params = cr.critic_init(rng, layout.width, 1, hidden=(8, 8))
         state, obs, prev, joint = random_inputs(rng, n, m)
         values = [
-            cr.comacc_q(params, state, obs.reshape(-1), prev, joint, m)
+            comacc_q(params, layout, state, obs, prev, joint)
             for _agent in range(n)
         ]
         assert values[0] == values[1]
@@ -161,13 +195,12 @@ class TestComaCCCritic:
         rng = np.random.default_rng(seed)
         params = cr.critic_init(rng, layout.width, 1, hidden=(8, 8))
         state, obs, prev, joint = random_inputs(rng, n, m)
-        table = cr.comacc_counterfactual_table(params, state, obs.reshape(-1), prev, joint, m)
+        table = step_values(params, layout, state, obs, prev, joint)
         for a in range(n):
             for u in range(m):
                 counter = joint.copy()
                 counter[a] = u
-                looped = cr.comacc_q(params, state, obs.reshape(-1), prev, counter, m)
-                assert table.values[a, u] == looped
+                assert table[a, u] == comacc_q(params, layout, state, obs, prev, counter)
 
     def test_taken_entry_identical_for_every_agent(self):
         n, m = 3, 4
@@ -177,8 +210,8 @@ class TestComaCCCritic:
         state = rng.standard_normal(4)
         obs = rng.standard_normal((n, 3))
         joint = rng.integers(m, size=n)
-        table = cr.comacc_counterfactual_table(params, state, obs.reshape(-1), None, joint, m)
-        taken = table.taken_values()
+        table = step_values(params, layout, state, obs, np.full(n, -1), joint)
+        taken = table[np.arange(n), joint]
         assert taken[0] == taken[1] == taken[2]
 
     def test_single_agent_table_is_q_over_own_actions(self):
@@ -188,24 +221,27 @@ class TestComaCCCritic:
         params = cr.critic_init(rng, layout.width, 1, hidden=(8, 8))
         state = rng.standard_normal(4)
         obs = rng.standard_normal((1, 3))
-        table = cr.comacc_counterfactual_table(params, state, obs.reshape(-1), None, [2], m)
-        assert table.values.shape == (1, m)
+        first = np.full(1, -1)
+        table = step_values(params, layout, state, obs, first, [2])
+        assert table.shape == (1, m)
         for u in range(m):
-            assert table.values[0, u] == cr.comacc_q(params, state, obs.reshape(-1), None, [u], m)
+            assert table[0, u] == comacc_q(params, layout, state, obs, first, [u])
 
 
 class TestInputCounting:
     def test_coma_needs_one_input_per_agent(self):
-        assert cr.count_critic_inputs("coma", 5, 10) == 5
+        assert rows_per_step("coma", 5, 10) == 5
 
     def test_comacc_needs_one_input_per_agent_action_pair(self):
-        assert cr.count_critic_inputs("coma-cc", 5, 10) == 50
+        assert rows_per_step("coma-cc", 5, 10) == 50
 
     @given(st.integers(1, 12), st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_ratio_is_action_count_for_all_agent_counts(self, n, m):
-        assert cr.count_critic_inputs("coma-cc", n, m) == m * cr.count_critic_inputs("coma", n, m)
+        assert rows_per_step("coma-cc", n, m) == m * rows_per_step("coma", n, m)
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
-            cr.count_critic_inputs("qmix", 2, 3)
+            cr.layout_for("qmix", 4, 3, 2, 3)
+        with pytest.raises(ValueError):
+            cr.counterfactual_values(zero_params(4, 1), cr.centralv_layout(4), np.zeros(4))

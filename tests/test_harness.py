@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sopac import cli, harness, sop
+from sopac import cli, harness, sop, verify
 from sopac.autodiff import ParamSet
 from sopac.envs import SwitchGame
 from sopac.learn import Trainer
@@ -364,6 +364,26 @@ class TestCli:
         assert cli.main(["grad-check", "--seeds", "2"]) == 0
         out = capsys.readouterr().out
         assert "actor" in out and "ok" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["grad-check", "--seeds", "0"],
+        ["grad-check", "--seeds", "-3"],
+        ["grad-check", "--tolerance", "nan"],
+        ["grad-check", "--tolerance", "inf"],
+        ["grad-check", "--tolerance", "0"],
+        ["oracle-check", "--tolerance", "-1"],
+        ["oracle-check", "--tolerance", "nan"],
+    ], ids=["zero-seeds", "negative-seeds", "grad-nan-tolerance", "grad-inf-tolerance",
+            "grad-zero-tolerance", "oracle-negative-tolerance", "oracle-nan-tolerance"])
+    def test_vacuous_verify_settings_exit_two_before_any_work(self, monkeypatch, capsys,
+                                                              argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the check started before its arguments were validated")
+
+        monkeypatch.setattr(verify, "gradient_suite", no_work)
+        monkeypatch.setattr(verify, "switch_oracle_check", no_work)
+        assert cli.main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_every_train_flag_has_a_config_file_equivalent(self, tmp_path):
         # each train flag's dest is a RunConfig field, so the same setting

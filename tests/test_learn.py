@@ -147,11 +147,9 @@ class TestAdvantages:
             counterfactual_baseline(np.ones(2) / 2, np.ones(3))
 
     def test_coma_advantage_composition(self):
-        table = cr.CounterfactualQTable(
-            values=np.array([[1.0, 2.0], [5.0, 5.0]]), taken=np.array([1, 0])
-        )
+        values = np.array([[1.0, 2.0], [5.0, 5.0]])
         dists = np.array([[0.25, 0.75], [0.5, 0.5]])
-        adv = coma_advantage(table, dists)
+        adv = coma_advantage(values, np.array([1, 0]), dists)
         assert adv[0] == pytest.approx(2.0 - 1.75)
         assert adv[1] == 0.0  # constant row
 
@@ -161,7 +159,7 @@ class TestAdvantages:
         taken = np.array([2, 0, 3])
         dists = np.zeros((3, 4))
         dists[np.arange(3), taken] = 1.0
-        adv = coma_advantage(cr.CounterfactualQTable(values, taken), dists)
+        adv = coma_advantage(values, taken, dists)
         assert np.array_equal(adv, np.zeros(3))
 
     def test_centralv_advantages_identical_across_agents(self):
@@ -405,6 +403,16 @@ class TestTargetNetwork:
         assert trainer.target.counter == 0
 
 
+def validate_episode(episode):
+    """Every field spans the episode, and the stored distributions sum to 1."""
+    t = episode.length
+    for name in ("obs", "avail", "actions", "rewards", "dists", "epsilons"):
+        if getattr(episode, name).shape[0] != t:
+            raise ValueError(f"episode field {name} does not span {t} steps")
+    if not np.allclose(episode.dists.sum(axis=-1), 1.0, atol=1e-9):
+        raise ValueError("stored distributions do not sum to 1")
+
+
 class TestEpisodeContainers:
     def test_validate_accepts_rollout_episodes(self):
         from sopac.envs import CaptureGrid, CaptureGridConfig
@@ -416,17 +424,17 @@ class TestEpisodeContainers:
         params = actor_init(np.random.default_rng(0), cfg)
         [episode] = rollout_episodes([env], params, cfg, EpsilonSchedule(), [0], [1],
                                      [np.random.default_rng(2)], generations=[0])
-        episode.validate()
+        validate_episode(episode)
 
     def test_validate_rejects_ragged_and_unnormalised_records(self):
         episode = random_episode(np.random.default_rng(1), 2, 3, 4, 3, 3)
         episode.rewards = episode.rewards[:-1]
         with pytest.raises(ValueError, match="does not span"):
-            episode.validate()
+            validate_episode(episode)
         episode = random_episode(np.random.default_rng(2), 2, 3, 4, 3, 3)
         episode.dists[0, 0] *= 2.0
         with pytest.raises(ValueError, match="sum to 1"):
-            episode.validate()
+            validate_episode(episode)
 
 
 class TestForwardPathConsistency:
@@ -455,39 +463,40 @@ class TestForwardPathConsistency:
 
 
 class TestBatchedCriticInputsMatchSingleCalls:
-    def test_comacc_batched_tables_equal_single_pass_tables(self):
-        trainer = make_trainer("coma-cc", seed=40)
-        batch = random_batch(np.random.default_rng(41), DIMS)
-        layout = cr.layout_for("coma-cc", DIMS["state_width"], DIMS["obs_width"],
-                               DIMS["n"], DIMS["m"])
-        inputs = cr.counterfactual_inputs(
-            layout, critic_batch_inputs(batch, "coma-cc"), DIMS["m"])
-        with ad.no_grad():
-            rows = learn._critic_values(trainer.critic, inputs, None).data
-        rows = rows.reshape(batch.size, batch.max_length, DIMS["n"], DIMS["m"])
+    """The counterfactual values of a batch equal those of each step alone."""
+
+    @staticmethod
+    def batched_and_single(algo, seed):
+        """The batch's rows, and for each valid (b, t) the step's ``encode``d
+        inputs and their own counterfactual values."""
+        trainer = make_trainer(algo, seed=seed)
+        batch = random_batch(np.random.default_rng(seed + 1), DIMS)
+        layout = learn._batch_layout(batch, algo)
+        rows = cr.counterfactual_values(trainer.critic, layout, critic_batch_inputs(batch, algo))
+        assert rows.shape == (batch.size, batch.max_length, DIMS["n"], DIMS["m"])
+        steps = []
         for b in range(batch.size):
             for t in range(int(batch.lengths[b])):
-                prev = batch.actions[b, t - 1] if t > 0 else None
-                table = cr.comacc_counterfactual_table(
-                    trainer.critic, batch.states[b, t], batch.obs[b, t].reshape(-1),
-                    prev, batch.actions[b, t], DIMS["m"])
-                assert np.array_equal(rows[b, t], table.values)
+                prev = batch.actions[b, t - 1] if t > 0 else np.full(DIMS["n"], -1)
+                step = cr.encode(layout, batch.states[b, t], batch.obs[b, t], prev,
+                                 batch.actions[b, t])
+                steps.append((rows[b, t], step,
+                              cr.counterfactual_values(trainer.critic, layout, step)))
+        return trainer, steps
+
+    def test_comacc_batched_tables_equal_single_pass_tables(self):
+        _, steps = self.batched_and_single("coma-cc", 40)
+        for batched, _, single in steps:
+            assert np.array_equal(batched, single)
 
     def test_coma_batched_rows_equal_single_calls(self):
-        trainer = make_trainer("coma", seed=42)
-        batch = random_batch(np.random.default_rng(43), DIMS)
-        inputs = learn.critic_batch_inputs(batch, "coma")
-        with ad.no_grad():
-            rows = learn._critic_values(trainer.critic, inputs, None).data
-        rows = rows.reshape(batch.size, batch.max_length, DIMS["n"], DIMS["m"])
-        for b in range(batch.size):
-            for t in range(int(batch.lengths[b])):
-                prev = batch.actions[b, t - 1] if t > 0 else None
-                for a in range(DIMS["n"]):
-                    single = cr.coma_counterfactual_qs(
-                        trainer.critic, batch.states[b, t], batch.obs[b, t, a],
-                        prev, batch.actions[b, t], a, DIMS["m"])
-                    assert np.array_equal(rows[b, t, a], single)
+        trainer, steps = self.batched_and_single("coma", 42)
+        for batched, step, single in steps:
+            assert np.array_equal(batched, single)
+            for a in range(DIMS["n"]):
+                with ad.no_grad():
+                    one_row = cr.critic_forward(trainer.critic, step[a][None]).data[0]
+                assert np.array_equal(batched[a], one_row)
 
 
 class TestTrainOnBatch:
@@ -561,18 +570,24 @@ class TestPadding:
 
 
 class TestBatchComposition:
-    """An episode's targets and advantages do not depend on its batch-mates."""
+    """An episode's targets, advantages and counterfactual values do not
+    depend on its batch-mates."""
 
     @staticmethod
     def rows(trainer, algo, episodes):
-        """Each episode's (targets, advantages) rows, cut to its length."""
+        """Each episode's (targets, advantages, counterfactual values) rows,
+        cut to its length; centralv has no counterfactual values."""
         batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, algo)
         boots = learn.critic_bootstrap_values(trainer.target.params, batch, inputs, algo)
         targets = learn.batch_td_lambda_targets(batch, boots, 0.8, 0.99)
         adv = compute_advantages(batch, inputs, algo, trainer.critic,
                                  unrolled(trainer, batch), 0.99, False)
-        return [(targets[i, :n].tobytes(), adv[i, :n].tobytes())
+        values = np.zeros((batch.size, batch.max_length))
+        if algo != "centralv":
+            values = cr.counterfactual_values(
+                trainer.critic, learn._batch_layout(batch, algo), inputs)
+        return [(targets[i, :n].tobytes(), adv[i, :n].tobytes(), values[i, :n].tobytes())
                 for i, n in enumerate(batch.lengths)]
 
     @given(st.sampled_from(["centralv", "coma", "coma-cc"]),

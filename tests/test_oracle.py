@@ -8,11 +8,23 @@ from sopac.oracle import (
     InstanceTooLarge,
     exact_action_values,
     exact_state_values,
-    fixed_joint_policy,
     uniform_policy,
 )
 
 GAMMA = 0.99
+
+
+def fixed_joint_policy(joint_action):
+    """The policy that always plays ``joint_action``."""
+    joint = tuple(int(a) for a in joint_action)
+
+    def policy(key, avail):
+        probs = np.zeros_like(avail, dtype=np.float64)
+        for agent, action in enumerate(joint):
+            probs[agent, action] = 1.0
+        return probs
+
+    return policy
 
 
 class TestSwitchOracle:

@@ -11,13 +11,14 @@ from sopac.sop import (
     ReplayBuffer,
     episode_kls,
     eviction_flags,
-    kl_estimator_expectation,
     kl_estimator_term,
     kl_exact,
     max_mean_kl,
     sop_iteration,
 )
 from sopac.verify import random_episode
+
+from reference import kl_estimator_expectation
 
 
 def random_dist_pair(rng, m):
