@@ -5,11 +5,13 @@ a GRU cell, masked softmax policies and squared-error critics. Design
 constraints that shape the implementation:
 
 * everything is float64, and forward passes are bit-deterministic;
-* a batched matrix product is computed as a stack of single-row products
-  (``np.matmul(x[:, None, :], w)``, in the one helper ``_rowwise``, shared by
-  ``linear`` and ``gru_step``), so evaluating k stacked inputs yields
-  bit-identical rows to k independent single-input calls -- several tests
-  and the counterfactual critic rely on this;
+* every forward matrix product goes through the one helper ``_rowwise``
+  (shared by ``linear`` and ``gru_step``), which is row-exact: evaluating k
+  stacked inputs yields bit-identical rows to k independent single-input
+  calls -- several tests and the counterfactual critic rely on this. Its
+  kernel follows from the shape alone: one gemm over all rows when the
+  output is at least 8 wide, one gemv per row for the narrower heads (the
+  rule, and the BLAS it was verified on, are in its docstring);
 * gradients accumulate in a fixed topological order, so whole-batch
   training is reproducible down to the last bit.
 
@@ -76,9 +78,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def backward(self, seed: Array | None = None) -> None:
         """Accumulate gradients of this (scalar) node into every ancestor."""
@@ -201,10 +200,29 @@ def mul(a, b) -> Tensor:
     return record(out, (a, b), backward)
 
 
+# Narrowest output width that ``_rowwise`` sends to one gemm over all rows.
+_GEMM_MIN_WIDTH = 8
+
+
 def _rowwise(xd: Array, wd: Array) -> Array:
-    """``xd @ wd`` as a stack of single-row products: row i is bit-identical
-    to the product of row i alone, whatever the number of rows."""
-    return np.matmul(xd[:, None, :], wd)[:, 0, :]
+    """``xd @ wd`` with row i bit-identical to the product of row i alone,
+    whatever the number of rows. The kernel follows from the shape alone:
+
+    * N >= ``_GEMM_MIN_WIDTH``: one gemm over all rows. A single row is
+      stacked twice and row 0 kept, because numpy sends M = 1 to gemv.
+    * narrower N: a stack of single-row products (one gemv per row).
+
+    Plain gemm is not row-exact for every shape: it was not at M = 1, at
+    N <= 3 with K >= 30 and at N = 4 with K = 128. The rule was verified on
+    numpy 2.4 with OpenBLAS 0.3.31 (Haswell kernels, one and two threads),
+    and ``tests/test_autodiff.py::TestRowExactKernel`` re-checks it at every
+    shape the trainers use, so a BLAS that breaks it fails the suite.
+    """
+    if wd.shape[1] < _GEMM_MIN_WIDTH:
+        return np.matmul(xd[:, None, :], wd)[:, 0, :]
+    if xd.shape[0] == 1:
+        return (np.concatenate((xd, xd)) @ wd)[:1]
+    return np.ascontiguousarray(xd) @ wd
 
 
 def linear(x, w, b) -> Tensor:
@@ -335,14 +353,6 @@ class ParamSet:
                 for k, v in self._params.items()
             }
         )
-
-    def equals(self, other: "ParamSet") -> bool:
-        return self.names() == other.names() and all(
-            np.array_equal(self[k].data, other[k].data) for k in self.names()
-        )
-
-    def scalar_count(self) -> int:
-        return sum(v.data.size for v in self._params.values())
 
 
 def merge(*sets: ParamSet) -> ParamSet:
@@ -528,7 +538,8 @@ def finite_diff_check(
     """Compare reverse-mode gradients of a scalar loss to central differences.
 
     Relative error per scalar is |fd - ad| / max(|fd|, |ad|, 1e-8). The loss
-    callable must be deterministic; it is re-evaluated 2 * scalar_count times.
+    callable must be deterministic; it is re-evaluated twice per parameter
+    scalar.
     """
     if step <= 0.0:
         raise ValueError("finite-difference step must be positive")

@@ -94,16 +94,26 @@ class RunConfig:
             problems.append(f"sop must be one of {SOP_MODES}, got {self.sop!r}")
         if self.critic_schedule not in SCHEDULES:
             problems.append(f"critic-schedule must be one of {SCHEDULES}")
-        for name in ("batch_size", "total_steps", "eval_interval", "eval_episodes"):
+        for name in ("batch_size", "total_steps", "eval_interval", "eval_episodes",
+                     "target_period", "gru_hidden"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 problems.append(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.critic_hidden, tuple) or not all(
+                _is_int(width) and width >= 1 for width in self.critic_hidden):
+            problems.append("critic_hidden must be a list of positive integers, "
+                            f"got {self.critic_hidden!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            problems.append(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("gamma_adv_one", "record_timing"):
+            if not isinstance(getattr(self, name), bool):
+                problems.append(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not 0.0 <= self.lam <= 1.0:
             problems.append("lambda must lie in [0, 1]")
         if not 0.0 < self.gamma <= 1.0:
             problems.append("gamma must lie in (0, 1]")
-        if self.kl_threshold < 0.0:
-            problems.append("kl_threshold must be nonnegative")
+        if not self.kl_threshold >= 0.0:
+            problems.append(f"kl_threshold must be nonnegative, got {self.kl_threshold!r}")
         if not isinstance(self.env_config, dict):
             problems.append("env_config must be a mapping")
         elif self.env in ENVS:
@@ -124,7 +134,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        if "critic_hidden" in data:
+        if isinstance(data.get("critic_hidden"), list):
             data["critic_hidden"] = tuple(data["critic_hidden"])
         try:
             return cls(**data)
@@ -144,6 +154,10 @@ class RunConfig:
     def sha256(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _failures(build, *args) -> list[str]:

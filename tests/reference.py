@@ -6,8 +6,9 @@ in ``sopac`` must match them bit for bit, forward and backward. The ops that
 only these compositions use (``matmul``, ``sigmoid``, ``tanh``, ``exp``,
 ``div``, ``sum_last``) live here, on the engine's tape helpers. The scalar
 return, advantage and KL formulas are the per-step definitions that the
-batched code in ``sopac`` vectorises, and ``comacc_q`` is the one-row
-critic call that the stacked counterfactual pass must reproduce.
+batched code in ``sopac`` vectorises, ``comacc_q`` is the one-row critic
+call that the stacked counterfactual pass must reproduce, and
+``params_equal`` compares two parameter sets bit for bit.
 """
 
 from __future__ import annotations
@@ -207,3 +208,14 @@ def comacc_q(params: ad.ParamSet, layout: cr.CriticInputLayout, state: Array,
     row = cr.encode(layout, state, obs, prev_actions, actions)
     with ad.no_grad():
         return float(cr.critic_forward(params, row.reshape(1, -1)).data[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Parameter sets
+
+
+def params_equal(a: ad.ParamSet, b: ad.ParamSet) -> bool:
+    """Same names in the same order, and bit-identical values."""
+    return a.names() == b.names() and all(
+        np.array_equal(a[k].data, b[k].data) for k in a.names()
+    )

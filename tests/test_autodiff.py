@@ -4,6 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sopac import autodiff as ad
+from sopac import harness, verify
+from sopac.envs import make_env
+
+from reference import params_equal
 
 
 def zero_like(params):
@@ -141,7 +145,7 @@ class TestRmsProp:
                                        for k, v in params.items()})
         grads = ad.ParamSet({k: np.zeros_like(v.data) for k, v in params.items()})
         new_params, _ = ad.rmsprop_step(params, grads, state)
-        assert new_params.equals(params)
+        assert params_equal(new_params, params)
 
 
 class TestFiniteDiffCheck:
@@ -212,7 +216,55 @@ class TestDeterminismAndBatching:
             ad.sum_all(ad.square(ad.mlp_forward(params, x))).backward()
             return params.grad_set()
 
-        assert grads().equals(grads())
+        assert params_equal(grads(), grads())
+
+
+def trainer_weight_shapes() -> list[tuple[int, int]]:
+    """(K, N) of every weight matrix of the default trainer of each env and
+    algorithm, and of the gradient suite's trainers."""
+    trainers = []
+    for env in harness.ENVS:
+        for algo in harness.ALGOS:
+            cfg = harness.RunConfig(env=env, algo=algo)
+            trainers.append(harness.build_trainer(cfg, make_env(cfg.env, cfg.env_config)))
+    rng = np.random.default_rng(0)
+    trainers += [verify._check_trainer(rng, algo, verify.CHECK_DIMS) for algo in harness.ALGOS]
+    return sorted({tensor.data.shape for trainer in trainers
+                   for params in (trainer.actor, trainer.critic)
+                   for _, tensor in params.items() if tensor.data.ndim == 2})
+
+
+WEIGHT_SHAPES = trainer_weight_shapes()
+ROW_COUNTS = (*range(1, 71), 127, 128, 129, 255, 256, 257, 511, 512, 513,
+              1023, 1024, 1025, 1600, 2048)
+ROW_OFFSETS = (0, 7)
+
+
+class TestRowExactKernel:
+    """The row-exact product picks gemm or stacked gemv from the output width.
+    At every shape the trainers use, each row of a stacked call must equal
+    the one-row call bit for bit; a BLAS on which gemm is not row-exact at
+    these shapes fails here."""
+
+    def test_shapes_reach_both_kernels(self):
+        widths = {n for _, n in WEIGHT_SHAPES}
+        assert min(widths) < ad._GEMM_MIN_WIDTH <= max(widths)
+
+    @pytest.mark.parametrize("shape", WEIGHT_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_stacked_rows_equal_one_row_calls(self, shape):
+        k, n = shape
+        rng = np.random.default_rng(1000 * k + n)
+        w = rng.uniform(-1.0, 1.0, size=(k, n))
+        x = rng.standard_normal((max(ROW_OFFSETS) + max(ROW_COUNTS), k))
+        singles = np.vstack([ad._rowwise(x[i : i + 1], w) for i in range(len(x))])
+        for offset in ROW_OFFSETS:
+            for rows in ROW_COUNTS:
+                stacked = ad._rowwise(x[offset : offset + rows], w)
+                bad = np.flatnonzero(
+                    (stacked.view(np.int64)
+                     != singles[offset : offset + rows].view(np.int64)).any(axis=1))
+                assert bad.size == 0, (
+                    f"{k}x{n}, {rows} rows at offset {offset}: rows {bad[:5]} differ")
 
 
 class TestParamSet:
@@ -220,9 +272,9 @@ class TestParamSet:
         rng = np.random.default_rng(11)
         params = ad.mlp_init(rng, (3, 4, 1))
         clone = params.copy()
-        assert clone.equals(params)
+        assert params_equal(clone, params)
         clone["w0"].data[0, 0] += 1.0
-        assert not clone.equals(params)
+        assert not params_equal(clone, params)
 
     def test_name_order_is_insertion_order(self):
         params = ad.ParamSet({"z": np.zeros(1), "a": np.zeros(1)})

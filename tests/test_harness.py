@@ -20,6 +20,8 @@ from sopac.harness import (
 )
 from sopac.policy import ActorConfig, actor_init
 
+from reference import params_equal
+
 
 def small_config(**overrides):
     base = dict(env="switch", algo="centralv", sop="off", batch_size=2,
@@ -45,6 +47,10 @@ class TestRunConfig:
             RunConfig(batch_size=0)
         with pytest.raises(ConfigError, match="eval_interval"):
             RunConfig(eval_interval=0)
+
+    def test_empty_critic_hidden_and_infinite_threshold_are_valid(self):
+        cfg = RunConfig.from_dict({"critic_hidden": [], "kl_threshold": float("inf")})
+        assert cfg.critic_hidden == () and cfg.kl_threshold == float("inf")
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -101,7 +107,7 @@ class TestEvaluate:
         first = evaluate(params, cfg, env, episodes=8, seed=9)
         second = evaluate(params, cfg, env, episodes=8, seed=9)
         assert first == second
-        assert params.equals(before)
+        assert params_equal(params, before)
 
 
 class TestRunExperiment:
@@ -299,9 +305,21 @@ class TestCli:
         {"gamma": 0},
         {"batch_size": 1.5},
         {"total_steps": 40.0},
+        {"gru_hidden": 0},
+        {"gru_hidden": 2.5},
+        {"critic_hidden": [0]},
+        {"critic_hidden": 128},
+        {"seed": -1},
+        {"kl_threshold": float("nan")},
+        {"target_period": 0},
+        {"gamma_adv_one": "no"},
+        {"record_timing": "yes"},
     ], ids=["eps-start-below-end", "eps-start-above-one", "zero-anneal",
             "unknown-env-key", "list-env-config", "zero-lr", "rms-alpha-above-one",
-            "gamma-above-one", "zero-gamma", "fractional-batch", "float-steps"])
+            "gamma-above-one", "zero-gamma", "fractional-batch", "float-steps",
+            "zero-gru-hidden", "fractional-gru-hidden", "zero-critic-hidden",
+            "scalar-critic-hidden", "negative-seed", "nan-kl-threshold",
+            "zero-target-period", "string-gamma-adv-one", "string-record-timing"])
     def test_invalid_config_exits_two_before_writing(self, tmp_path, bad):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(dict({"env": "capture", "total_steps": 40}, **bad)))

@@ -30,6 +30,7 @@ from reference import (
     coma_advantage,
     counterfactual_baseline,
     n_step_return,
+    params_equal,
 )
 
 DIMS = dict(n=2, m=3, state_width=4, obs_width=3, gru_hidden=6,
@@ -208,7 +209,7 @@ class TestPolicyGradientUpdate:
             unrolled(trainer, batch), trainer.actor, trainer.actor_opt,
         )
         assert loss == 0.0
-        assert after.equals(before)
+        assert params_equal(after, before)
 
     def test_positive_advantage_increases_taken_action_probability(self):
         trainer = make_trainer("coma-cc", seed=4)
@@ -243,7 +244,7 @@ class TestPolicyGradientUpdate:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             policy_gradient_update(batch, bad, unrolled(trainer, batch), trainer.actor,
                                    trainer.actor_opt)
-        assert trainer.actor.equals(before)
+        assert params_equal(trainer.actor, before)
 
     def test_no_gradient_reaches_the_critic(self):
         trainer = make_trainer("coma-cc", seed=10)
@@ -253,7 +254,7 @@ class TestPolicyGradientUpdate:
                                  trainer.critic, unrolled(trainer, batch), 0.99, False)
         policy_gradient_update(batch, adv, unrolled(trainer, batch), trainer.actor,
                                trainer.actor_opt)
-        assert trainer.critic.equals(critic_before)
+        assert params_equal(trainer.critic, critic_before)
         assert all(v.grad is None for _, v in trainer.critic.items())
 
 
@@ -271,7 +272,7 @@ class TestCriticSchedules:
                                                 a.critic_opt, a.target, 0.8, 0.99)
         pb, _, tb, lb = critic_update_wholebatch(batch, inputs, "coma-cc", b.critic,
                                                  b.critic_opt, b.target, 0.8, 0.99)
-        assert pa.equals(pb)
+        assert params_equal(pa, pb)
         assert la == lb
         assert ta.counter == tb.counter
 
@@ -287,7 +288,7 @@ class TestCriticSchedules:
             batch, critic_batch_inputs(batch, "centralv"), "centralv", zero_critic,
             ad.rmsprop_init(zero_critic), target, 0.8, 0.99)
         assert loss == 0.0
-        assert new_params.equals(zero_critic)
+        assert params_equal(new_params, zero_critic)
 
     def test_multistep_minibatch_differs_from_wholebatch(self):
         batch = random_batch(np.random.default_rng(16), dict(DIMS, max_len=2))
@@ -298,7 +299,7 @@ class TestCriticSchedules:
                                          a.target, 0.8, 0.99)
         pb, *_ = critic_update_wholebatch(batch, inputs, "centralv", b.critic, b.critic_opt,
                                           b.target, 0.8, 0.99)
-        assert not pa.equals(pb)
+        assert not params_equal(pa, pb)
 
     def test_wholebatch_gradient_is_sum_of_per_step_gradients(self):
         trainer = make_trainer("coma-cc", seed=18)
@@ -376,7 +377,7 @@ class TestTargetNetwork:
         stale = cr.critic_init(rng, 4, 1, hidden=(8, 8))
         state = TargetNetState(stale, counter=200, period=200)
         synced = target_sync(state, online)
-        assert synced.params.equals(online)
+        assert params_equal(synced.params, online)
         assert synced.counter == 0
 
     def test_below_period_leaves_target_unchanged(self):
@@ -398,7 +399,7 @@ class TestTargetNetwork:
                 0.8, 0.99)
             if trainer.target.params is not before:
                 syncs += 1
-                assert trainer.target.params.equals(trainer.critic)
+                assert params_equal(trainer.target.params, trainer.critic)
         assert syncs == 1
         assert trainer.target.counter == 0
 
@@ -566,7 +567,7 @@ class TestPadding:
                 ref_loss, ref_grads = float(loss.data), grads
             else:
                 assert float(loss.data) == ref_loss
-                assert grads.equals(ref_grads)
+                assert params_equal(grads, ref_grads)
 
 
 class TestBatchComposition:
