@@ -201,6 +201,25 @@ class CaptureGrid:
         self._t = 0
         self._terminal = True
         self._rng: np.random.Generator | None = None
+        # Row (a * side + row) * side + col of the observation table is agent
+        # a's observation at (row, col) with no ally or prey in view: wall and
+        # self bits, id one-hot and coordinates. Row row * side + col of the
+        # mask table holds the moves from (row, col) that stay on the grid.
+        r, n, side = c.view_radius, c.n_agents, c.side
+        span, plane = 2 * r + 1, (2 * r + 1) ** 2
+        in_view = np.arange(side)[:, None] + np.arange(-r, r + 1)  # (side, span)
+        off = (in_view < 0) | (in_view >= side)
+        wall = off[:, None, :, None] | off[None, :, None, :]  # (side, side, span, span)
+        cells = np.stack(np.meshgrid(np.arange(side), np.arange(side), indexing="ij"), -1)
+        table = np.zeros((n, side, side, self.spec.obs_width))
+        table[..., 3 * plane:4 * plane] = wall.reshape(side, side, plane)
+        table[..., r * span + r] = 1.0  # self, always at the window's centre
+        table[np.arange(n), :, :, 4 * plane + np.arange(n)] = 1.0
+        table[..., -2:] = cells / float(side - 1)
+        self._obs_table = table.reshape(n * side * side, -1)
+        targets = cells[:, :, None] + np.asarray(_MOVES)
+        self._avail_table = ((targets >= 0) & (targets < side)).all(axis=-1).reshape(-1, 5)
+        self._view_channel = [plane] * n + [2 * plane]  # ally bits, then prey bits
 
     # stateful interface -----------------------------------------------------
 
@@ -220,17 +239,17 @@ class CaptureGrid:
         self._t = 0
         self._terminal = False
         key = self._key()
-        return self.state_vector(key), self.observations(key), self.avail_actions(key)
+        self._avail = self.avail_actions(key)
+        return self.state_vector(key), self.observations(key), self._avail
 
     def step(self, joint_action: Iterable[int]) -> StepResult:
         if self._terminal:
             raise EnvError("step() after terminal state")
         u = tuple(int(a) for a in joint_action)
-        avail = self.avail_actions(self._key())
         if len(u) != self.config.n_agents:
             raise EnvError(f"expected {self.config.n_agents} actions, got {len(u)}")
         for agent, action in enumerate(u):
-            if not 0 <= action < 5 or not avail[agent, action]:
+            if not 0 <= action < 5 or not self._avail[agent, action]:
                 raise EnvError(f"agent {agent} action {action} is masked")
 
         agents = self._move_agents(self._agents, u)
@@ -249,13 +268,14 @@ class CaptureGrid:
             terminal = self._t >= self.config.horizon
         self._terminal = terminal
         key = self._key()
+        self._avail = self.avail_actions(key)
         return StepResult(
             state=self.state_vector(key),
             obs=self.observations(key),
             reward=float(reward),
             terminal=terminal,
             win=win,
-            avail=self.avail_actions(key),
+            avail=self._avail,
         )
 
     # movement rules ----------------------------------------------------------
@@ -338,43 +358,27 @@ class CaptureGrid:
         return np.asarray(parts, dtype=np.float64)
 
     def observations(self, key: GridKey | int) -> Array:
+        """(n, obs_width): per agent, its (self, ally, prey, wall) window of
+        side 2r + 1 flattened channel-major, then its one-hot id and its
+        normalised (row, column). Copies the own-cell rows of the static
+        table, then sets the ally and prey bits of every entity in view."""
         agents, prey, _ = key  # type: ignore[misc]
-        c = self.config
-        r = c.view_radius
+        r = self.config.view_radius
         span = 2 * r + 1
-        denom = float(c.side - 1)
-        obs = np.zeros((c.n_agents, self.spec.obs_width), dtype=np.float64)
+        side = self.config.side
+        obs = self._obs_table.take(
+            [(i * side + ar) * side + ac for i, (ar, ac) in enumerate(agents)], axis=0)
         for a, (ar, ac) in enumerate(agents):
-            window = np.zeros((4, span, span), dtype=np.float64)
-            for dr in range(-r, r + 1):
-                for dc in range(-r, r + 1):
-                    rr, cc = ar + dr, ac + dc
-                    wr, wc = dr + r, dc + r
-                    if not (0 <= rr < c.side and 0 <= cc < c.side):
-                        window[3, wr, wc] = 1.0  # wall
-                        continue
-                    if (rr, cc) == (ar, ac):
-                        window[0, wr, wc] = 1.0  # self
-                    if any(i != a and agents[i] == (rr, cc) for i in range(c.n_agents)):
-                        window[1, wr, wc] = 1.0  # ally
-                    if prey == (rr, cc):
-                        window[2, wr, wc] = 1.0
-            flat = window.reshape(-1)
-            one_hot = np.zeros(c.n_agents)
-            one_hot[a] = 1.0
-            coords = np.asarray([ar / denom, ac / denom])
-            obs[a] = np.concatenate([flat, one_hot, coords])
+            for j, (er, ec) in enumerate((*agents, prey)):
+                dr, dc = er - ar + r, ec - ac + r
+                if j != a and 0 <= dr < span and 0 <= dc < span:
+                    obs[a, self._view_channel[j] + dr * span + dc] = 1.0
         return obs
 
     def avail_actions(self, key: GridKey | int) -> Array:
-        agents, _, _ = key  # type: ignore[misc]
+        """(n, 5) booleans: a move is available when it stays on the grid."""
         side = self.config.side
-        avail = np.zeros((self.config.n_agents, 5), dtype=bool)
-        for a, (ar, ac) in enumerate(agents):
-            for m, (dr, dc) in enumerate(_MOVES):
-                rr, cc = ar + dr, ac + dc
-                avail[a, m] = 0 <= rr < side and 0 <= cc < side
-        return avail
+        return self._avail_table.take([ar * side + ac for ar, ac in key[0]], axis=0)  # type: ignore[index]
 
 
 def _adjacent(a: Cell, b: Cell) -> bool:

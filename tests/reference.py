@@ -7,8 +7,10 @@ only these compositions use (``matmul``, ``sigmoid``, ``tanh``, ``exp``,
 ``div``, ``sum_last``) live here, on the engine's tape helpers. The scalar
 return, advantage and KL formulas are the per-step definitions that the
 batched code in ``sopac`` vectorises, ``comacc_q`` is the one-row critic
-call that the stacked counterfactual pass must reproduce, and
-``params_equal`` compares two parameter sets bit for bit.
+call that the stacked counterfactual pass must reproduce,
+``params_equal`` compares two parameter sets bit for bit, and
+``capture_observations`` and ``capture_avail_actions`` are the cell-by-cell
+loops that ``CaptureGrid``'s feature tables must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from sopac import autodiff as ad
 from sopac import critic as cr
 from sopac.autodiff import Tensor, _data, _rowwise, _sigmoid, _unbroadcast, accumulate, record
+from sopac.envs import _MOVES, CaptureGrid, GridKey
 from sopac.policy import MaskError
 from sopac.sop import kl_estimator_term
 
@@ -219,3 +222,52 @@ def params_equal(a: ad.ParamSet, b: ad.ParamSet) -> bool:
     return a.names() == b.names() and all(
         np.array_equal(a[k].data, b[k].data) for k in a.names()
     )
+
+
+# ---------------------------------------------------------------------------
+# Capture features, one cell at a time
+
+
+def capture_observations(env: CaptureGrid, key: GridKey) -> Array:
+    """(n, obs_width): per agent, its (self, ally, prey, wall) window of side
+    2r + 1 flattened channel-major, then its one-hot id and its normalised
+    (row, column)."""
+    agents, prey, _ = key
+    c = env.config
+    r = c.view_radius
+    span = 2 * r + 1
+    denom = float(c.side - 1)
+    obs = np.zeros((c.n_agents, env.spec.obs_width), dtype=np.float64)
+    for a, (ar, ac) in enumerate(agents):
+        window = np.zeros((4, span, span), dtype=np.float64)
+        for dr in range(-r, r + 1):
+            for dc in range(-r, r + 1):
+                rr, cc = ar + dr, ac + dc
+                wr, wc = dr + r, dc + r
+                if not (0 <= rr < c.side and 0 <= cc < c.side):
+                    window[3, wr, wc] = 1.0  # wall
+                    continue
+                if (rr, cc) == (ar, ac):
+                    window[0, wr, wc] = 1.0  # self
+                if any(i != a and agents[i] == (rr, cc) for i in range(c.n_agents)):
+                    window[1, wr, wc] = 1.0  # ally
+                if prey == (rr, cc):
+                    window[2, wr, wc] = 1.0
+        flat = window.reshape(-1)
+        one_hot = np.zeros(c.n_agents)
+        one_hot[a] = 1.0
+        coords = np.asarray([ar / denom, ac / denom])
+        obs[a] = np.concatenate([flat, one_hot, coords])
+    return obs
+
+
+def capture_avail_actions(env: CaptureGrid, key: GridKey) -> Array:
+    """(n, 5) booleans: a move is available when its target cell is on the grid."""
+    agents, _, _ = key
+    side = env.config.side
+    avail = np.zeros((env.config.n_agents, 5), dtype=bool)
+    for a, (ar, ac) in enumerate(agents):
+        for m, (dr, dc) in enumerate(_MOVES):
+            rr, cc = ar + dr, ac + dc
+            avail[a, m] = 0 <= rr < side and 0 <= cc < side
+    return avail

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import capture_avail_actions, capture_observations
 from sopac.envs import (
     CaptureGrid,
     CaptureGridConfig,
@@ -89,6 +90,7 @@ class TestCaptureGridStep:
         env.reset(0)
         env._agents = tuple(agents)
         env._prey = prey
+        env._avail = env.avail_actions(env._key())  # step checks the stored mask
         return env
 
     def test_capture_pays_and_wins(self):
@@ -141,6 +143,35 @@ class TestCaptureGridStep:
             assert env._prey not in env._agents
             if result.terminal:
                 break
+
+
+class TestFeatureTables:
+    # The 5x5 grid has 303 600 keys, about 40 s through the loop, so the
+    # suite checks every 10th.
+    @pytest.mark.parametrize("config, stride", [
+        (CaptureGridConfig(side=4), 1),
+        (CaptureGridConfig(side=3), 1),
+        (CaptureGridConfig(side=5, n_agents=3, view_radius=2), 10),
+    ], ids=["4x4", "3x3", "5x5-3agents-radius2"])
+    def test_initial_keys_match_the_cell_loop(self, config, stride):
+        env = CaptureGrid(config)
+        keys = [key for key, _ in env.initial_states()]
+        for key in keys[::stride]:
+            assert env.observations(key).tobytes() == capture_observations(env, key).tobytes()
+            assert env.avail_actions(key).tobytes() == capture_avail_actions(env, key).tobytes()
+
+    def test_step_returns_the_features_of_the_new_state(self):
+        env = CaptureGrid(CaptureGridConfig(prey="walk", side=4, horizon=30))
+        _, obs, avail = env.reset(5)
+        rng = np.random.default_rng(5)
+        terminal = False
+        while not terminal:
+            key = env._key()
+            assert obs.tobytes() == capture_observations(env, key).tobytes()
+            assert avail.tobytes() == capture_avail_actions(env, key).tobytes()
+            actions = [int(rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
+            result = env.step(actions)
+            obs, avail, terminal = result.obs, result.avail, result.terminal
 
 
 class TestTrajectoryDeterminism:
