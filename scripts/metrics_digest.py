@@ -77,8 +77,7 @@ def configs() -> dict[str, dict]:
         env="capture", env_config={"side": 4, "horizon": 8}, algo="coma-cc",
         sop="off", batch_size=2, total_steps=120, eval_interval=40,
         eval_episodes=2, seed=6)
-    # epsilon anneals until step 200: requests before it play one episode at
-    # a time, later ones as one lockstep group
+    # epsilon anneals until step 200, so each request runs at its own epsilon
     runs["tiny-centralv-off-anneal"] = dict(
         env="capture", env_config=TINY_CAPTURE, algo="centralv", sop="off",
         batch_size=4, eps_anneal_steps=200, total_steps=400, eval_interval=100,

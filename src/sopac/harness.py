@@ -198,11 +198,10 @@ def evaluate(
 ) -> tuple[float, float]:
     """Win rate and mean return over evaluation rollouts.
 
-    Greedy by default (argmax action selection, exploration off); sampling
-    mode draws from the policy instead. Every episode runs with epsilon 0, so
-    all of them play as one lockstep group on copies of ``env``. Evaluation
-    owns its seed stream and never touches the actor or any training
-    generator.
+    Greedy by default (argmax action selection); sampling mode draws from
+    the policy instead. Exploration is off: all episodes play as one lockstep
+    group with epsilon 0, on copies of ``env``. Evaluation owns its seed
+    stream and never touches the actor or any training generator.
     """
     if episodes < 1:
         raise ValueError("need at least one evaluation episode")
@@ -210,8 +209,7 @@ def evaluate(
              for i in range(episodes)]
     played = rollout_episodes(
         [env] + [copy.deepcopy(env) for _ in range(episodes - 1)],
-        actor, actor_cfg, EpsilonSchedule(0.0, 0.0, 1),
-        starts=[0] * episodes,
+        actor, actor_cfg, 0.0,
         env_seeds=[int(s[0]) for s in seeds],
         action_rngs=[np.random.default_rng(int(s[1])) for s in seeds],
         generations=[-1] * episodes, mode=mode,

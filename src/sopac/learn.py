@@ -43,7 +43,7 @@ class Episode:
     actions: Array       # (T, n_agents) int
     rewards: Array       # (T,)
     dists: Array         # (T, n_agents, n_actions) acting distributions
-    epsilons: Array      # (T,) exploration floor in force at each step
+    epsilon: float       # exploration floor of every step (one per sampler request)
     generation: int
     win: bool = False
 
@@ -67,7 +67,7 @@ class Batch:
     actions: Array       # (B, T, n) int
     rewards: Array       # (B, T)
     dists: Array         # (B, T, n, m)
-    epsilons: Array      # (B, T)
+    epsilons: Array      # (B,)
     pad: Array           # (B, T) float
     lengths: Array       # (B,) int
 
@@ -101,7 +101,6 @@ class Batch:
         actions = np.zeros((b, t_max, n), dtype=np.int64)
         rewards = np.zeros((b, t_max))
         dists = np.zeros((b, t_max, n, m))
-        epsilons = np.zeros((b, t_max))
         pad = np.zeros((b, t_max))
         lengths = np.zeros(b, dtype=np.int64)
         for i, e in enumerate(episodes):
@@ -112,11 +111,11 @@ class Batch:
             actions[i, :t] = e.actions
             rewards[i, :t] = e.rewards
             dists[i, :t] = e.dists
-            epsilons[i, :t] = e.epsilons
             pad[i, :t] = 1.0
             lengths[i] = t
-        return cls(list(episodes), states, obs, avail, actions, rewards,
-                   dists, epsilons, pad, lengths)
+        epsilons = np.asarray([e.epsilon for e in episodes], dtype=np.float64)
+        return cls(list(episodes), states, obs, avail, actions, rewards, dists, epsilons,
+                   pad, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,8 @@ def actor_step_inputs(batch: Batch, cfg: ActorConfig) -> Array:
 
 
 def unroll_policy(params: ParamSet, cfg: ActorConfig, batch: Batch) -> list[Tensor]:
-    """Per-step acting distributions over the batch, honouring stored epsilons.
+    """Per-step acting distributions over the batch, each episode's rows
+    floored by its stored epsilon.
 
     Runs in the caller's gradient mode: wrap in ``autodiff.no_grad()`` when
     the probabilities are wanted as constants.
@@ -205,14 +205,13 @@ def unroll_policy(params: ParamSet, cfg: ActorConfig, batch: Batch) -> list[Tens
     if not ((batch.epsilons >= 0.0) & (batch.epsilons <= 1.0)).all():
         raise ValueError("stored epsilons must lie in [0, 1]")
     inputs = actor_step_inputs(batch, cfg)
-    eps_rows = np.repeat(batch.epsilons, n, axis=0).reshape(b, n, t_max)
+    eps = np.repeat(batch.epsilons, n)[:, None]  # (b * n, 1), episode-major
     hidden: Tensor | Array = np.zeros((b * n, cfg.gru_hidden))
     probs: list[Tensor] = []
     for t in range(t_max):
         logits, hidden = actor_cell(params, inputs[t], hidden)
         avail_t = batch.avail[:, t].reshape(b * n, m)
-        eps_t = eps_rows[:, :, t].reshape(b * n, 1)
-        probs.append(masked_epsilon_probs(logits, avail_t, eps_t))
+        probs.append(masked_epsilon_probs(logits, avail_t, eps))
     return probs
 
 

@@ -6,10 +6,12 @@ rows of every episode still running. Each episode keeps its own env and its
 own seeded action generator, so row-exact batching in the autodiff core
 makes each stored episode bit-identical to playing it alone, and to the
 padded replay of ``learn.unroll_policy``. A group of one is the sequential
-case. Each episode stores the acting distributions and the epsilon in force
-at every step, so that replay can re-evaluate stale episodes exactly later.
-Epsilon follows the global env-step counter, so the sampler groups only
-requests whose every epsilon is known before they start.
+case. Each episode stores its acting distributions and the one epsilon it
+ran with, so that replay can re-evaluate stale episodes exactly later.
+
+Exploration is fixed once per sampler request: every episode of a request
+runs with ``epsilon_at(S)``, where S is the env-step count when the request
+starts, so every request plays as one lockstep group.
 """
 
 from __future__ import annotations
@@ -38,41 +40,35 @@ def rollout_episodes(
     envs: Sequence,
     params: ad.ParamSet,
     cfg: ActorConfig,
-    schedule: EpsilonSchedule,
-    starts: Sequence[int],
+    epsilon: float,
     env_seeds: Sequence[int],
     action_rngs: Sequence[np.random.Generator],
     generations: Sequence[int],
     mode: str = "sample",
 ) -> list[Episode]:
-    """Play one episode on each env in lockstep.
-
-    Episode i's epsilon at its step t is ``epsilon_at(starts[i] + t)`` in
-    sample mode and 0 otherwise. Finished episodes drop out of the stack.
+    """Play one episode on each env in lockstep, every step of every episode
+    with exploration floor ``epsilon``. Finished episodes drop out of the
+    stack.
     """
     k, n = len(envs), cfg.n_agents
-    if not k == len(starts) == len(env_seeds) == len(action_rngs) == len(generations):
-        raise ValueError("one env, start, seed, generator and generation per episode")
+    if not k == len(env_seeds) == len(action_rngs) == len(generations):
+        raise ValueError("one env, seed, generator and generation per episode")
     records = [{"states": [], "obs": [], "avail": [], "actions": [],
-                "rewards": [], "dists": [], "epsilons": []} for _ in range(k)]
+                "rewards": [], "dists": []} for _ in range(k)]
     wins = [False] * k
     current = [env.reset(seed) for env, seed in zip(envs, env_seeds)]
     prev_actions = [[-1] * n for _ in range(k)]
     hidden: Array | ad.Tensor = np.zeros((k * n, cfg.gru_hidden))
     live = list(range(k))
-    t = 0
     while live:
         rows = len(live) * n
         obs = np.array([current[i][1] for i in live])
         avail = np.array([current[i][2] for i in live], dtype=np.float64)
-        eps = [epsilon_at(starts[i] + t, schedule) if mode == "sample" else 0.0
-               for i in live]
         with ad.no_grad():
             x = actor_inputs(cfg, obs, [prev_actions[i] for i in live]).reshape(rows, -1)
             logits, hidden = actor_cell(params, x, hidden)
             dist = masked_epsilon_probs(
-                logits, avail.reshape(rows, -1),
-                np.array(eps)[:, None].repeat(n, 0)).data.reshape(len(live), n, -1)
+                logits, avail.reshape(rows, -1), epsilon).data.reshape(len(live), n, -1)
 
         still = []
         for j, i in enumerate(live):
@@ -85,7 +81,6 @@ def rollout_episodes(
             record["actions"].append(actions)
             record["rewards"].append(result.reward)
             record["dists"].append(dist[j])
-            record["epsilons"].append(eps[j])
             current[i] = (result.state, result.obs, result.avail)
             prev_actions[i] = actions
             wins[i] = result.win
@@ -95,7 +90,6 @@ def rollout_episodes(
             keep = (np.asarray(still, dtype=np.int64)[:, None] * n + np.arange(n)).reshape(-1)
             hidden = hidden.data[keep]
             live = [live[j] for j in still]
-        t += 1
 
     return [
         Episode(
@@ -105,7 +99,7 @@ def rollout_episodes(
             actions=np.asarray(r["actions"], dtype=np.int64),
             rewards=np.asarray(r["rewards"]),
             dists=np.asarray(r["dists"]),
-            epsilons=np.asarray(r["epsilons"]),
+            epsilon=epsilon,
             generation=g,
             win=w,
         )
@@ -119,45 +113,33 @@ def sample_episode_fn(
     """Build the seeded episode sampler used by the training loops.
 
     ``sample(params, count)`` plays the next ``count`` episodes with one set
-    of parameters. Episode k always draws the same (env seed, action stream)
-    regardless of which training mode requests it, so on-policy and
-    semi-on-policy runs see identical rollouts whenever they request them in
-    the same order.
+    of parameters, as one lockstep group. Episode k always draws the same
+    (env seed, action stream) regardless of which training mode requests it,
+    so on-policy and semi-on-policy runs see identical rollouts whenever they
+    request them in the same order.
 
-    Episode j of a request starting at env step S runs with
-    ``epsilon_at(S + L_0 + ... + L_{j-1} + t)``. The request plays as one
-    lockstep group when that is known before it starts: with one-step
-    episodes (episode j starts at S + j), or when epsilon is flat over the
-    whole window [S, S + count * horizon) (the schedule is monotone, so equal
-    endpoints suffice; every start inside the window then gives the same
-    epsilon). Otherwise the episodes play one at a time.
+    Every episode of a request runs with ``epsilon_at(S)``, where S is
+    ``counter["env_steps"]`` when the request starts; the request then
+    advances S by the summed lengths of its episodes.
     """
     counter = {"rollouts": 0, "env_steps": 0}
     envs = [env]
-    horizon = env.spec.horizon
 
     def sample(params: ad.ParamSet, count: int) -> list[Episode]:
         if count < 1:
             raise ValueError("need at least one episode")
-        first, steps = counter["rollouts"], counter["env_steps"]
+        first = counter["rollouts"]
         while len(envs) < count:
             envs.append(copy.deepcopy(env))
         seeds = [np.random.SeedSequence(master_seed, spawn_key=(1, first + j)).generate_state(2)
                  for j in range(count)]
-        grouped = horizon == 1 or (
-            epsilon_at(steps, schedule) == epsilon_at(steps + count * horizon - 1, schedule))
-        groups = [range(count)] if grouped else [range(j, j + 1) for j in range(count)]
-        episodes: list[Episode] = []
-        for group in groups:
-            played = rollout_episodes(
-                envs[:len(group)], params, cfg, schedule,
-                starts=[counter["env_steps"] + j * horizon for j in range(len(group))],
-                env_seeds=[int(seeds[j][0]) for j in group],
-                action_rngs=[np.random.default_rng(int(seeds[j][1])) for j in group],
-                generations=[first + j for j in group],
-            )
-            counter["env_steps"] += sum(e.length for e in played)
-            episodes += played
+        episodes = rollout_episodes(
+            envs[:count], params, cfg, epsilon_at(counter["env_steps"], schedule),
+            env_seeds=[int(s[0]) for s in seeds],
+            action_rngs=[np.random.default_rng(int(s[1])) for s in seeds],
+            generations=list(range(first, first + count)),
+        )
+        counter["env_steps"] += sum(e.length for e in episodes)
         counter["rollouts"] += count
         return episodes
 

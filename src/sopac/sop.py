@@ -111,7 +111,7 @@ def episode_kls(actor: ParamSet, cfg: ActorConfig, episodes: Sequence[Episode],
     episode, from a single batched replay of the current policy."""
     if kind not in ("exact", "sampled"):
         raise ValueError(f"unknown estimator kind {kind!r}")
-    if any(e.dists is None or e.epsilons is None for e in episodes):
+    if any(e.dists is None or e.epsilon is None for e in episodes):
         raise ValueError("episode is missing its stored policy provenance")
     batch = Batch.from_episodes(episodes)
     current = batch_policy_probs(actor, cfg, batch)

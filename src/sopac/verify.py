@@ -55,7 +55,7 @@ def random_episode(rng: np.random.Generator, n: int, m: int, state_width: int,
         actions=rng.integers(m, size=(length, n)),
         rewards=rng.standard_normal(length),
         dists=dists,
-        epsilons=rng.uniform(0.05, 0.5, size=length),
+        epsilon=float(rng.uniform(0.05, 0.5)),
         generation=generation,
     )
 
@@ -196,7 +196,7 @@ def uniform_switch_episodes(env: SwitchGame, rng: np.random.Generator, count: in
             actions=actions[None, :].astype(np.int64),
             rewards=np.asarray([result.reward]),
             dists=np.full((1, 2, m), 1.0 / m),
-            epsilons=np.asarray([1.0]),
+            epsilon=1.0,
             generation=generation,
         ))
     return episodes

@@ -339,7 +339,7 @@ class TestCriticSchedules:
                     actions=np.asarray([[u0, u1]], dtype=np.int64),
                     rewards=np.asarray([result.reward]),
                     dists=np.full((1, 2, m), 1.0 / m),
-                    epsilons=np.asarray([1.0]),
+                    epsilon=1.0,
                     generation=0,
                 ))
         batch = Batch.from_episodes(episodes)
@@ -405,11 +405,14 @@ class TestTargetNetwork:
 
 
 def validate_episode(episode):
-    """Every field spans the episode, and the stored distributions sum to 1."""
+    """Every field spans the episode, the stored epsilon lies in [0, 1], and
+    the stored distributions sum to 1."""
     t = episode.length
-    for name in ("obs", "avail", "actions", "rewards", "dists", "epsilons"):
+    for name in ("obs", "avail", "actions", "rewards", "dists"):
         if getattr(episode, name).shape[0] != t:
             raise ValueError(f"episode field {name} does not span {t} steps")
+    if not 0.0 <= episode.epsilon <= 1.0:
+        raise ValueError(f"stored epsilon {episode.epsilon} outside [0, 1]")
     if not np.allclose(episode.dists.sum(axis=-1), 1.0, atol=1e-9):
         raise ValueError("stored distributions do not sum to 1")
 
@@ -417,13 +420,13 @@ def validate_episode(episode):
 class TestEpisodeContainers:
     def test_validate_accepts_rollout_episodes(self):
         from sopac.envs import CaptureGrid, CaptureGridConfig
-        from sopac.policy import EpsilonSchedule, actor_init
+        from sopac.policy import actor_init
         from sopac.rollout import rollout_episodes
 
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=5))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(0), cfg)
-        [episode] = rollout_episodes([env], params, cfg, EpsilonSchedule(), [0], [1],
+        [episode] = rollout_episodes([env], params, cfg, 0.5, [1],
                                      [np.random.default_rng(2)], generations=[0])
         validate_episode(episode)
 
@@ -445,15 +448,15 @@ class TestForwardPathConsistency:
         import copy
 
         from sopac.envs import CaptureGrid, CaptureGridConfig
-        from sopac.policy import EpsilonSchedule, actor_init
+        from sopac.policy import actor_init
         from sopac.rollout import rollout_episodes
 
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=6))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(3), cfg)
         episodes = rollout_episodes(
-            [copy.deepcopy(env) for _ in range(3)], params, cfg, EpsilonSchedule(),
-            starts=[0, 1, 2], env_seeds=[10, 11, 12],
+            [copy.deepcopy(env) for _ in range(3)], params, cfg, 0.5,
+            env_seeds=[10, 11, 12],
             action_rngs=[np.random.default_rng(20 + k) for k in range(3)],
             generations=[0, 1, 2])
         batch = Batch.from_episodes(episodes)
@@ -553,7 +556,6 @@ class TestPadding:
         poisoned.obs[hole] = rng.standard_normal(poisoned.obs[hole].shape) * 50
         poisoned.rewards[hole] = 1e6
         poisoned.actions[hole] = rng.integers(DIMS["m"], size=poisoned.actions[hole].shape)
-        poisoned.epsilons[hole] = 0.7
 
         trainer = make_trainer("coma-cc", seed=29)
         adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",

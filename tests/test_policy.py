@@ -28,7 +28,7 @@ def capture_episode(seed=0, params=None, cfg=None):
     actor_cfg = cfg or ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
     params = params or actor_init(np.random.default_rng(seed), actor_cfg)
     [episode] = rollout_episodes(
-        [env], params, actor_cfg, EpsilonSchedule(), starts=[0],
+        [env], params, actor_cfg, epsilon_at(0, EpsilonSchedule()),
         env_seeds=[seed], action_rngs=[np.random.default_rng(seed + 1)], generations=[0],
     )
     return episode, params, actor_cfg
@@ -120,8 +120,7 @@ class TestSelectAction:
 class TestHistoryAndDistribution:
     def test_distribution_requires_valid_epsilon(self):
         episode, params, cfg = capture_episode(seed=4)
-        episode.epsilons = episode.epsilons.copy()
-        episode.epsilons[0] = 1.5
+        episode.epsilon = 1.5
         with pytest.raises(ValueError, match="epsilon"):
             batch_policy_probs(params, cfg, Batch.from_episodes([episode]))
 
@@ -148,7 +147,7 @@ class TestSnapshots:
 
     def test_missing_epsilon_trace_rejected(self):
         episode, params, cfg = capture_episode(seed=9)
-        episode.epsilons = None
+        episode.epsilon = None
         with pytest.raises(ValueError, match="provenance"):
             episode_kls(params, cfg, [episode])
 
