@@ -108,18 +108,23 @@ class RunConfig:
         for name in ("gamma_adv_one", "record_timing"):
             if not isinstance(getattr(self, name), bool):
                 problems.append(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            problems.append("lambda must lie in [0, 1]")
-        if not 0.0 < self.gamma <= 1.0:
-            problems.append("gamma must lie in (0, 1]")
-        if not self.kl_threshold >= 0.0:
-            problems.append(f"kl_threshold must be nonnegative, got {self.kl_threshold!r}")
+        unreal = [f"{name} must be a real number, got {getattr(self, name)!r}"
+                  for name in ("lam", "gamma", "lr", "rms_alpha", "rms_eps", "eps_start",
+                               "eps_end", "kl_threshold") if not _is_real(getattr(self, name))]
+        problems += unreal
+        if not unreal:  # the range checks compare numbers
+            if not 0.0 <= self.lam <= 1.0:
+                problems.append("lambda must lie in [0, 1]")
+            if not 0.0 < self.gamma <= 1.0:
+                problems.append("gamma must lie in (0, 1]")
+            if not self.kl_threshold >= 0.0:
+                problems.append(f"kl_threshold must be nonnegative, got {self.kl_threshold!r}")
+            problems += _failures(lambda: self.schedule)
+            problems += _failures(check_rmsprop, self.lr, self.rms_alpha, self.rms_eps)
         if not isinstance(self.env_config, dict):
             problems.append("env_config must be a mapping")
         elif self.env in ENVS:
             problems += _failures(make_env_config, self.env, self.env_config)
-        problems += _failures(lambda: self.schedule)
-        problems += _failures(check_rmsprop, self.lr, self.rms_alpha, self.rms_eps)
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -136,6 +141,8 @@ class RunConfig:
         data = dict(data)
         if isinstance(data.get("critic_hidden"), list):
             data["critic_hidden"] = tuple(data["critic_hidden"])
+        if data.get("kl_threshold") == "inf":  # how ``to_dict`` writes it
+            data["kl_threshold"] = float("inf")
         try:
             return cls(**data)
         except (TypeError, ValueError) as exc:
@@ -158,6 +165,10 @@ class RunConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _failures(build, *args) -> list[str]:

@@ -52,6 +52,17 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({"critic_hidden": [], "kl_threshold": float("inf")})
         assert cfg.critic_hidden == () and cfg.kl_threshold == float("inf")
 
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(),
+        RunConfig(env="capture", env_config={"side": 4, "prey": "walk"}, algo="coma",
+                  sop="strict", kl_threshold=0.05, critic_hidden=(16,), seed=3),
+    ], ids=["default", "finite-threshold"])
+    def test_to_dict_round_trips(self, cfg):
+        data = json.loads(json.dumps(cfg.to_dict()))
+        again = RunConfig.from_dict(data)
+        assert again == cfg
+        assert again.to_dict() == cfg.to_dict() and again.sha256() == cfg.sha256()
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({"learning_rate": 0.1})
@@ -314,12 +325,22 @@ class TestCli:
         {"target_period": 0},
         {"gamma_adv_one": "no"},
         {"record_timing": "yes"},
+        {"lam": True},
+        {"gamma": True},
+        {"lr": True},
+        {"kl_threshold": True},
+        {"eps_start": True},
+        {"eps_end": False},
+        {"rms_eps": True},
+        {"lam": "0.8"},
     ], ids=["eps-start-below-end", "eps-start-above-one", "zero-anneal",
             "unknown-env-key", "list-env-config", "zero-lr", "rms-alpha-above-one",
             "gamma-above-one", "zero-gamma", "fractional-batch", "float-steps",
             "zero-gru-hidden", "fractional-gru-hidden", "zero-critic-hidden",
             "scalar-critic-hidden", "negative-seed", "nan-kl-threshold",
-            "zero-target-period", "string-gamma-adv-one", "string-record-timing"])
+            "zero-target-period", "string-gamma-adv-one", "string-record-timing",
+            "bool-lam", "bool-gamma", "bool-lr", "bool-kl-threshold", "bool-eps-start",
+            "bool-eps-end", "bool-rms-eps", "string-lam"])
     def test_invalid_config_exits_two_before_writing(self, tmp_path, bad):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(dict({"env": "capture", "total_steps": 40}, **bad)))
