@@ -14,6 +14,10 @@ for every metric, the median and quartiles of each side, the ratio of the
 medians, and for the end-to-end metrics in how many pairs the change was
 better and whether the medians differ by more than the parent's quartile
 spread.
+
+A run that prints no JSON result (it crashed, or was killed) is recorded
+with its exit code and the tail of its stderr. A pair with such a run is
+left out of the medians and counted in the summary's ``failed_pairs``.
 """
 
 from __future__ import annotations
@@ -29,16 +33,26 @@ from pathlib import Path
 
 LOWER_IS_BETTER = {"setup_s", "run_s", "peak_rss_mb"}
 HIGHER_IS_BETTER = {"env_steps_per_s"}
+STDERR_TAIL_LINES = 20
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"failed_run": True,
+                  "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL_LINES:]}
     result["exit_code"] = proc.returncode
-    result["report"] = [line for line in proc.stdout.splitlines() if line.startswith("# cross")]
+    result["report"] = [line for line in lines if line.startswith("# cross")]
     return result
+
+
+def pair_failed(pair: dict) -> bool:
+    return any(pair[side].get("failed_run") for side in ("parent", "change"))
 
 
 def commit(checkout: Path) -> str:
@@ -58,9 +72,11 @@ def summarise(runs: list[dict]) -> dict:
     out: dict = {}
     for trace in (0, 1):
         for workload in sorted({r["workload"] for r in runs if r["trace"] == trace}):
-            pairs = [r for r in runs if r["workload"] == workload and r["trace"] == trace]
+            tried = [r for r in runs if r["workload"] == workload and r["trace"] == trace]
+            pairs = [p for p in tried if not pair_failed(p)]
             table = {}
-            for name in pairs[0]["parent"]["metrics"]:
+            names = pairs[0]["parent"]["metrics"] if pairs else []
+            for name in names:
                 before = [p["parent"]["metrics"][name]["value"] for p in pairs]
                 after = [p["change"]["metrics"][name]["value"] for p in pairs]
                 b1, b2, b3 = quartiles(before)
@@ -75,7 +91,8 @@ def summarise(runs: list[dict]) -> dict:
                     entry["median_gap_exceeds_parent_iqr"] = abs(a2 - b2) > b3 - b1
                 table[name] = entry
             out[f"{workload} trace{trace}"] = {
-                "pairs": len(pairs), "seeds": [p["seed"] for p in pairs], "metrics": table}
+                "pairs": len(pairs), "seeds": [p["seed"] for p in pairs],
+                "failed_pairs": len(tried) - len(pairs), "metrics": table}
     return out
 
 
@@ -104,7 +121,9 @@ def main() -> None:
         data["summary"] = summarise(data["runs"])
         args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
         print(f"{args.workload} seed {seed}: " + ", ".join(
-            f"{side} {pair[side]['metrics'].get('env_steps_per_s', {}).get('value', '-')}"
+            f"{side} " + (f"failed (exit {pair[side]['exit_code']})"
+                          if pair[side].get("failed_run") else
+                          str(pair[side]["metrics"].get("env_steps_per_s", {}).get("value", "-")))
             for side in ("parent", "change")), flush=True)
 
 
