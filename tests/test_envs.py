@@ -146,8 +146,8 @@ class TestCaptureGridStep:
 
 
 class TestFeatureTables:
-    # The 5x5 grid has 303 600 keys, about 40 s through the loop, so the
-    # suite checks every 10th.
+    # The 5x5 grid has 303 600 keys, too many for the loop in every suite
+    # run, so the suite checks every 10th.
     @pytest.mark.parametrize("config, stride", [
         (CaptureGridConfig(side=4), 1),
         (CaptureGridConfig(side=3), 1),
