@@ -7,11 +7,11 @@ with the finite-episode convention that all n-step returns reaching past the
 terminal collapse onto the Monte-Carlo return (so lambda = 1 is exactly the
 discounted return and lambda = 0 is exactly the one-step target).
 
-Two critic training schedules are provided: ``minibatch`` takes one
-optimiser step per timestep, sweeping t = T..1 with targets fixed up front,
-and ``wholebatch`` accumulates the gradient over all timesteps and takes a
-single step. Each optimiser step (minibatch) or training iteration
-(wholebatch) advances the target-network counter.
+One critic update, ``critic_update``, serves both training schedules with
+targets fixed up front; the schedule is the sweep. ``minibatch`` takes one
+optimiser step per timestep, sweeping t = T..1, and ``wholebatch`` takes a
+single step on the loss summed over all timesteps. Every optimiser step
+advances the target-network counter.
 """
 
 from __future__ import annotations
@@ -241,23 +241,33 @@ def critic_batch_inputs(batch: Batch, algo: str) -> Array:
 def _critic_values(params: ParamSet, inputs: Array, actions: Array | None) -> Tensor:
     """Forward critic inputs with any leading shape; gather per-agent actions
     for the m-headed critic when ``actions`` is given."""
-    lead = inputs.shape[:-1]
     out = cr.critic_forward(params, inputs.reshape(-1, inputs.shape[-1]))
     if actions is None:
-        return out  # (prod(lead), 1)
+        return out  # (rows, 1)
     return ad.gather_last(out, actions.reshape(-1))
 
 
-def critic_bootstrap_values(target: ParamSet, batch: Batch, inputs: Array,
-                            algo: str) -> Array:
-    """Target-network values used when an n-step return bootstraps at a step;
-    ``inputs`` are the batch's ``critic_batch_inputs``."""
-    with ad.no_grad():
-        if algo == "coma":
-            vals = _critic_values(target, inputs, batch.actions).data
-            return vals.reshape(batch.size, batch.max_length, -1)
-        vals = _critic_values(target, inputs, None).data
-    return vals.reshape(batch.size, batch.max_length)
+# ---------------------------------------------------------------------------
+# Training configuration
+
+
+@dataclass(frozen=True)
+class LearnConfig:
+    algo: str
+    critic_schedule: str = "wholebatch"
+    lam: float = 0.8
+    gamma: float = 0.99
+    gamma_adv_one: bool = True
+    lr: float = 0.005
+    rms_alpha: float = 0.99
+    rms_eps: float = 1e-5
+    target_period: int = 200
+
+    def __post_init__(self) -> None:
+        if self.algo not in ("centralv", "coma", "coma-cc"):
+            raise ValueError(f"unknown algorithm {self.algo!r}")
+        if self.critic_schedule not in ("minibatch", "wholebatch"):
+            raise ValueError(f"unknown critic schedule {self.critic_schedule!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,48 +285,34 @@ def critic_loss_tensor(params: ParamSet, inputs: Array, targets: Array,
 def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
                          target: TargetNetState, lam: float, gamma: float):
     """Assemble (targets, weights, actions) for critic training on the
-    batch's ``critic_batch_inputs``."""
-    boots = critic_bootstrap_values(target.params, batch, inputs, algo)
+    batch's ``critic_batch_inputs``; targets bootstrap on the target network."""
+    coma = algo == "coma"
+    actions = batch.actions if coma else None
+    with ad.no_grad():
+        boots = _critic_values(target.params, inputs, actions).data
+    boots = boots.reshape(batch.size, batch.max_length, *((-1,) if coma else ()))
     targets = batch_td_lambda_targets(batch, boots, lam, gamma)
-    if algo == "coma":
-        weights = np.broadcast_to(batch.pad[:, :, None], targets.shape).copy()
-        actions: Array | None = batch.actions
-    else:
-        weights = batch.pad
-        actions = None
+    weights = np.broadcast_to(batch.pad[:, :, None], targets.shape).copy() if coma else batch.pad
     return targets, weights, actions
 
 
-def critic_update_wholebatch(
-    batch: Batch, inputs: Array, algo: str, params: ParamSet, opt: OptimizerState,
-    target: TargetNetState, lam: float, gamma: float,
-    lr: float = 0.005, alpha: float = 0.99, eps: float = 1e-5,
+def critic_update(
+    batch: Batch, inputs: Array, cfg: LearnConfig, params: ParamSet, opt: OptimizerState,
+    target: TargetNetState,
 ) -> tuple[ParamSet, OptimizerState, TargetNetState, float]:
-    """Accumulate the squared-error gradient over every timestep, then step once."""
-    targets, weights, actions = prepare_critic_batch(batch, inputs, algo, target, lam, gamma)
-    params.zero_grads()
-    loss = critic_loss_tensor(params, inputs, targets, weights, actions)
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise NumericError("critic loss is not finite")
-    loss.backward()
-    new_params, new_opt = ad.rmsprop_step(params, params.grad_set(), opt, lr, alpha, eps)
-    return new_params, new_opt, _tick_target(target, new_params), value
+    """Fit the critic to TD(lambda) targets; returns the summed loss.
 
-
-def critic_update_minibatch(
-    batch: Batch, inputs: Array, algo: str, params: ParamSet, opt: OptimizerState,
-    target: TargetNetState, lam: float, gamma: float,
-    lr: float = 0.005, alpha: float = 0.99, eps: float = 1e-5,
-) -> tuple[ParamSet, OptimizerState, TargetNetState, float]:
-    """One optimiser step per timestep, sweeping t = T..1.
-
-    Targets are computed once from the target network before the sweep; the
-    target counter advances on every optimiser step.
+    Targets are computed once from the target network before any step. The
+    schedule is the sweep: ``wholebatch`` takes one step on the loss summed
+    over every timestep, ``minibatch`` one step per timestep for t = T..1.
+    The target counter advances on every optimiser step.
     """
-    targets, weights, actions = prepare_critic_batch(batch, inputs, algo, target, lam, gamma)
+    targets, weights, actions = prepare_critic_batch(
+        batch, inputs, cfg.algo, target, cfg.lam, cfg.gamma)
+    sweep = (range(batch.max_length - 1, -1, -1) if cfg.critic_schedule == "minibatch"
+             else [slice(None)])
     total = 0.0
-    for t in range(batch.max_length - 1, -1, -1):
+    for t in sweep:
         params.zero_grads()
         step_actions = actions[:, t] if actions is not None else None
         loss = critic_loss_tensor(params, inputs[:, t], targets[:, t], weights[:, t], step_actions)
@@ -325,7 +321,8 @@ def critic_update_minibatch(
             raise NumericError("critic loss is not finite")
         total += value
         loss.backward()
-        params, opt = ad.rmsprop_step(params, params.grad_set(), opt, lr, alpha, eps)
+        params, opt = ad.rmsprop_step(params, params.grad_set(), opt,
+                                      cfg.lr, cfg.rms_alpha, cfg.rms_eps)
         target = _tick_target(target, params)
     return params, opt, target, total
 
@@ -400,8 +397,7 @@ def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
 
 def policy_gradient_update(
     batch: Batch, advantages: Array, probs: Sequence[Tensor], params: ParamSet,
-    opt: OptimizerState,
-    lr: float = 0.005, alpha: float = 0.99, eps: float = 1e-5,
+    opt: OptimizerState, cfg: LearnConfig,
 ) -> tuple[ParamSet, OptimizerState, float]:
     """One optimiser step on the policy-gradient loss of ``probs``, a taped
     ``unroll_policy`` of ``params`` over the batch.
@@ -415,31 +411,13 @@ def policy_gradient_update(
     if not np.isfinite(value):
         raise NumericError("policy loss is not finite")
     loss.backward()
-    new_params, new_opt = ad.rmsprop_step(params, params.grad_set(), opt, lr, alpha, eps)
+    new_params, new_opt = ad.rmsprop_step(params, params.grad_set(), opt,
+                                          cfg.lr, cfg.rms_alpha, cfg.rms_eps)
     return new_params, new_opt, value
 
 
 # ---------------------------------------------------------------------------
 # Trainer glue
-
-
-@dataclass(frozen=True)
-class LearnConfig:
-    algo: str
-    critic_schedule: str = "wholebatch"
-    lam: float = 0.8
-    gamma: float = 0.99
-    gamma_adv_one: bool = True
-    lr: float = 0.005
-    rms_alpha: float = 0.99
-    rms_eps: float = 1e-5
-    target_period: int = 200
-
-    def __post_init__(self) -> None:
-        if self.algo not in ("centralv", "coma", "coma-cc"):
-            raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.critic_schedule not in ("minibatch", "wholebatch"):
-            raise ValueError(f"unknown critic schedule {self.critic_schedule!r}")
 
 
 @dataclass
@@ -485,20 +463,13 @@ class Trainer:
         """
         batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, self.cfg.algo)
-        update = (critic_update_minibatch if self.cfg.critic_schedule == "minibatch"
-                  else critic_update_wholebatch)
-        self.critic, self.critic_opt, self.target, critic_loss = update(
-            batch, inputs, self.cfg.algo, self.critic, self.critic_opt, self.target,
-            self.cfg.lam, self.cfg.gamma,
-            self.cfg.lr, self.cfg.rms_alpha, self.cfg.rms_eps,
-        )
+        self.critic, self.critic_opt, self.target, critic_loss = critic_update(
+            batch, inputs, self.cfg, self.critic, self.critic_opt, self.target)
         probs = unroll_policy(self.actor, self.actor_cfg, batch)
         advantages = compute_advantages(
             batch, inputs, self.cfg.algo, self.critic, probs,
             self.cfg.gamma, self.cfg.gamma_adv_one,
         )
         self.actor, self.actor_opt, actor_loss = policy_gradient_update(
-            batch, advantages, probs, self.actor, self.actor_opt,
-            self.cfg.lr, self.cfg.rms_alpha, self.cfg.rms_eps,
-        )
+            batch, advantages, probs, self.actor, self.actor_opt, self.cfg)
         return critic_loss, actor_loss

@@ -26,7 +26,7 @@ from .learn import (
     compute_advantages,
     critic_batch_inputs,
     critic_loss_tensor,
-    critic_update_wholebatch,
+    critic_update,
     policy_loss_tensor,
     prepare_critic_batch,
     unroll_policy,
@@ -247,10 +247,9 @@ def switch_oracle_check(
         for updates in range(1, max_updates + 1):
             episodes = uniform_switch_episodes(env, rng, batch)
             b = Batch.from_episodes(episodes)
-            trainer.critic, trainer.critic_opt, trainer.target, _ = critic_update_wholebatch(
-                b, critic_batch_inputs(b, algo), algo, trainer.critic, trainer.critic_opt,
-                trainer.target, lam=0.8, gamma=0.99,
-            )
+            trainer.critic, trainer.critic_opt, trainer.target, _ = critic_update(
+                b, critic_batch_inputs(b, algo), trainer.cfg, trainer.critic,
+                trainer.critic_opt, trainer.target)
             if updates % 25 == 0 or updates == max_updates:
                 if algo == "centralv":
                     with ad.no_grad():

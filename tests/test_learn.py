@@ -15,8 +15,7 @@ from sopac.learn import (
     Trainer,
     compute_advantages,
     critic_batch_inputs,
-    critic_update_minibatch,
-    critic_update_wholebatch,
+    critic_update,
     policy_gradient_update,
     prepare_critic_batch,
     target_sync,
@@ -206,7 +205,7 @@ class TestPolicyGradientUpdate:
         before = trainer.actor.copy()
         after, _, loss = policy_gradient_update(
             batch, np.zeros((batch.size, batch.max_length, DIMS["n"])),
-            unrolled(trainer, batch), trainer.actor, trainer.actor_opt,
+            unrolled(trainer, batch), trainer.actor, trainer.actor_opt, trainer.cfg,
         )
         assert loss == 0.0
         assert params_equal(after, before)
@@ -220,7 +219,7 @@ class TestPolicyGradientUpdate:
         adv[0, 0, 0] = 1.0
         probs_before = learn.batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)
         new_actor, _, _ = policy_gradient_update(
-            batch, adv, unrolled(trainer, batch), trainer.actor, trainer.actor_opt)
+            batch, adv, unrolled(trainer, batch), trainer.actor, trainer.actor_opt, trainer.cfg)
         probs_after = learn.batch_policy_probs(new_actor, trainer.actor_cfg, batch)
         u = episode.actions[0, 0]
         assert probs_after[0, 0, 0, u] > probs_before[0, 0, 0, u]
@@ -243,7 +242,7 @@ class TestPolicyGradientUpdate:
         bad = np.full((batch.size, batch.max_length, DIMS["n"]), np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             policy_gradient_update(batch, bad, unrolled(trainer, batch), trainer.actor,
-                                   trainer.actor_opt)
+                                   trainer.actor_opt, trainer.cfg)
         assert params_equal(trainer.actor, before)
 
     def test_no_gradient_reaches_the_critic(self):
@@ -253,7 +252,7 @@ class TestPolicyGradientUpdate:
         adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
                                  trainer.critic, unrolled(trainer, batch), 0.99, False)
         policy_gradient_update(batch, adv, unrolled(trainer, batch), trainer.actor,
-                               trainer.actor_opt)
+                               trainer.actor_opt, trainer.cfg)
         assert params_equal(trainer.critic, critic_before)
         assert all(v.grad is None for _, v in trainer.critic.items())
 
@@ -265,40 +264,37 @@ class TestCriticSchedules:
                            DIMS["state_width"], DIMS["obs_width"], 1)
             for _ in range(3)
         ])
-        a = make_trainer("coma-cc", seed=13)
-        b = make_trainer("coma-cc", seed=13)
+        a = make_trainer("coma-cc", seed=13, critic_schedule="minibatch")
+        b = make_trainer("coma-cc", seed=13, critic_schedule="wholebatch")
         inputs = critic_batch_inputs(batch, "coma-cc")
-        pa, _, ta, la = critic_update_minibatch(batch, inputs, "coma-cc", a.critic,
-                                                a.critic_opt, a.target, 0.8, 0.99)
-        pb, _, tb, lb = critic_update_wholebatch(batch, inputs, "coma-cc", b.critic,
-                                                 b.critic_opt, b.target, 0.8, 0.99)
+        pa, _, ta, la = critic_update(batch, inputs, a.cfg, a.critic, a.critic_opt, a.target)
+        pb, _, tb, lb = critic_update(batch, inputs, b.cfg, b.critic, b.critic_opt, b.target)
         assert params_equal(pa, pb)
         assert la == lb
         assert ta.counter == tb.counter
 
-    def test_perfect_critic_is_a_fixed_point(self):
-        trainer = make_trainer("centralv", seed=14)
+    @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
+    def test_perfect_critic_is_a_fixed_point(self, schedule):
+        trainer = make_trainer("centralv", seed=14, critic_schedule=schedule)
         zero_critic = ParamSet({k: np.zeros_like(v.data) for k, v in trainer.critic.items()})
         episode = random_episode(np.random.default_rng(15), DIMS["n"], DIMS["m"],
                                  DIMS["state_width"], DIMS["obs_width"], 3)
         episode.rewards[:] = 0.0  # zero targets match the zero critic everywhere
         batch = Batch.from_episodes([episode])
         target = TargetNetState(zero_critic.copy(), 0, 200)
-        new_params, _, _, loss = critic_update_wholebatch(
-            batch, critic_batch_inputs(batch, "centralv"), "centralv", zero_critic,
-            ad.rmsprop_init(zero_critic), target, 0.8, 0.99)
+        new_params, _, _, loss = critic_update(
+            batch, critic_batch_inputs(batch, "centralv"), trainer.cfg, zero_critic,
+            ad.rmsprop_init(zero_critic), target)
         assert loss == 0.0
         assert params_equal(new_params, zero_critic)
 
     def test_multistep_minibatch_differs_from_wholebatch(self):
         batch = random_batch(np.random.default_rng(16), dict(DIMS, max_len=2))
-        a = make_trainer("centralv", seed=17)
-        b = make_trainer("centralv", seed=17)
+        a = make_trainer("centralv", seed=17, critic_schedule="minibatch")
+        b = make_trainer("centralv", seed=17, critic_schedule="wholebatch")
         inputs = critic_batch_inputs(batch, "centralv")
-        pa, *_ = critic_update_minibatch(batch, inputs, "centralv", a.critic, a.critic_opt,
-                                         a.target, 0.8, 0.99)
-        pb, *_ = critic_update_wholebatch(batch, inputs, "centralv", b.critic, b.critic_opt,
-                                          b.target, 0.8, 0.99)
+        pa, *_ = critic_update(batch, inputs, a.cfg, a.critic, a.critic_opt, a.target)
+        pb, *_ = critic_update(batch, inputs, b.cfg, b.critic, b.critic_opt, b.target)
         assert not params_equal(pa, pb)
 
     def test_wholebatch_gradient_is_sum_of_per_step_gradients(self):
@@ -351,23 +347,55 @@ class TestCriticSchedules:
         inputs = critic_batch_inputs(batch, "coma-cc")
         loss = np.inf
         for _ in range(4000):
-            trainer.critic, trainer.critic_opt, trainer.target, loss = critic_update_wholebatch(
-                batch, inputs, "coma-cc", trainer.critic, trainer.critic_opt, trainer.target,
-                0.8, 0.99)
+            trainer.critic, trainer.critic_opt, trainer.target, loss = critic_update(
+                batch, inputs, trainer.cfg, trainer.critic, trainer.critic_opt, trainer.target)
             if loss < 1e-3:
                 break
         assert loss < 1e-3
 
-    def test_non_finite_critic_targets_rejected(self):
-        trainer = make_trainer("centralv", seed=22)
+    @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
+    def test_non_finite_critic_targets_rejected(self, schedule):
+        trainer = make_trainer("centralv", seed=22, critic_schedule=schedule)
         episode = random_episode(np.random.default_rng(23), DIMS["n"], DIMS["m"],
                                  DIMS["state_width"], DIMS["obs_width"], 2)
         episode.rewards[0] = np.inf
         batch = Batch.from_episodes([episode])
         with pytest.raises(NumericError):
-            critic_update_wholebatch(batch, critic_batch_inputs(batch, "centralv"), "centralv",
-                                     trainer.critic, trainer.critic_opt, trainer.target,
-                                     0.8, 0.99)
+            critic_update(batch, critic_batch_inputs(batch, "centralv"), trainer.cfg,
+                          trainer.critic, trainer.critic_opt, trainer.target)
+
+    def test_target_counter_and_loss_follow_the_sweep(self):
+        # wholebatch steps once on the summed loss; minibatch steps once per
+        # timestep, t = T..1, and returns the sum of the per-step losses
+        batch = random_batch(np.random.default_rng(30), DIMS)
+        t_max = batch.max_length
+        assert t_max > 1
+        whole = make_trainer("coma", seed=31, critic_schedule="wholebatch")
+        mini = make_trainer("coma", seed=31, critic_schedule="minibatch")
+        inputs = critic_batch_inputs(batch, "coma")
+        targets, weights, actions = prepare_critic_batch(
+            batch, inputs, "coma", whole.target, 0.8, 0.99)
+
+        summed = float(learn.critic_loss_tensor(
+            whole.critic, inputs, targets, weights, actions).data)
+        _, _, target, loss = critic_update(batch, inputs, whole.cfg, whole.critic,
+                                           whole.critic_opt, whole.target)
+        assert target.counter == 1
+        assert loss == summed
+
+        params, opt, per_step = mini.critic, mini.critic_opt, []
+        for t in range(t_max - 1, -1, -1):
+            params.zero_grads()
+            step = learn.critic_loss_tensor(params, inputs[:, t], targets[:, t],
+                                            weights[:, t], actions[:, t])
+            per_step.append(float(step.data))
+            step.backward()
+            params, opt = ad.rmsprop_step(params, params.grad_set(), opt, 0.005, 0.99, 1e-5)
+        new_params, _, target, loss = critic_update(batch, inputs, mini.cfg, mini.critic,
+                                                    mini.critic_opt, mini.target)
+        assert target.counter == t_max
+        assert loss == sum(per_step)
+        assert params_equal(new_params, params)
 
 
 class TestTargetNetwork:
@@ -394,9 +422,8 @@ class TestTargetNetwork:
         syncs = 0
         for _ in range(200):
             before = trainer.target.params
-            trainer.critic, trainer.critic_opt, trainer.target, _ = critic_update_wholebatch(
-                batch, inputs, "centralv", trainer.critic, trainer.critic_opt, trainer.target,
-                0.8, 0.99)
+            trainer.critic, trainer.critic_opt, trainer.target, _ = critic_update(
+                batch, inputs, trainer.cfg, trainer.critic, trainer.critic_opt, trainer.target)
             if trainer.target.params is not before:
                 syncs += 1
                 assert params_equal(trainer.target.params, trainer.critic)
@@ -582,8 +609,7 @@ class TestBatchComposition:
         cut to its length; centralv has no counterfactual values."""
         batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, algo)
-        boots = learn.critic_bootstrap_values(trainer.target.params, batch, inputs, algo)
-        targets = learn.batch_td_lambda_targets(batch, boots, 0.8, 0.99)
+        targets, _, _ = prepare_critic_batch(batch, inputs, algo, trainer.target, 0.8, 0.99)
         adv = compute_advantages(batch, inputs, algo, trainer.critic,
                                  unrolled(trainer, batch), 0.99, False)
         values = np.zeros((batch.size, batch.max_length))
