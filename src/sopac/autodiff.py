@@ -370,7 +370,6 @@ class OptimizerState:
     """RMSProp squared-gradient accumulators, keyed like the parameters."""
 
     acc: dict[str, Array] = field(default_factory=dict)
-    steps: int = 0
 
 
 def rmsprop_init(params: ParamSet) -> OptimizerState:
@@ -404,7 +403,7 @@ def rmsprop_step(
         acc = alpha * state.acc[name] + (1.0 - alpha) * g * g
         new_acc[name] = acc
         new_params[name] = tensor.data - lr * g / np.sqrt(acc + eps)
-    return ParamSet(new_params), OptimizerState(acc=new_acc, steps=state.steps + 1)
+    return ParamSet(new_params), OptimizerState(acc=new_acc)
 
 
 # ---------------------------------------------------------------------------

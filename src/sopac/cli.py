@@ -42,7 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sopac")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="run one seeded experiment")
+    # Flags left off the command line stay out of the namespace, so every
+    # flag whose dest is a RunConfig field is an override of the config file.
+    train = sub.add_parser("train", help="run one seeded experiment",
+                           argument_default=argparse.SUPPRESS)
     train.add_argument("--env", choices=ENVS)
     train.add_argument("--algo", choices=ALGOS)
     train.add_argument("--sop", choices=SOP_MODES)
@@ -76,17 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    data = load_config(args.config) if args.config else {}
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "env", "algo", "sop", "critic_schedule", "batch_size",
-            "kl_threshold", "gamma_adv_one", "seed", "total_steps",
-            "eval_interval",
-        )
-        if getattr(args, key) is not None
-    }
-    data.update(overrides)
+    data = load_config(args.config) if "config" in args else {}
+    data.update((key, value) for key, value in vars(args).items()
+                if key in RunConfig.__dataclass_fields__)
     cfg = RunConfig.from_dict(data)
     result = run_experiment(cfg, args.out)
     last = result.rows[-1] if result.rows else {}

@@ -252,35 +252,29 @@ class CaptureGrid:
             if not 0 <= action < 5 or not self._avail[agent, action]:
                 raise EnvError(f"agent {agent} action {action} is masked")
 
-        agents = self._move_agents(self._agents, u)
+        agents = self._move_agents(self._agents, self._prey, u)
         prey = self._prey
         if self.config.prey == "walk":
             options = self._prey_options(prey, agents)
             prey = options[int(self._rng.integers(len(options)))]
 
-        captured = all(_adjacent(a, prey) for a in agents)
-        self._agents, self._prey = agents, prey
-        self._t += 1
-        if captured:
-            reward, win, terminal = self.config.capture_reward, True, True
-        else:
-            reward, win = self.config.step_penalty, False
-            terminal = self._t >= self.config.horizon
-        self._terminal = terminal
+        self._agents, self._prey, self._t = agents, prey, self._t + 1
+        reward, self._terminal, win = self._outcome(agents, prey, self._t)
         key = self._key()
         self._avail = self.avail_actions(key)
         return StepResult(
             state=self.state_vector(key),
             obs=self.observations(key),
-            reward=float(reward),
-            terminal=terminal,
+            reward=reward,
+            terminal=self._terminal,
             win=win,
             avail=self._avail,
         )
 
     # movement rules ----------------------------------------------------------
 
-    def _move_agents(self, agents: tuple[Cell, ...], u: tuple[int, ...]) -> tuple[Cell, ...]:
+    def _move_agents(self, agents: tuple[Cell, ...], prey: Cell,
+                     u: tuple[int, ...]) -> tuple[Cell, ...]:
         targets = [
             (agents[i][0] + _MOVES[a][0], agents[i][1] + _MOVES[a][1])
             for i, a in enumerate(u)
@@ -290,7 +284,7 @@ class CaptureGrid:
         for i, target in enumerate(targets):
             contested = any(j != i and targets[j] == target for j in range(len(targets)))
             blocked = (
-                target == self._prey
+                target == prey
                 or (target != agents[i] and target in occupied)
                 or contested
             )
@@ -305,6 +299,14 @@ class CaptureGrid:
             if 0 <= cell[0] < side and 0 <= cell[1] < side and cell not in agents:
                 options.append(cell)
         return options or [prey]
+
+    def _outcome(self, agents: tuple[Cell, ...], prey: Cell, t: int) -> tuple[float, bool, bool]:
+        """(reward, terminal, win) on arriving at ``(agents, prey)`` at step t:
+        the team wins when every agent is adjacent to the prey, and the
+        episode also ends at the horizon."""
+        if all(_adjacent(a, prey) for a in agents):
+            return float(self.config.capture_reward), True, True
+        return float(self.config.step_penalty), t >= self.config.horizon, False
 
     # enumeration interface ----------------------------------------------------
 
@@ -321,26 +323,14 @@ class CaptureGrid:
 
     def transitions(self, key: GridKey, joint_action: tuple[int, ...]):
         agents, prey, t = key
-        saved = (self._agents, self._prey, self._t, self._terminal)
-        self._agents, self._prey = agents, prey
-        moved = self._move_agents(agents, joint_action)
-        self._agents, self._prey, self._t, self._terminal = saved
-
+        moved = self._move_agents(agents, prey, joint_action)
         if self.config.prey == "walk":
             options = self._prey_options(prey, moved)
             outcomes = [(cell, 1.0 / len(options)) for cell in options]
         else:
             outcomes = [(prey, 1.0)]
-        result = []
-        for new_prey, prob in outcomes:
-            captured = all(_adjacent(a, new_prey) for a in moved)
-            if captured:
-                reward, win, terminal = self.config.capture_reward, True, True
-            else:
-                reward, win = self.config.step_penalty, False
-                terminal = t + 1 >= self.config.horizon
-            result.append(((moved, new_prey, t + 1), float(reward), terminal, win, prob))
-        return result
+        return [((moved, new_prey, t + 1), *self._outcome(moved, new_prey, t + 1), prob)
+                for new_prey, prob in outcomes]
 
     # feature builders ----------------------------------------------------------
 

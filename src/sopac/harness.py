@@ -20,7 +20,6 @@ the rows written so far and a ``manifest.json`` whose ``status`` is
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import json
@@ -204,23 +203,25 @@ def eval_grid(total_steps: int, interval: int) -> list[int]:
 
 
 def evaluate(
-    actor: ParamSet, actor_cfg: ActorConfig, env, episodes: int, seed: int,
+    actor: ParamSet, actor_cfg: ActorConfig, envs: Sequence, seed: int,
     mode: str = "greedy",
 ) -> tuple[float, float]:
-    """Win rate and mean return over evaluation rollouts.
+    """Win rate and mean return over one evaluation rollout per env of
+    ``envs``, distinct instances of one environment.
 
     Greedy by default (argmax action selection); sampling mode draws from
     the policy instead. Exploration is off: all episodes play as one lockstep
-    group with epsilon 0, on copies of ``env``. Evaluation owns its seed
-    stream and never touches the actor or any training generator.
+    group with epsilon 0. Every env re-seeds in ``reset``, so the caller can
+    keep its envs across evaluations. Evaluation owns its seed stream and
+    never touches the actor or any training generator.
     """
+    episodes = len(envs)
     if episodes < 1:
         raise ValueError("need at least one evaluation episode")
     seeds = [np.random.SeedSequence(seed, spawn_key=(2, i)).generate_state(2)
              for i in range(episodes)]
     played = rollout_episodes(
-        [env] + [copy.deepcopy(env) for _ in range(episodes - 1)],
-        actor, actor_cfg, 0.0,
+        envs, actor, actor_cfg, 0.0,
         env_seeds=[int(s[0]) for s in seeds],
         action_rngs=[np.random.default_rng(int(s[1])) for s in seeds],
         generations=[-1] * episodes, mode=mode,
@@ -275,7 +276,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
 
     env = make_env(cfg.env, cfg.env_config)
-    eval_env = make_env(cfg.env, cfg.env_config)
+    eval_envs = [make_env(cfg.env, cfg.env_config) for _ in range(cfg.eval_episodes)]
     trainer = build_trainer(cfg, env)
     schedule = cfg.schedule
     sample = sample_episode_fn(env, trainer.actor_cfg, schedule, cfg.seed)
@@ -292,8 +293,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
             idx = pending["next"]
             eval_seq = np.random.SeedSequence(cfg.seed, spawn_key=(3, idx))
             win_rate, test_return = evaluate(
-                trainer.actor, trainer.actor_cfg, eval_env,
-                cfg.eval_episodes, int(eval_seq.generate_state(1)[0]),
+                trainer.actor, trainer.actor_cfg, eval_envs,
+                int(eval_seq.generate_state(1)[0]),
             )
             if kls is None:
                 kls = episode_kls(trainer.actor, trainer.actor_cfg, trained)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,25 @@ class TestCaptureGridStep:
             assert env._prey not in env._agents
             if result.terminal:
                 break
+
+    @pytest.mark.parametrize("horizon", [1, 20])
+    def test_transitions_match_step_from_every_initial_state(self, horizon):
+        # with a static prey every (state, joint action) has one outcome, which
+        # the enumeration must give exactly as the stateful step plays it;
+        # horizon 1 ends every uncaptured step, horizon 20 none of them
+        env = CaptureGrid(CaptureGridConfig(side=3, prey="static", horizon=horizon))
+        env.reset(0)
+        checked = 0
+        for key, _ in env.initial_states():
+            avail = env.avail_actions(key)
+            for joint in itertools.product(*(np.flatnonzero(row).tolist() for row in avail)):
+                (expected,) = env.transitions(key, joint)
+                env._agents, env._prey, env._t, env._terminal = key[0], key[1], key[2], False
+                env._avail = avail
+                result = env.step(joint)
+                assert (env._key(), result.reward, result.terminal, result.win, 1.0) == expected
+                checked += 1
+        assert checked > len(env.initial_states())
 
 
 class TestFeatureTables:

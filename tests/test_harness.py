@@ -96,7 +96,7 @@ class TestEvaluate:
     def test_optimal_policy_wins_every_episode(self):
         env = SwitchGame()
         params, cfg = self._optimal_actor(env)
-        win_rate, mean_return = evaluate(params, cfg, env, episodes=16, seed=0)
+        win_rate, mean_return = evaluate(params, cfg, [SwitchGame() for _ in range(16)], seed=0)
         assert win_rate == 1.0
         assert mean_return == pytest.approx(1.0)
 
@@ -106,7 +106,8 @@ class TestEvaluate:
         params = actor_init(np.random.default_rng(1), cfg)
         uniform = ParamSet({k: np.zeros_like(v.data) for k, v in params.items()})
         episodes = 10_000
-        win_rate, _ = evaluate(uniform, cfg, env, episodes=episodes, seed=5, mode="sample")
+        win_rate, _ = evaluate(uniform, cfg, [SwitchGame() for _ in range(episodes)], seed=5,
+                               mode="sample")
         p = 1.0 / 9.0
         se = np.sqrt(p * (1 - p) / episodes)
         assert abs(win_rate - p) < 3.0 * se
@@ -115,8 +116,9 @@ class TestEvaluate:
         env = SwitchGame()
         params, cfg = self._optimal_actor(env)
         before = params.copy()
-        first = evaluate(params, cfg, env, episodes=8, seed=9)
-        second = evaluate(params, cfg, env, episodes=8, seed=9)
+        envs = [SwitchGame() for _ in range(8)]
+        first = evaluate(params, cfg, envs, seed=9)
+        second = evaluate(params, cfg, envs, seed=9)
         assert first == second
         assert params_equal(params, before)
 

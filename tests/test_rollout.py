@@ -78,7 +78,8 @@ class TestLockstepGroup:
     def test_evaluate_matches_one_episode_at_a_time(self):
         env = walking_grid()
         params, cfg = actor_for(env, 4)
-        win_rate, mean_return = harness.evaluate(params, cfg, env, 12, seed=9)
+        win_rate, mean_return = harness.evaluate(
+            params, cfg, [copy.deepcopy(env) for _ in range(12)], seed=9)
         played = []
         for i in range(12):
             seq = np.random.SeedSequence(9, spawn_key=(2, i))
