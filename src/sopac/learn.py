@@ -248,29 +248,6 @@ def _critic_values(params: ParamSet, inputs: Array, actions: Array | None) -> Te
 
 
 # ---------------------------------------------------------------------------
-# Training configuration
-
-
-@dataclass(frozen=True)
-class LearnConfig:
-    algo: str
-    critic_schedule: str = "wholebatch"
-    lam: float = 0.8
-    gamma: float = 0.99
-    gamma_adv_one: bool = True
-    lr: float = 0.005
-    rms_alpha: float = 0.99
-    rms_eps: float = 1e-5
-    target_period: int = 200
-
-    def __post_init__(self) -> None:
-        if self.algo not in ("centralv", "coma", "coma-cc"):
-            raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.critic_schedule not in ("minibatch", "wholebatch"):
-            raise ValueError(f"unknown critic schedule {self.critic_schedule!r}")
-
-
-# ---------------------------------------------------------------------------
 # Critic updates
 
 
@@ -420,6 +397,25 @@ def policy_gradient_update(
 # Trainer glue
 
 
+@dataclass(frozen=True)
+class LearnConfig:
+    algo: str
+    critic_schedule: str = "wholebatch"
+    lam: float = 0.8
+    gamma: float = 0.99
+    gamma_adv_one: bool = True
+    lr: float = 0.005
+    rms_alpha: float = 0.99
+    rms_eps: float = 1e-5
+    target_period: int = 200
+
+    def __post_init__(self) -> None:
+        if self.algo not in ("centralv", "coma", "coma-cc"):
+            raise ValueError(f"unknown algorithm {self.algo!r}")
+        if self.critic_schedule not in ("minibatch", "wholebatch"):
+            raise ValueError(f"unknown critic schedule {self.critic_schedule!r}")
+
+
 @dataclass
 class Trainer:
     """Actor/critic parameter bundle with the per-iteration update recipe."""
@@ -456,7 +452,7 @@ class Trainer:
         )
 
     def train_on_batch(self, episodes: Sequence[Episode]) -> tuple[float, float]:
-        """Critic first, then actor, one optimiser step each; returns losses.
+        """``critic_update``, then one actor step; returns both losses.
 
         The actor is unrolled once: the counterfactual baselines read the
         values of the same taped unroll that the policy loss differentiates.
