@@ -212,21 +212,13 @@ def evaluate(
     Greedy by default (argmax action selection); sampling mode draws from
     the policy instead. Exploration is off: all episodes play as one lockstep
     group with epsilon 0. Every env re-seeds in ``reset``, so the caller can
-    keep its envs across evaluations. Evaluation owns its seed stream and
-    never touches the actor or any training generator.
+    keep its envs across evaluations. Evaluation plays stream 2 of ``seed``
+    and never touches the actor or any training generator.
     """
-    episodes = len(envs)
-    if episodes < 1:
+    if not envs:
         raise ValueError("need at least one evaluation episode")
-    seeds = [np.random.SeedSequence(seed, spawn_key=(2, i)).generate_state(2)
-             for i in range(episodes)]
-    played = rollout_episodes(
-        envs, actor, actor_cfg, 0.0,
-        env_seeds=[int(s[0]) for s in seeds],
-        action_rngs=[np.random.default_rng(int(s[1])) for s in seeds],
-        generations=[-1] * episodes, mode=mode,
-    )
-    return (sum(e.win for e in played) / episodes,
+    played = rollout_episodes(envs, actor, actor_cfg, 0.0, seed, stream=2, mode=mode)
+    return (sum(e.win for e in played) / len(played),
             float(np.mean([e.total_return for e in played])))
 
 

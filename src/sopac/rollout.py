@@ -9,6 +9,13 @@ padded replay of ``learn.unroll_policy``. A group of one is the sequential
 case. Each episode stores its acting distributions and the one epsilon it
 ran with, so that replay can re-evaluate stale episodes exactly later.
 
+One seed rule serves training and evaluation: episode g of stream s under
+seed S resets its env with word 0 of
+``SeedSequence(S, spawn_key=(s, g)).generate_state(2)``, draws its actions
+from a generator seeded with word 1, and stores g as its generation. The
+sampler plays stream 1 of the run seed, ``harness.evaluate`` stream 2 of
+its evaluation seed.
+
 Exploration is fixed once per sampler request: every episode of a request
 runs with ``epsilon_at(S)``, where S is the env-step count when the request
 starts, so every request plays as one lockstep group.
@@ -41,22 +48,26 @@ def rollout_episodes(
     params: ad.ParamSet,
     cfg: ActorConfig,
     epsilon: float,
-    env_seeds: Sequence[int],
-    action_rngs: Sequence[np.random.Generator],
-    generations: Sequence[int],
+    seed: int,
+    stream: int,
+    first: int = 0,
     mode: str = "sample",
 ) -> list[Episode]:
     """Play one episode on each env in lockstep, every step of every episode
     with exploration floor ``epsilon``. Finished episodes drop out of the
     stack.
+
+    Episode j draws its env seed and its action generator from words 0 and 1
+    of ``SeedSequence(seed, spawn_key=(stream, first + j))`` and stores
+    ``first + j`` as its generation.
     """
     k, n = len(envs), cfg.n_agents
-    if not k == len(env_seeds) == len(action_rngs) == len(generations):
-        raise ValueError("one env, seed, generator and generation per episode")
-    records = [{"states": [], "obs": [], "avail": [], "actions": [],
-                "rewards": [], "dists": []} for _ in range(k)]
+    keys = [np.random.SeedSequence(seed, spawn_key=(stream, first + j)).generate_state(2)
+            for j in range(k)]
+    rngs = [np.random.default_rng(int(key[1])) for key in keys]
+    current = [env.reset(int(key[0])) for env, key in zip(envs, keys)]
+    steps: list[list[tuple]] = [[] for _ in range(k)]
     wins = [False] * k
-    current = [env.reset(seed) for env, seed in zip(envs, env_seeds)]
     prev_actions = [[-1] * n for _ in range(k)]
     hidden: Array | ad.Tensor = np.zeros((k * n, cfg.gru_hidden))
     live = list(range(k))
@@ -72,15 +83,9 @@ def rollout_episodes(
 
         still = []
         for j, i in enumerate(live):
-            actions = [select_action(dist[j, a], mode, action_rngs[i]) for a in range(n)]
+            actions = [select_action(dist[j, a], mode, rngs[i]) for a in range(n)]
             result = envs[i].step(actions)
-            record = records[i]
-            record["states"].append(current[i][0])
-            record["obs"].append(obs[j])
-            record["avail"].append(avail[j])
-            record["actions"].append(actions)
-            record["rewards"].append(result.reward)
-            record["dists"].append(dist[j])
+            steps[i].append((current[i][0], obs[j], avail[j], actions, result.reward, dist[j]))
             current[i] = (result.state, result.obs, result.avail)
             prev_actions[i] = actions
             wins[i] = result.win
@@ -91,20 +96,12 @@ def rollout_episodes(
             hidden = hidden.data[keep]
             live = [live[j] for j in still]
 
-    return [
-        Episode(
-            states=np.asarray(r["states"]),
-            obs=np.asarray(r["obs"]),
-            avail=np.asarray(r["avail"]),
-            actions=np.asarray(r["actions"], dtype=np.int64),
-            rewards=np.asarray(r["rewards"]),
-            dists=np.asarray(r["dists"]),
-            epsilon=epsilon,
-            generation=g,
-            win=w,
-        )
-        for r, g, w in zip(records, generations, wins)
-    ]
+    episodes = []
+    for j, (record, win) in enumerate(zip(steps, wins)):
+        states, obs, avail, actions, rewards, dists = (np.asarray(f) for f in zip(*record))
+        episodes.append(Episode(states, obs, avail, actions.astype(np.int64), rewards, dists,
+                                epsilon=epsilon, generation=first + j, win=win))
+    return episodes
 
 
 def sample_episode_fn(
@@ -113,9 +110,8 @@ def sample_episode_fn(
     """Build the seeded episode sampler used by the training loops.
 
     ``sample(params, count)`` plays the next ``count`` episodes with one set
-    of parameters, as one lockstep group. Episode k always draws the same
-    (env seed, action stream) regardless of which training mode requests it,
-    so on-policy and semi-on-policy runs see identical rollouts whenever they
+    of parameters, as one lockstep group. Episode k is episode k of stream 1
+    of ``master_seed`` whichever training mode requests it, so on-policy and semi-on-policy runs see identical rollouts whenever they
     request them in the same order.
 
     Every episode of a request runs with ``epsilon_at(S)``, where S is
@@ -128,17 +124,11 @@ def sample_episode_fn(
     def sample(params: ad.ParamSet, count: int) -> list[Episode]:
         if count < 1:
             raise ValueError("need at least one episode")
-        first = counter["rollouts"]
         while len(envs) < count:
             envs.append(copy.deepcopy(env))
-        seeds = [np.random.SeedSequence(master_seed, spawn_key=(1, first + j)).generate_state(2)
-                 for j in range(count)]
         episodes = rollout_episodes(
             envs[:count], params, cfg, epsilon_at(counter["env_steps"], schedule),
-            env_seeds=[int(s[0]) for s in seeds],
-            action_rngs=[np.random.default_rng(int(s[1])) for s in seeds],
-            generations=list(range(first, first + count)),
-        )
+            master_seed, stream=1, first=counter["rollouts"])
         counter["env_steps"] += sum(e.length for e in episodes)
         counter["rollouts"] += count
         return episodes

@@ -453,8 +453,7 @@ class TestEpisodeContainers:
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=5))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(0), cfg)
-        [episode] = rollout_episodes([env], params, cfg, 0.5, [1],
-                                     [np.random.default_rng(2)], generations=[0])
+        [episode] = rollout_episodes([env], params, cfg, 0.5, seed=1, stream=1)
         validate_episode(episode)
 
     def test_validate_rejects_ragged_and_unnormalised_records(self):
@@ -482,10 +481,7 @@ class TestForwardPathConsistency:
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(3), cfg)
         episodes = rollout_episodes(
-            [copy.deepcopy(env) for _ in range(3)], params, cfg, 0.5,
-            env_seeds=[10, 11, 12],
-            action_rngs=[np.random.default_rng(20 + k) for k in range(3)],
-            generations=[0, 1, 2])
+            [copy.deepcopy(env) for _ in range(3)], params, cfg, 0.5, seed=10, stream=1)
         batch = Batch.from_episodes(episodes)
         batched = learn.batch_policy_probs(params, cfg, batch)
         for i, episode in enumerate(episodes):

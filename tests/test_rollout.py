@@ -8,7 +8,7 @@ import pytest
 from sopac import harness, rollout
 from sopac.envs import CaptureGrid, CaptureGridConfig, SwitchGame
 from sopac.learn import Batch, batch_policy_probs
-from sopac.policy import ActorConfig, EpsilonSchedule, actor_init, epsilon_at
+from sopac.policy import ActorConfig, EpsilonSchedule, actor_init, epsilon_at, select_action
 from sopac.rollout import rollout_episodes, sample_episode_fn
 
 FIELDS = ("states", "obs", "avail", "actions", "rewards", "dists")
@@ -48,31 +48,28 @@ def actor_cells(monkeypatch):
     return calls
 
 
-def play(env, params, cfg, epsilon, seeds, mode, grouped):
-    """The episodes of ``seeds`` as one lockstep group or one group each."""
-    def group(idx):
-        return rollout_episodes(
-            [copy.deepcopy(env) for _ in idx], params, cfg, epsilon,
-            env_seeds=[seeds[i] for i in idx],
-            action_rngs=[np.random.default_rng(1000 + seeds[i]) for i in idx],
-            generations=list(idx), mode=mode)
+def play(env, params, cfg, epsilon, count, mode, grouped, seed=0):
+    """Episodes 0..count-1 of stream 1 of ``seed``, as one lockstep group or
+    one group each."""
     if grouped:
-        return group(range(len(seeds)))
-    return [e for i in range(len(seeds)) for e in group([i])]
+        return rollout_episodes([copy.deepcopy(env) for _ in range(count)], params, cfg,
+                                epsilon, seed, stream=1, mode=mode)
+    return [e for g in range(count)
+            for e in rollout_episodes([copy.deepcopy(env)], params, cfg, epsilon, seed,
+                                      stream=1, first=g, mode=mode)]
 
 
 class TestLockstepGroup:
     def test_greedy_evaluation_with_mixed_lengths(self, actor_cells):
         env = walking_grid()
         params, cfg = actor_for(env, 0)
-        seeds = list(range(100, 112))
-        together = play(env, params, cfg, 0.0, seeds, "greedy", True)
+        together = play(env, params, cfg, 0.0, 12, "greedy", True)
         lengths = [e.length for e in together]
         assert len(set(lengths)) > 2 and any(e.win for e in together)
         assert len(actor_cells) == max(lengths)
         # finished episodes leave the stack
         assert actor_cells == [2 * sum(n > t for n in lengths) for t in range(max(lengths))]
-        alone = play(env, params, cfg, 0.0, seeds, "greedy", False)
+        alone = play(env, params, cfg, 0.0, 12, "greedy", False)
         assert_identical(together, alone)
 
     def test_evaluate_matches_one_episode_at_a_time(self):
@@ -80,30 +77,34 @@ class TestLockstepGroup:
         params, cfg = actor_for(env, 4)
         win_rate, mean_return = harness.evaluate(
             params, cfg, [copy.deepcopy(env) for _ in range(12)], seed=9)
-        played = []
-        for i in range(12):
-            seq = np.random.SeedSequence(9, spawn_key=(2, i))
-            env_seed, action_seed = (int(s) for s in seq.generate_state(2))
-            played += rollout_episodes([env], params, cfg, 0.0, [env_seed],
-                                       [np.random.default_rng(action_seed)], [-1], "greedy")
+        played = [e for i in range(12)
+                  for e in rollout_episodes([env], params, cfg, 0.0, 9, stream=2, first=i,
+                                            mode="greedy")]
         assert win_rate == sum(e.win for e in played) / 12
         assert mean_return == float(np.mean([e.total_return for e in played]))
 
     def test_sampling_group_matches_one_at_a_time(self):
         env = walking_grid()
         params, cfg = actor_for(env, 1)
-        seeds = [5, 6, 7, 8]
-        together = play(env, params, cfg, 0.35, seeds, "sample", True)
-        alone = play(env, params, cfg, 0.35, seeds, "sample", False)
+        together = play(env, params, cfg, 0.35, 4, "sample", True, seed=5)
+        alone = play(env, params, cfg, 0.35, 4, "sample", False, seed=5)
         assert_identical(together, alone)
         assert all(e.epsilon == 0.35 for e in together)
 
-    def test_mismatched_group_rejected(self):
-        env = SwitchGame()
-        params, cfg = actor_for(env, 0)
-        with pytest.raises(ValueError, match="per episode"):
-            rollout_episodes([env, env], params, cfg, 0.0, [1],
-                             [np.random.default_rng(0)] * 2, [0, 1])
+    def test_episodes_follow_the_seed_rule(self):
+        env = walking_grid()
+        params, cfg = actor_for(env, 7)
+        episodes = rollout_episodes([copy.deepcopy(env) for _ in range(3)], params, cfg, 0.3,
+                                    seed=11, stream=5, first=4)
+        assert [e.generation for e in episodes] == [4, 5, 6]
+        for episode in episodes:
+            seq = np.random.SeedSequence(11, spawn_key=(5, episode.generation))
+            env_seed, action_seed = (int(s) for s in seq.generate_state(2))
+            assert np.array_equal(episode.states[0], copy.deepcopy(env).reset(env_seed)[0])
+            rng = np.random.default_rng(action_seed)
+            assert episode.actions.dtype == np.int64
+            assert episode.actions.tolist() == [
+                [select_action(dist, "sample", rng) for dist in step] for step in episode.dists]
 
 
 class TestSampler:
@@ -120,13 +121,9 @@ class TestSampler:
     def alone(cls, env, actor, epsilon, generations):
         """The sampler's episodes ``generations``, each played in a group of one."""
         params, cfg = actor
-        played = []
-        for g in generations:
-            seq = np.random.SeedSequence(cls.MASTER_SEED, spawn_key=(1, g))
-            env_seed, action_seed = (int(s) for s in seq.generate_state(2))
-            played += rollout_episodes([copy.deepcopy(env)], params, cfg, epsilon, [env_seed],
-                                       [np.random.default_rng(action_seed)], [g])
-        return played
+        return [e for g in generations
+                for e in rollout_episodes([copy.deepcopy(env)], params, cfg, epsilon,
+                                          cls.MASTER_SEED, stream=1, first=g)]
 
     def test_switch_group_of_eight(self, actor_cells):
         env = SwitchGame()
