@@ -33,7 +33,7 @@ the elementwise ops only they use (``matmul``, ``sigmoid``, ``tanh``,
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -106,26 +106,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar; constants (floats/ndarrays) are allowed on either side.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -369,7 +349,7 @@ def merge(*sets: ParamSet) -> ParamSet:
 class OptimizerState:
     """RMSProp squared-gradient accumulators, keyed like the parameters."""
 
-    acc: dict[str, Array] = field(default_factory=dict)
+    acc: dict[str, Array]
 
 
 def rmsprop_init(params: ParamSet) -> OptimizerState:
@@ -386,9 +366,9 @@ def rmsprop_step(
     params: ParamSet,
     grads: ParamSet,
     state: OptimizerState,
-    lr: float = 0.005,
-    alpha: float = 0.99,
-    eps: float = 1e-5,
+    lr: float,
+    alpha: float,
+    eps: float,
 ) -> tuple[ParamSet, OptimizerState]:
     """One RMSProp update: acc' = a*acc + (1-a)*g^2, p' = p - lr*g/sqrt(acc'+eps)."""
     check_rmsprop(lr, alpha, eps)
@@ -522,19 +502,13 @@ def gru_step(params: ParamSet, x, h, prefix: str = "") -> Tensor:
 # Finite-difference verification
 
 
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: str
-    per_param: dict[str, float]
-
-
 def finite_diff_check(
     loss: Callable[[ParamSet], Tensor],
     params: ParamSet,
     step: float = 1e-5,
-) -> GradCheckReport:
-    """Compare reverse-mode gradients of a scalar loss to central differences.
+) -> float:
+    """The largest relative error of reverse-mode gradients of a scalar loss
+    against central differences, over every parameter scalar.
 
     Relative error per scalar is |fd - ad| / max(|fd|, |ad|, 1e-8). The loss
     callable must be deterministic; it is re-evaluated twice per parameter
@@ -547,16 +521,13 @@ def finite_diff_check(
     if out.data.size != 1 or not np.isfinite(out.data).all():
         raise NumericError("loss must be a finite scalar")
     out.backward()
-    analytic = {k: (v.grad.copy() if v.grad is not None else np.zeros_like(v.data))
-                for k, v in params.items()}
+    analytic = params.grad_set()
 
-    per_param: dict[str, float] = {}
-    worst_name, worst = "", 0.0
+    worst = 0.0
     with no_grad():
         for name, tensor in params.items():
             flat = tensor.data.reshape(-1)
-            an = analytic[name].reshape(-1)
-            err = 0.0
+            an = analytic[name].data.reshape(-1)
             for i in range(flat.size):
                 saved = flat[i]
                 flat[i] = saved + step
@@ -565,9 +536,5 @@ def finite_diff_check(
                 f_minus = float(loss(params).data)
                 flat[i] = saved
                 fd = (f_plus - f_minus) / (2.0 * step)
-                rel = abs(fd - an[i]) / max(abs(fd), abs(an[i]), 1e-8)
-                err = max(err, rel)
-            per_param[name] = err
-            if err >= worst:
-                worst_name, worst = name, err
-    return GradCheckReport(max_rel_error=worst, worst_param=worst_name, per_param=per_param)
+                worst = max(worst, abs(fd - an[i]) / max(abs(fd), abs(an[i]), 1e-8))
+    return worst

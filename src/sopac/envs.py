@@ -108,15 +108,15 @@ class SwitchGame:
         m = self.spec.n_actions
         if len(u) != 2 or any(not 0 <= a < m for a in u):
             raise EnvError(f"joint action {u} outside 2 agents x {m} actions")
-        reward = float(self.payoff[u[0], u[1]])
-        self._terminal = True
+        [(key, reward, terminal, win, _)] = self.transitions(0, u)
+        self._terminal = terminal
         return StepResult(
-            state=self.state_vector(0),
-            obs=self.observations(0),
+            state=self.state_vector(key),
+            obs=self.observations(key),
             reward=reward,
-            terminal=True,
-            win=reward == self._max,
-            avail=self.avail_actions(0),
+            terminal=terminal,
+            win=win,
+            avail=self.avail_actions(key),
         )
 
     # enumeration interface -------------------------------------------------
@@ -165,6 +165,15 @@ class CaptureGridConfig:
     horizon: int = 20
 
     def __post_init__(self) -> None:
+        for name in ("side", "n_agents", "view_radius", "horizon"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("capture_reward", "step_penalty"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not np.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.side < 3:
             raise ValueError("grid side must be >= 3")
         if self.n_agents < 2:

@@ -94,7 +94,7 @@ class RunConfig:
         if self.critic_schedule not in SCHEDULES:
             problems.append(f"critic-schedule must be one of {SCHEDULES}")
         for name in ("batch_size", "total_steps", "eval_interval", "eval_episodes",
-                     "target_period", "gru_hidden"):
+                     "target_period", "gru_hidden", "eps_anneal_steps"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 problems.append(f"{name} must be a positive integer, got {value!r}")
@@ -242,17 +242,8 @@ def build_trainer(cfg: RunConfig, env) -> Trainer:
         n_actions=env.spec.n_actions,
         gru_hidden=cfg.gru_hidden,
     )
-    learn_cfg = LearnConfig(
-        algo=cfg.algo,
-        critic_schedule=cfg.critic_schedule,
-        lam=cfg.lam,
-        gamma=cfg.gamma,
-        gamma_adv_one=cfg.gamma_adv_one,
-        lr=cfg.lr,
-        rms_alpha=cfg.rms_alpha,
-        rms_eps=cfg.rms_eps,
-        target_period=cfg.target_period,
-    )
+    learn_cfg = LearnConfig(**{name: getattr(cfg, name)
+                               for name in LearnConfig.__dataclass_fields__})
     actor_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)))
     critic_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
     return Trainer.create(
@@ -310,7 +301,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
     manifest_path = out / "manifest.json"
 
     def write_records(**extra) -> None:
-        _write_metrics(metrics_path, rows)
+        _write_csv(metrics_path, METRICS_HEADER, rows)
         manifest = {
             "config": cfg.to_dict(),
             "config_sha256": cfg.sha256(),
@@ -343,12 +334,12 @@ def _format_value(value) -> str:
     return str(float(value))
 
 
-def _write_metrics(path: Path, rows: list[dict]) -> None:
-    columns = METRICS_HEADER.split(",")
-    lines = [METRICS_HEADER]
+def _write_csv(path: str | Path, header: str, rows: list[dict]) -> None:
+    columns = header.split(",")
+    lines = [header]
     for row in rows:
         lines.append(",".join(_format_value(row[c]) for c in columns))
-    path.write_bytes(("\n".join(lines) + "\n").encode())
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
 
 
 def _save_params(path: Path, trainer: Trainer) -> None:
@@ -405,8 +396,4 @@ def aggregate(paths: Sequence[str | Path]) -> list[dict]:
 
 
 def write_aggregate(path: str | Path, rows: list[dict]) -> None:
-    columns = AGGREGATE_HEADER.split(",")
-    lines = [AGGREGATE_HEADER]
-    for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in columns))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
+    _write_csv(path, AGGREGATE_HEADER, rows)

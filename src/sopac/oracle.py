@@ -1,7 +1,8 @@
-"""Exact dynamic-programming value oracles for small enumerable instances.
+"""Exact dynamic-programming value oracle for small enumerable instances.
 
-Given a fixed joint policy, ``exact_state_values`` computes V(s) and
-``exact_action_values`` computes Q(s, u) as full expectations over policy
+Given a fixed joint policy, ``exact_action_values`` computes Q(s, u) at every
+reachable state for every available joint action, together with V(s) and
+the value of the initial distribution, as full expectations over policy
 randomness and transition randomness, via memoised recursion over the
 environment's enumeration interface. Instances whose expansion exceeds the
 path budget are rejected up front rather than silently truncated.
@@ -10,7 +11,7 @@ path budget are rejected up front rather than silently truncated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,9 +30,9 @@ class InstanceTooLarge(ValueError):
 class ValueTable:
     """Exact values keyed by enumeration state (and joint action for Q)."""
 
-    state_values: dict = field(default_factory=dict)
-    action_values: dict = field(default_factory=dict)
-    initial_value: float = 0.0
+    state_values: dict     # key -> V(key)
+    action_values: dict    # (key, joint action) -> Q(key, joint action)
+    initial_value: float   # V averaged over the initial distribution
 
 
 def uniform_policy(env) -> Policy:
@@ -43,10 +44,10 @@ def uniform_policy(env) -> Policy:
 
 
 class _Enumerator:
-    def __init__(self, env, policy: Policy, gamma: float, max_paths: int):
+    def __init__(self, env, policy: Policy, max_paths: int):
         self.env = env
         self.policy = policy
-        self.gamma = gamma
+        self.gamma = env.spec.gamma
         self.max_paths = max_paths
         self.expansions = 0
         self.v_memo: dict = {}
@@ -84,29 +85,13 @@ class _Enumerator:
         return total
 
 
-def exact_state_values(env, policy: Policy, *, gamma: float | None = None,
-                       max_paths: int = 10_000_000) -> ValueTable:
-    """Exact V over every state reachable from the initial distribution."""
-    enum = _Enumerator(env, policy, env.spec.gamma if gamma is None else gamma, max_paths)
-    table = ValueTable()
-    initial = 0.0
-    for key, prob in env.initial_states():
-        value = enum.state_value(key)
-        initial += prob * value
-    table.state_values = dict(enum.v_memo)
-    table.initial_value = initial
-    return table
-
-
-def exact_action_values(env, policy: Policy, *, gamma: float | None = None,
-                        max_paths: int = 10_000_000) -> ValueTable:
+def exact_action_values(env, policy: Policy, *, max_paths: int = 10_000_000) -> ValueTable:
     """Exact Q(s, u) at every reachable state, for every available joint action."""
-    enum = _Enumerator(env, policy, env.spec.gamma if gamma is None else gamma, max_paths)
-    table = ValueTable()
-    initial = 0.0
-    pending = list(env.initial_states())
+    enum = _Enumerator(env, policy, max_paths)
+    action_values = {}
+    initial_states = env.initial_states()
     seen = set()
-    queue = [key for key, _ in pending]
+    queue = [key for key, _ in initial_states]
     while queue:
         key = queue.pop()
         if key in seen:
@@ -115,12 +100,9 @@ def exact_action_values(env, policy: Policy, *, gamma: float | None = None,
         avail = env.avail_actions(key)
         for joint in itertools.product(*[np.flatnonzero(avail[a]) for a in range(avail.shape[0])]):
             joint_t = tuple(int(a) for a in joint)
-            table.action_values[(key, joint_t)] = enum.q_value(key, joint_t)
+            action_values[(key, joint_t)] = enum.q_value(key, joint_t)
             for next_key, _r, terminal, _w, _p in env.transitions(key, joint_t):
                 if not terminal and next_key not in seen:
                     queue.append(next_key)
-    for key, prob in pending:
-        initial += prob * enum.state_value(key)
-    table.state_values = dict(enum.v_memo)
-    table.initial_value = initial
-    return table
+    initial = sum(prob * enum.state_value(key) for key, prob in initial_states)
+    return ValueTable(dict(enum.v_memo), action_values, initial)

@@ -31,7 +31,7 @@ from .learn import (
     prepare_critic_batch,
     unroll_policy,
 )
-from .oracle import exact_action_values, exact_state_values, uniform_policy
+from .oracle import exact_action_values, uniform_policy
 from .policy import ActorConfig
 
 Array = np.ndarray
@@ -168,11 +168,11 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5, dims: dict | None = None
                         and _well_conditioned(actor_loss, trainer.actor, True)):
                     break
 
-            report = ad.finite_diff_check(critic_loss, trainer.critic, step)
-            worst[algo] = max(worst[algo], report.max_rel_error)
+            worst[algo] = max(worst[algo],
+                              ad.finite_diff_check(critic_loss, trainer.critic, step))
             if algo == "coma-cc":
-                report = ad.finite_diff_check(actor_loss, trainer.actor, step)
-                worst["actor"] = max(worst["actor"], report.max_rel_error)
+                worst["actor"] = max(worst["actor"],
+                                     ad.finite_diff_check(actor_loss, trainer.actor, step))
     return GradSuiteResult(max_errors=worst)
 
 
@@ -223,9 +223,7 @@ def switch_oracle_check(
     """
     env = SwitchGame()
     m = env.spec.n_actions
-    v_table = exact_state_values(env, uniform_policy(env))
-    q_table = exact_action_values(env, uniform_policy(env))
-    v_star = v_table.initial_value
+    table = exact_action_values(env, uniform_policy(env))
     # The first step at joint actions (j, 0): V reads the state alone, and
     # counterfactual row (j, agent 1, u) is Q(s, (j, u)), so one stacked
     # forward of m * 2m rows covers all m^2 joint actions.
@@ -254,10 +252,10 @@ def switch_oracle_check(
                 if algo == "centralv":
                     with ad.no_grad():
                         v = cr.critic_forward(trainer.critic, inputs[None]).data[0, 0]
-                    error = abs(v - v_star)
+                    error = abs(v - table.initial_value)
                 else:
                     q = cr.counterfactual_values(trainer.critic, layout, inputs)[:, 1]
-                    error = max(abs(q[joint] - q_table.action_values[(0, joint)])
+                    error = max(abs(q[joint] - table.action_values[(0, joint)])
                                 for joint in itertools.product(range(m), repeat=2))
                 if error < 0.6 * tol:
                     break

@@ -41,8 +41,7 @@ class TestMlp:
         def loss(p):
             return ad.sum_all(ad.square(ad.mlp_forward(p, x)))
 
-        report = ad.finite_diff_check(loss, params, step=1e-5)
-        assert report.max_rel_error < 1e-4
+        assert ad.finite_diff_check(loss, params, step=1e-5) < 1e-4
 
     def test_backward_populates_input_gradient(self):
         rng = np.random.default_rng(3)
@@ -97,7 +96,7 @@ class TestGru:
         def loss(p):
             return ad.sum_all(ad.square(ad.gru_step(p, x, h)))
 
-        assert ad.finite_diff_check(loss, params).max_rel_error < 1e-4
+        assert ad.finite_diff_check(loss, params) < 1e-4
         xt, ht = ad.Tensor(x), ad.Tensor(h)
         ad.sum_all(ad.gru_step(params, xt, ht)).backward()
         assert xt.grad is not None and ht.grad is not None
@@ -126,7 +125,8 @@ class TestRmsProp:
         values = [float(params["p"].data[0] ** 2)]
         for _ in range(2):
             g = 2.0 * params["p"].data
-            params, state = ad.rmsprop_step(params, ad.ParamSet({"p": g}), state)
+            params, state = ad.rmsprop_step(params, ad.ParamSet({"p": g}), state,
+                                            0.005, 0.99, 1e-5)
             values.append(float(params["p"].data[0] ** 2))
         assert values[1] < values[0] and values[2] < values[1]
 
@@ -134,7 +134,7 @@ class TestRmsProp:
         params = ad.ParamSet({"p": np.zeros(2)})
         grads = ad.ParamSet({"q": np.zeros(2)})
         with pytest.raises(ValueError, match="do not match"):
-            ad.rmsprop_step(params, grads, ad.rmsprop_init(params))
+            ad.rmsprop_step(params, grads, ad.rmsprop_init(params), 0.005, 0.99, 1e-5)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -144,7 +144,7 @@ class TestRmsProp:
         state = ad.OptimizerState(acc={k: np.abs(rng.standard_normal(v.data.shape))
                                        for k, v in params.items()})
         grads = ad.ParamSet({k: np.zeros_like(v.data) for k, v in params.items()})
-        new_params, _ = ad.rmsprop_step(params, grads, state)
+        new_params, _ = ad.rmsprop_step(params, grads, state, 0.005, 0.99, 1e-5)
         assert params_equal(new_params, params)
 
 
@@ -155,8 +155,7 @@ class TestFiniteDiffCheck:
         def loss(p):
             return ad.sum_all(p["p"])
 
-        report = ad.finite_diff_check(loss, params)
-        assert report.max_rel_error < 1e-10
+        assert ad.finite_diff_check(loss, params) < 1e-10
 
     def test_quadratic_loss(self):
         params = ad.ParamSet({"p": np.array([0.7, -1.3])})
@@ -164,7 +163,7 @@ class TestFiniteDiffCheck:
         def loss(p):
             return ad.sum_all(ad.square(p["p"]))
 
-        assert ad.finite_diff_check(loss, params).max_rel_error < 1e-6
+        assert ad.finite_diff_check(loss, params) < 1e-6
 
     def test_non_finite_loss_rejected(self):
         params = ad.ParamSet({"p": np.array([0.0])})

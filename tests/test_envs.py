@@ -34,6 +34,20 @@ class TestSwitchGame:
         result = env.step((0, 1))
         assert result.reward == 0.1 and result.terminal and not result.win
 
+    @pytest.mark.parametrize("payoff", [SwitchGameConfig().payoff, ((1.0, 0.5), (0.5, 1.0))],
+                             ids=["default", "two-maxima"])
+    def test_step_matches_transitions_for_every_joint_action(self, payoff):
+        env = SwitchGame(SwitchGameConfig(payoff=payoff))
+        for joint in itertools.product(range(len(payoff)), repeat=2):
+            env.reset(0)
+            result = env.step(joint)
+            [(key, reward, terminal, win, prob)] = env.transitions(0, joint)
+            assert (result.reward, result.terminal, result.win, prob) == (
+                reward, terminal, win, 1.0)
+            assert np.array_equal(result.state, env.state_vector(key))
+            assert np.array_equal(result.obs, env.observations(key))
+            assert np.array_equal(result.avail, env.avail_actions(key))
+
     def test_step_after_terminal_rejected(self):
         env = SwitchGame()
         env.reset(0)

@@ -335,6 +335,13 @@ class TestCli:
         {"eps_end": False},
         {"rms_eps": True},
         {"lam": "0.8"},
+        {"env_config": {"side": 4.5}},
+        {"env_config": {"n_agents": 2.0}},
+        {"env_config": {"view_radius": 1.5}},
+        {"env_config": {"horizon": 2.5}},
+        {"env_config": {"capture_reward": float("nan")}},
+        {"eps_anneal_steps": 2.5},
+        {"eps_anneal_steps": True},
     ], ids=["eps-start-below-end", "eps-start-above-one", "zero-anneal",
             "unknown-env-key", "list-env-config", "zero-lr", "rms-alpha-above-one",
             "gamma-above-one", "zero-gamma", "fractional-batch", "float-steps",
@@ -342,7 +349,9 @@ class TestCli:
             "scalar-critic-hidden", "negative-seed", "nan-kl-threshold",
             "zero-target-period", "string-gamma-adv-one", "string-record-timing",
             "bool-lam", "bool-gamma", "bool-lr", "bool-kl-threshold", "bool-eps-start",
-            "bool-eps-end", "bool-rms-eps", "string-lam"])
+            "bool-eps-end", "bool-rms-eps", "string-lam", "fractional-side",
+            "float-n-agents", "fractional-view-radius", "fractional-horizon",
+            "nan-capture-reward", "fractional-anneal", "bool-anneal"])
     def test_invalid_config_exits_two_before_writing(self, tmp_path, bad):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(dict({"env": "capture", "total_steps": 40}, **bad)))

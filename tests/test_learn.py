@@ -233,7 +233,7 @@ class TestPolicyGradientUpdate:
         def loss(params):
             return learn.policy_loss_tensor(batch, adv, params, trainer.actor_cfg)
 
-        assert ad.finite_diff_check(loss, trainer.actor).max_rel_error < 1e-4
+        assert ad.finite_diff_check(loss, trainer.actor) < 1e-4
 
     def test_non_finite_loss_rejected_with_parameters_untouched(self):
         trainer = make_trainer("centralv", seed=8)

@@ -7,7 +7,6 @@ from sopac.envs import CaptureGrid, CaptureGridConfig, SwitchGame, SwitchGameCon
 from sopac.oracle import (
     InstanceTooLarge,
     exact_action_values,
-    exact_state_values,
     uniform_policy,
 )
 
@@ -30,14 +29,14 @@ def fixed_joint_policy(joint_action):
 class TestSwitchOracle:
     def test_uniform_policy_value_is_mean_payoff(self):
         env = SwitchGame(SwitchGameConfig(payoff=((0.0, 1.0), (1.0, 0.0))))
-        table = exact_state_values(env, uniform_policy(env))
+        table = exact_action_values(env, uniform_policy(env))
         assert table.initial_value == pytest.approx(0.5, abs=1e-15)
 
     def test_deterministic_policy_value_is_its_payoff(self):
         env = SwitchGame()
         payoff = np.asarray(env.config.payoff)
         for joint in itertools.product(range(3), repeat=2):
-            table = exact_state_values(env, fixed_joint_policy(joint))
+            table = exact_action_values(env, fixed_joint_policy(joint))
             assert table.initial_value == pytest.approx(payoff[joint], abs=1e-15)
 
     def test_action_values_equal_payoff_entries(self):
@@ -86,7 +85,7 @@ class TestCaptureOracle:
     def test_oversized_instance_rejected_with_report(self):
         env = small_grid()
         with pytest.raises(InstanceTooLarge, match="expansions"):
-            exact_state_values(env, uniform_policy(env), max_paths=1000)
+            exact_action_values(env, uniform_policy(env), max_paths=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +146,14 @@ def mc_uniform_returns(n_episodes: int, seed: int, side: int = 3, horizon: int =
 class TestMonteCarloAgreement:
     def test_exact_value_matches_vectorised_million_rollout_estimate(self):
         env = small_grid()
-        exact = exact_state_values(env, uniform_policy(env)).initial_value
+        exact = exact_action_values(env, uniform_policy(env)).initial_value
         returns = mc_uniform_returns(1_000_000, seed=2024)
         se = returns.std(ddof=1) / np.sqrt(returns.size)
         assert abs(returns.mean() - exact) < 3.0 * se
 
     def test_exact_value_matches_env_step_estimate(self):
         env = small_grid()
-        exact = exact_state_values(env, uniform_policy(env)).initial_value
+        exact = exact_action_values(env, uniform_policy(env)).initial_value
         rng = np.random.default_rng(77)
         returns = []
         for episode in range(20_000):
