@@ -7,8 +7,11 @@ and prints one markdown table row per run: the sha256 of ``metrics.csv``,
 the sha256 of ``params.npz``, and the manifest's episode and step totals.
 A last row digests the verification path: the sha256 of the gradient
 suite's per-loss maximum errors over 20 seeds, and of the four numbers the
-switch oracle check returns. A change that must not alter training or
-verification then checks with one ``diff``:
+switch oracle check returns. A final row digests the exact oracle on the
+benchmark's walking-prey 3x3 grid (horizon 3) under the uniform policy: the
+sha256 of its Q values, its V values and its initial value. A change that
+must not alter training, verification, the environments or the oracle then
+checks with one ``diff``:
 
     python3 scripts/metrics_digest.py > after.md   # in the changed checkout
     python3 scripts/metrics_digest.py > before.md  # in a checkout of its parent
@@ -35,11 +38,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from sopac.envs import make_env  # noqa: E402
 from sopac.harness import RunConfig, run_experiment  # noqa: E402
+from sopac.oracle import exact_action_values, uniform_policy  # noqa: E402
 from sopac.verify import gradient_suite, switch_oracle_check  # noqa: E402
 
 CAPTURE = {"side": 5, "horizon": 20}
 TINY_CAPTURE = {"side": 4, "horizon": 8, "prey": "walk"}
+# The benchmark's exact-oracle grid, copied for the same reason as WORKLOADS.
+ORACLE_GRID = {"side": 3, "horizon": 3, "prey": "walk"}
 
 # Copies of the benchmark's three training workloads, kept here so that a
 # later change to the benchmark leaves these digests comparable.
@@ -106,6 +113,18 @@ def verify_digests() -> tuple[str, str]:
             hashlib.sha256(oracle.tobytes()).hexdigest())
 
 
+def oracle_digest() -> str:
+    """sha256 of the exact uniform-policy Q values in sorted (key, joint
+    action) order, then the V values in sorted key order, then the initial
+    value, all packed as float64."""
+    grid = make_env("capture", ORACLE_GRID)
+    table = exact_action_values(grid, uniform_policy(grid))
+    values = [table.action_values[k] for k in sorted(table.action_values)]
+    values += [table.state_values[k] for k in sorted(table.state_values)]
+    values.append(table.initial_value)
+    return hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", help="keep the run directories here "
@@ -123,6 +142,7 @@ def main() -> None:
                   f"| {manifest['episodes']} | {manifest['env_steps']} |", flush=True)
     suite, oracle = verify_digests()
     print(f"| `verify` | `{suite}` (gradient suite) | `{oracle}` (oracle check) | - | - |")
+    print(f"| `oracle-capture-3x3-walk` | `{oracle_digest()}` (Q, V, initial value) | - | - | - |")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Desk-scale cooperative multi-agent environments.
 
-Both environments implement the same stateful interface (``reset`` / ``step``)
-plus an enumeration interface (``initial_states`` / ``transitions``) that the
-exact value oracle consumes. All randomness flows through a generator seeded
-at ``reset``, so a (seed, action sequence) pair replays bit-identically.
+Both environments are stateless rule sets. An episode's state is an
+enumeration key; ``initial_states`` / ``transitions`` enumerate the dynamics
+with their probabilities for the exact value oracle, and the keyed feature
+builders (``state_vector`` / ``observations`` / ``avail_actions``) read a key.
+``reset(rng)`` draws an initial key and ``step(key, joint_action, rng)``
+draws one outcome of ``transitions``, so all randomness flows through the
+caller's generator and a (seed, action sequence) pair replays bit-identically.
 """
 
 from __future__ import annotations
@@ -35,18 +38,12 @@ class EnvSpec:
             raise ValueError(f"discount must lie in (0, 1], got {self.gamma}")
 
 
-@dataclass
-class StepResult:
-    state: Array
-    obs: Array            # (n_agents, obs_width)
-    reward: float
-    terminal: bool
-    win: bool
-    avail: Array          # (n_agents, n_actions) booleans
+# (next key, reward, terminal, win) of one step
+Step = tuple[object, float, bool, bool]
 
 
 class EnvError(RuntimeError):
-    """Illegal interaction with an environment (masked action, step after end)."""
+    """Illegal interaction with an environment (a masked or out-of-range action)."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,30 +91,18 @@ class SwitchGame:
             n_agents=2, n_actions=m, state_width=1, obs_width=2, horizon=1
         )
         self._max = float(self.payoff.max())
-        self._terminal = True
 
-    def reset(self, seed: int) -> tuple[Array, Array, Array]:
-        del seed  # single deterministic initial state
-        self._terminal = False
-        return self.state_vector(0), self.observations(0), self.avail_actions(0)
+    def reset(self, rng: np.random.Generator) -> int:
+        del rng  # single deterministic initial state
+        return 0
 
-    def step(self, joint_action: Iterable[int]) -> StepResult:
-        if self._terminal:
-            raise EnvError("step() after terminal state")
+    def step(self, key: int, joint_action: Iterable[int], rng: np.random.Generator) -> Step:
         u = tuple(int(a) for a in joint_action)
         m = self.spec.n_actions
         if len(u) != 2 or any(not 0 <= a < m for a in u):
             raise EnvError(f"joint action {u} outside 2 agents x {m} actions")
-        [(key, reward, terminal, win, _)] = self.transitions(0, u)
-        self._terminal = terminal
-        return StepResult(
-            state=self.state_vector(key),
-            obs=self.observations(key),
-            reward=reward,
-            terminal=terminal,
-            win=win,
-            avail=self.avail_actions(key),
-        )
+        outcomes = self.transitions(key, u)
+        return outcomes[int(rng.integers(len(outcomes)))][:4]
 
     # enumeration interface -------------------------------------------------
 
@@ -178,6 +163,9 @@ class CaptureGridConfig:
             raise ValueError("grid side must be >= 3")
         if self.n_agents < 2:
             raise ValueError("need at least 2 agents")
+        if self.n_agents + 1 > self.side * self.side:
+            raise ValueError(f"a side-{self.side} grid cannot place {self.n_agents} agents "
+                             "and the prey on distinct cells")
         if self.view_radius < 1:
             raise ValueError("view radius must be >= 1")
         if self.prey not in ("static", "walk"):
@@ -205,11 +193,6 @@ class CaptureGrid:
             obs_width=4 * window + c.n_agents + 2,
             horizon=c.horizon,
         )
-        self._agents: tuple[Cell, ...] = ()
-        self._prey: Cell = (0, 0)
-        self._t = 0
-        self._terminal = True
-        self._rng: np.random.Generator | None = None
         # Row (a * side + row) * side + col of the observation table is agent
         # a's observation at (row, col) with no ally or prey in view: wall and
         # self bits, id one-hot and coordinates. Row row * side + col of the
@@ -230,55 +213,26 @@ class CaptureGrid:
         self._avail_table = ((targets >= 0) & (targets < side)).all(axis=-1).reshape(-1, 5)
         self._view_channel = [plane] * n + [2 * plane]  # ally bits, then prey bits
 
-    # stateful interface -----------------------------------------------------
-
-    def reset(self, seed: int) -> tuple[Array, Array, Array]:
+    def reset(self, rng: np.random.Generator) -> GridKey:
+        """Distinct cells for the agents and then the prey, rejection-sampled."""
         c = self.config
-        self._rng = np.random.default_rng(seed)
         cells: list[Cell] = []
-        while len(cells) < c.n_agents + 1:  # rejection-sample distinct cells
-            cell = (
-                int(self._rng.integers(c.side)),
-                int(self._rng.integers(c.side)),
-            )
+        while len(cells) < c.n_agents + 1:
+            cell = (int(rng.integers(c.side)), int(rng.integers(c.side)))
             if cell not in cells:
                 cells.append(cell)
-        self._agents = tuple(cells[: c.n_agents])
-        self._prey = cells[c.n_agents]
-        self._t = 0
-        self._terminal = False
-        key = self._key()
-        self._avail = self.avail_actions(key)
-        return self.state_vector(key), self.observations(key), self._avail
+        return (tuple(cells[: c.n_agents]), cells[c.n_agents], 0)
 
-    def step(self, joint_action: Iterable[int]) -> StepResult:
-        if self._terminal:
-            raise EnvError("step() after terminal state")
+    def step(self, key: GridKey, joint_action: Iterable[int], rng: np.random.Generator) -> Step:
         u = tuple(int(a) for a in joint_action)
         if len(u) != self.config.n_agents:
             raise EnvError(f"expected {self.config.n_agents} actions, got {len(u)}")
+        avail = self.avail_actions(key)
         for agent, action in enumerate(u):
-            if not 0 <= action < 5 or not self._avail[agent, action]:
+            if not 0 <= action < 5 or not avail[agent, action]:
                 raise EnvError(f"agent {agent} action {action} is masked")
-
-        agents = self._move_agents(self._agents, self._prey, u)
-        prey = self._prey
-        if self.config.prey == "walk":
-            options = self._prey_options(prey, agents)
-            prey = options[int(self._rng.integers(len(options)))]
-
-        self._agents, self._prey, self._t = agents, prey, self._t + 1
-        reward, self._terminal, win = self._outcome(agents, prey, self._t)
-        key = self._key()
-        self._avail = self.avail_actions(key)
-        return StepResult(
-            state=self.state_vector(key),
-            obs=self.observations(key),
-            reward=reward,
-            terminal=self._terminal,
-            win=win,
-            avail=self._avail,
-        )
+        outcomes = self.transitions(key, u)
+        return outcomes[int(rng.integers(len(outcomes)))][:4]
 
     # movement rules ----------------------------------------------------------
 
@@ -342,9 +296,6 @@ class CaptureGrid:
                 for new_prey, prob in outcomes]
 
     # feature builders ----------------------------------------------------------
-
-    def _key(self) -> GridKey:
-        return (self._agents, self._prey, self._t)
 
     def state_vector(self, key: GridKey | int) -> Array:
         agents, prey, t = key  # type: ignore[misc]

@@ -203,21 +203,20 @@ def eval_grid(total_steps: int, interval: int) -> list[int]:
 
 
 def evaluate(
-    actor: ParamSet, actor_cfg: ActorConfig, envs: Sequence, seed: int,
+    actor: ParamSet, actor_cfg: ActorConfig, env, episodes: int, seed: int,
     mode: str = "greedy",
 ) -> tuple[float, float]:
-    """Win rate and mean return over one evaluation rollout per env of
-    ``envs``, distinct instances of one environment.
+    """Win rate and mean return over ``episodes`` evaluation rollouts of ``env``.
 
     Greedy by default (argmax action selection); sampling mode draws from
     the policy instead. Exploration is off: all episodes play as one lockstep
-    group with epsilon 0. Every env re-seeds in ``reset``, so the caller can
-    keep its envs across evaluations. Evaluation plays stream 2 of ``seed``
-    and never touches the actor or any training generator.
+    group with epsilon 0. Evaluation plays stream 2 of ``seed`` and never
+    touches the actor, the env or any training generator.
     """
-    if not envs:
+    if episodes < 1:
         raise ValueError("need at least one evaluation episode")
-    played = rollout_episodes(envs, actor, actor_cfg, 0.0, seed, stream=2, mode=mode)
+    played = rollout_episodes(env, episodes, actor, actor_cfg, 0.0, seed, stream=2,
+                              mode=mode)
     return (sum(e.win for e in played) / len(played),
             float(np.mean([e.total_return for e in played])))
 
@@ -259,7 +258,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
 
     env = make_env(cfg.env, cfg.env_config)
-    eval_envs = [make_env(cfg.env, cfg.env_config) for _ in range(cfg.eval_episodes)]
     trainer = build_trainer(cfg, env)
     schedule = cfg.schedule
     sample = sample_episode_fn(env, trainer.actor_cfg, schedule, cfg.seed)
@@ -276,7 +274,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
             idx = pending["next"]
             eval_seq = np.random.SeedSequence(cfg.seed, spawn_key=(3, idx))
             win_rate, test_return = evaluate(
-                trainer.actor, trainer.actor_cfg, eval_envs,
+                trainer.actor, trainer.actor_cfg, env, cfg.eval_episodes,
                 int(eval_seq.generate_state(1)[0]),
             )
             if kls is None:

@@ -123,41 +123,40 @@ class Batch:
 
 
 def td_lambda_targets(rewards: Array, boot_values: Array, lam: float, gamma: float) -> Array:
-    """Lambda-mixture of n-step returns for one finite episode.
-
-    ``boot_values[t]`` is the target-network value at step t, used when an
-    n-step return bootstraps there. Weights of returns reaching past the
-    terminal collapse onto the Monte-Carlo return, computed by the backward
-    recursion  y[t] = r[t] + gamma * ((1 - lam) * boot[t + 1] + lam * y[t + 1]).
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    """Lambda-mixture of n-step returns for one finite episode: the one-episode
+    case of :func:`batch_td_lambda_targets`."""
     rewards = np.asarray(rewards, dtype=np.float64)
     boot = np.asarray(boot_values, dtype=np.float64)
     if boot.shape[0] != rewards.shape[0]:
         raise ValueError("need one target-network value per step")
-    t_len = rewards.shape[0]
-    out = np.zeros_like(boot)
-    out[t_len - 1] = rewards[t_len - 1]
-    for t in range(t_len - 2, -1, -1):
-        out[t] = rewards[t] + gamma * ((1.0 - lam) * boot[t + 1] + lam * out[t + 1])
-    return out
+    return batch_td_lambda_targets(rewards[None], boot[None], np.asarray([len(rewards)]),
+                                   lam, gamma)[0]
 
 
-def batch_td_lambda_targets(batch: Batch, boots: Array, lam: float, gamma: float) -> Array:
-    """Per-episode targets over a padded batch; padded steps are zero.
+def batch_td_lambda_targets(rewards: Array, boots: Array, lengths: Array, lam: float,
+                            gamma: float) -> Array:
+    """(B, T, ...) lambda-mixture of n-step returns over a padded batch.
 
-    ``boots`` may carry trailing agent dimensions; rewards broadcast across
-    them.
+    ``boots[b, t]`` is the target-network value at step t, used when an
+    n-step return bootstraps there; it may carry trailing agent dimensions,
+    across which the (B, T) rewards broadcast. Weights of returns reaching
+    past the terminal collapse onto the Monte-Carlo return, computed by the
+    backward recursion  y[t] = r[t] + gamma * ((1 - lam) * boot[t + 1] + lam * y[t + 1]),
+    with y = r at each episode's last step and exactly +0.0 on padded steps.
     """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    trailing = (1,) * (boots.ndim - 2)
+    rewards = rewards.reshape(*rewards.shape, *trailing)
+    lengths = np.asarray(lengths).reshape(-1, *trailing)
+    t_max = boots.shape[1]
     out = np.zeros_like(boots)
-    for i, length in enumerate(batch.lengths):
-        length = int(length)
-        rewards = batch.rewards[i, :length]
-        if boots.ndim > 2:
-            rewards = rewards.reshape(length, *([1] * (boots.ndim - 2)))
-            rewards = np.broadcast_to(rewards, (length, *boots.shape[2:]))
-        out[i, :length] = td_lambda_targets(rewards, boots[i, :length], lam, gamma)
+    for t in range(t_max - 1, -1, -1):
+        y = rewards[:, t]
+        if t + 1 < t_max:
+            mixed = (1.0 - lam) * boots[:, t + 1] + lam * out[:, t + 1]
+            y = np.where(t + 1 < lengths, y + gamma * mixed, y)
+        out[:, t] = np.where(t < lengths, y, 0.0)
     return out
 
 
@@ -268,7 +267,7 @@ def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
     with ad.no_grad():
         boots = _critic_values(target.params, inputs, actions).data
     boots = boots.reshape(batch.size, batch.max_length, *((-1,) if coma else ()))
-    targets = batch_td_lambda_targets(batch, boots, lam, gamma)
+    targets = batch_td_lambda_targets(batch.rewards, boots, batch.lengths, lam, gamma)
     weights = np.broadcast_to(batch.pad[:, :, None], targets.shape).copy() if coma else batch.pad
     return targets, weights, actions
 

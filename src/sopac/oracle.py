@@ -3,9 +3,10 @@
 Given a fixed joint policy, ``exact_action_values`` computes Q(s, u) at every
 reachable state for every available joint action, together with V(s) and
 the value of the initial distribution, as full expectations over policy
-randomness and transition randomness, via memoised recursion over the
-environment's enumeration interface. Instances whose expansion exceeds the
-path budget are rejected up front rather than silently truncated.
+randomness and transition randomness, via recursion over the environment's
+enumeration interface that evaluates each Q and V entry once. Instances
+whose expansion exceeds the path budget are rejected up front rather than
+silently truncated.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class _Enumerator:
         self.max_paths = max_paths
         self.expansions = 0
         self.v_memo: dict = {}
+        self.q_memo: dict = {}
 
     def _spend(self, count: int = 1) -> None:
         self.expansions += count
@@ -61,11 +63,14 @@ class _Enumerator:
             )
 
     def q_value(self, key, joint: tuple[int, ...]) -> float:
+        if (key, joint) in self.q_memo:
+            return self.q_memo[(key, joint)]
         total = 0.0
         for next_key, reward, terminal, _win, prob in self.env.transitions(key, joint):
             self._spend()
             future = 0.0 if terminal else self.state_value(next_key)
             total += prob * (reward + self.gamma * future)
+        self.q_memo[(key, joint)] = total
         return total
 
     def state_value(self, key) -> float:
@@ -88,7 +93,6 @@ class _Enumerator:
 def exact_action_values(env, policy: Policy, *, max_paths: int = 10_000_000) -> ValueTable:
     """Exact Q(s, u) at every reachable state, for every available joint action."""
     enum = _Enumerator(env, policy, max_paths)
-    action_values = {}
     initial_states = env.initial_states()
     seen = set()
     queue = [key for key, _ in initial_states]
@@ -100,9 +104,11 @@ def exact_action_values(env, policy: Policy, *, max_paths: int = 10_000_000) -> 
         avail = env.avail_actions(key)
         for joint in itertools.product(*[np.flatnonzero(avail[a]) for a in range(avail.shape[0])]):
             joint_t = tuple(int(a) for a in joint)
-            action_values[(key, joint_t)] = enum.q_value(key, joint_t)
+            enum.q_value(key, joint_t)
             for next_key, _r, terminal, _w, _p in env.transitions(key, joint_t):
                 if not terminal and next_key not in seen:
                     queue.append(next_key)
+    # the walk evaluated Q at every pair it reached, and the recursion reaches
+    # no other pair, so the memos are the tables
     initial = sum(prob * enum.state_value(key) for key, prob in initial_states)
-    return ValueTable(dict(enum.v_memo), action_values, initial)
+    return ValueTable(enum.v_memo, enum.q_memo, initial)

@@ -1,20 +1,21 @@
 """Episode generation: exploratory rollouts and greedy evaluation runs.
 
-:func:`rollout_episodes` plays a group of episodes in lockstep, one env
-instance each: every step makes one stacked actor forward over the n agent
-rows of every episode still running. Each episode keeps its own env and its
-own seeded action generator, so row-exact batching in the autodiff core
-makes each stored episode bit-identical to playing it alone, and to the
-padded replay of ``learn.unroll_policy``. A group of one is the sequential
-case. Each episode stores its acting distributions and the one epsilon it
-ran with, so that replay can re-evaluate stale episodes exactly later.
+:func:`rollout_episodes` plays a group of episodes of one stateless env in
+lockstep: every step makes one stacked actor forward over the n agent rows
+of every episode still running. Each episode is its current env key plus
+two seeded generators, one for the env's draws and one for its actions, so
+row-exact batching in the autodiff core makes each stored episode
+bit-identical to playing it alone, and to the padded replay of
+``learn.unroll_policy``. A group of one is the sequential case. Each episode
+stores its acting distributions and the one epsilon it ran with, so that
+replay can re-evaluate stale episodes exactly later.
 
 One seed rule serves training and evaluation: episode g of stream s under
-seed S resets its env with word 0 of
-``SeedSequence(S, spawn_key=(s, g)).generate_state(2)``, draws its actions
-from a generator seeded with word 1, and stores g as its generation. The
-sampler plays stream 1 of the run seed, ``harness.evaluate`` stream 2 of
-its evaluation seed.
+seed S seeds its env generator with word 0 of
+``SeedSequence(S, spawn_key=(s, g)).generate_state(2)`` and its action
+generator with word 1, and stores g as its generation. The sampler plays
+stream 1 of the run seed, ``harness.evaluate`` stream 2 of its evaluation
+seed.
 
 Exploration is fixed once per sampler request: every episode of a request
 runs with ``epsilon_at(S)``, where S is the env-step count when the request
@@ -23,8 +24,7 @@ starts, so every request plays as one lockstep group.
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +44,8 @@ Array = np.ndarray
 
 
 def rollout_episodes(
-    envs: Sequence,
+    env,
+    count: int,
     params: ad.ParamSet,
     cfg: ActorConfig,
     epsilon: float,
@@ -53,28 +54,29 @@ def rollout_episodes(
     first: int = 0,
     mode: str = "sample",
 ) -> list[Episode]:
-    """Play one episode on each env in lockstep, every step of every episode
-    with exploration floor ``epsilon``. Finished episodes drop out of the
-    stack.
+    """Play ``count`` episodes of ``env`` in lockstep, every step of every
+    episode with exploration floor ``epsilon``. Finished episodes drop out of
+    the stack; ``env`` itself is never modified.
 
-    Episode j draws its env seed and its action generator from words 0 and 1
-    of ``SeedSequence(seed, spawn_key=(stream, first + j))`` and stores
+    Episode j seeds its env generator and its action generator with words 0
+    and 1 of ``SeedSequence(seed, spawn_key=(stream, first + j))`` and stores
     ``first + j`` as its generation.
     """
-    k, n = len(envs), cfg.n_agents
-    keys = [np.random.SeedSequence(seed, spawn_key=(stream, first + j)).generate_state(2)
-            for j in range(k)]
-    rngs = [np.random.default_rng(int(key[1])) for key in keys]
-    current = [env.reset(int(key[0])) for env, key in zip(envs, keys)]
-    steps: list[list[tuple]] = [[] for _ in range(k)]
-    wins = [False] * k
-    prev_actions = [[-1] * n for _ in range(k)]
-    hidden: Array | ad.Tensor = np.zeros((k * n, cfg.gru_hidden))
-    live = list(range(k))
+    n = cfg.n_agents
+    words = [np.random.SeedSequence(seed, spawn_key=(stream, first + j)).generate_state(2)
+             for j in range(count)]
+    env_rngs = [np.random.default_rng(int(w[0])) for w in words]
+    action_rngs = [np.random.default_rng(int(w[1])) for w in words]
+    keys = [env.reset(rng) for rng in env_rngs]
+    steps: list[list[tuple]] = [[] for _ in range(count)]
+    wins = [False] * count
+    prev_actions = [[-1] * n for _ in range(count)]
+    hidden: Array | ad.Tensor = np.zeros((count * n, cfg.gru_hidden))
+    live = list(range(count))
     while live:
         rows = len(live) * n
-        obs = np.array([current[i][1] for i in live])
-        avail = np.array([current[i][2] for i in live], dtype=np.float64)
+        obs = np.array([env.observations(keys[i]) for i in live])
+        avail = np.array([env.avail_actions(keys[i]) for i in live], dtype=np.float64)
         with ad.no_grad():
             x = actor_inputs(cfg, obs, [prev_actions[i] for i in live]).reshape(rows, -1)
             logits, hidden = actor_cell(params, x, hidden)
@@ -83,13 +85,13 @@ def rollout_episodes(
 
         still = []
         for j, i in enumerate(live):
-            actions = [select_action(dist[j, a], mode, rngs[i]) for a in range(n)]
-            result = envs[i].step(actions)
-            steps[i].append((current[i][0], obs[j], avail[j], actions, result.reward, dist[j]))
-            current[i] = (result.state, result.obs, result.avail)
+            actions = [select_action(dist[j, a], mode, action_rngs[i]) for a in range(n)]
+            key, reward, terminal, wins[i] = env.step(keys[i], actions, env_rngs[i])
+            steps[i].append((env.state_vector(keys[i]), obs[j], avail[j], actions, reward,
+                             dist[j]))
+            keys[i] = key
             prev_actions[i] = actions
-            wins[i] = result.win
-            if not result.terminal:
+            if not terminal:
                 still.append(j)
         if len(still) < len(live):
             keep = (np.asarray(still, dtype=np.int64)[:, None] * n + np.arange(n)).reshape(-1)
@@ -119,15 +121,12 @@ def sample_episode_fn(
     advances S by the summed lengths of its episodes.
     """
     counter = {"rollouts": 0, "env_steps": 0}
-    envs = [env]
 
     def sample(params: ad.ParamSet, count: int) -> list[Episode]:
         if count < 1:
             raise ValueError("need at least one episode")
-        while len(envs) < count:
-            envs.append(copy.deepcopy(env))
         episodes = rollout_episodes(
-            envs[:count], params, cfg, epsilon_at(counter["env_steps"], schedule),
+            env, count, params, cfg, epsilon_at(counter["env_steps"], schedule),
             master_seed, stream=1, first=counter["rollouts"])
         counter["env_steps"] += sum(e.length for e in episodes)
         counter["rollouts"] += count

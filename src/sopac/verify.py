@@ -184,17 +184,17 @@ def uniform_switch_episodes(env: SwitchGame, rng: np.random.Generator, count: in
                             generation: int = 0) -> list[Episode]:
     """Episodes drawn under the fixed uniform policy, with exact stored dists."""
     m = env.spec.n_actions
+    state, obs, avail = env.state_vector(0), env.observations(0), env.avail_actions(0)
     episodes = []
     for _ in range(count):
-        state, obs, avail = env.reset(0)
         actions = rng.integers(m, size=2)
-        result = env.step(actions)
+        [(_, reward, _, _, _)] = env.transitions(0, tuple(actions))
         episodes.append(Episode(
             states=state[None, :],
             obs=obs[None, :, :],
             avail=avail.astype(np.float64)[None, :, :],
             actions=actions[None, :].astype(np.int64),
-            rewards=np.asarray([result.reward]),
+            rewards=np.asarray([reward]),
             dists=np.full((1, 2, m), 1.0 / m),
             epsilon=1.0,
             generation=generation,

@@ -6,7 +6,8 @@ in ``sopac`` must match them bit for bit, forward and backward. The ops that
 only these compositions use (``matmul``, ``sigmoid``, ``tanh``, ``exp``,
 ``div``, ``sum_last``) live here, on the engine's tape helpers. The scalar
 return, advantage and KL formulas are the per-step definitions that the
-batched code in ``sopac`` vectorises, ``comacc_q`` is the one-row critic
+batched code in ``sopac`` vectorises, ``td_lambda_loop`` is the one-episode
+backward recursion that the batched TD(lambda) targets must reproduce, ``comacc_q`` is the one-row critic
 call that the stacked counterfactual pass must reproduce,
 ``params_equal`` compares two parameter sets bit for bit, and
 ``capture_observations`` and ``capture_avail_actions`` are the cell-by-cell
@@ -160,6 +161,18 @@ def n_step_return(rewards: Sequence[float], bootstrap: float, gamma: float, n: i
     if n <= rewards.size:
         total += (gamma ** n) * bootstrap
     return total
+
+
+def td_lambda_loop(rewards: Array, boots: Array, lam: float, gamma: float) -> Array:
+    """TD(lambda) targets of one episode by the backward recursion
+    y[t] = r[t] + gamma * ((1 - lam) * boot[t + 1] + lam * y[t + 1]), y = r
+    at the last step; ``rewards`` broadcast over ``boots``' trailing axes."""
+    rewards = np.broadcast_to(rewards.reshape(-1, *([1] * (boots.ndim - 1))), boots.shape)
+    out = np.zeros_like(boots)
+    out[-1] = rewards[-1]
+    for t in range(len(boots) - 2, -1, -1):
+        out[t] = rewards[t] + gamma * ((1.0 - lam) * boots[t + 1] + lam * out[t + 1])
+    return out
 
 
 def centralv_advantage(reward: float, v_now: float, v_next: float,

@@ -15,51 +15,41 @@ from sopac.envs import (
     SwitchGameConfig,
     make_env,
 )
+from sopac.oracle import exact_action_values, uniform_policy
+
+
+def rng(seed=0):
+    return np.random.default_rng(seed)
 
 
 class TestSwitchGame:
     def test_reset_gives_onehot_observations(self):
         env = SwitchGame()
-        state, obs, avail = env.reset(seed=123)
-        assert np.array_equal(state, [1.0])
-        assert np.array_equal(obs, np.eye(2))
-        assert avail.all()
+        key = env.reset(rng(123))
+        assert key == 0
+        assert np.array_equal(env.state_vector(key), [1.0])
+        assert np.array_equal(env.observations(key), np.eye(2))
+        assert env.avail_actions(key).all()
 
     def test_step_reward_and_win_flag(self):
         env = SwitchGame()
-        env.reset(0)
-        result = env.step((2, 2))
-        assert result.reward == 1.0 and result.terminal and result.win
-        env.reset(0)
-        result = env.step((0, 1))
-        assert result.reward == 0.1 and result.terminal and not result.win
+        assert env.step(0, (2, 2), rng()) == (0, 1.0, True, True)
+        assert env.step(0, (0, 1), rng()) == (0, 0.1, True, False)
 
     @pytest.mark.parametrize("payoff", [SwitchGameConfig().payoff, ((1.0, 0.5), (0.5, 1.0))],
                              ids=["default", "two-maxima"])
     def test_step_matches_transitions_for_every_joint_action(self, payoff):
         env = SwitchGame(SwitchGameConfig(payoff=payoff))
         for joint in itertools.product(range(len(payoff)), repeat=2):
-            env.reset(0)
-            result = env.step(joint)
             [(key, reward, terminal, win, prob)] = env.transitions(0, joint)
-            assert (result.reward, result.terminal, result.win, prob) == (
-                reward, terminal, win, 1.0)
-            assert np.array_equal(result.state, env.state_vector(key))
-            assert np.array_equal(result.obs, env.observations(key))
-            assert np.array_equal(result.avail, env.avail_actions(key))
-
-    def test_step_after_terminal_rejected(self):
-        env = SwitchGame()
-        env.reset(0)
-        env.step((0, 0))
-        with pytest.raises(EnvError):
-            env.step((0, 0))
+            assert prob == 1.0 and terminal
+            assert reward == payoff[joint[0]][joint[1]]
+            assert env.step(0, joint, rng()) == (key, reward, terminal, win)
 
     def test_out_of_range_action_rejected(self):
         env = SwitchGame()
-        env.reset(0)
         with pytest.raises(EnvError):
-            env.step((0, 3))
+            env.step(0, (0, 3), rng())
 
     def test_default_payoff_has_unique_maximum(self):
         payoff = np.asarray(SwitchGameConfig().payoff)
@@ -75,18 +65,16 @@ class TestSwitchGame:
 class TestCaptureGridReset:
     def test_same_seed_same_placement(self):
         env = CaptureGrid()
-        s1, o1, a1 = env.reset(seed=42)
-        first = (env._agents, env._prey)
-        s2, o2, a2 = env.reset(seed=42)
-        assert (env._agents, env._prey) == first
-        assert np.array_equal(s1, s2) and np.array_equal(o1, o2) and np.array_equal(a1, a2)
+        key = env.reset(rng(42))
+        assert env.reset(rng(42)) == key
+        assert key[2] == 0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_all_placed_cells_distinct(self, seed):
         env = CaptureGrid()
-        env.reset(seed)
-        cells = list(env._agents) + [env._prey]
+        agents, prey, _ = env.reset(rng(seed))
+        cells = list(agents) + [prey]
         assert len(set(cells)) == len(cells)
 
     def test_config_invariants(self):
@@ -98,86 +86,104 @@ class TestCaptureGridReset:
             CaptureGridConfig(view_radius=0)
         with pytest.raises(ValueError):
             CaptureGridConfig(prey="teleport")
+        # nine cells hold eight agents and the prey, but not nine agents
+        CaptureGridConfig(side=3, n_agents=8)
+        with pytest.raises(ValueError, match="distinct cells"):
+            CaptureGridConfig(side=3, n_agents=9)
 
 
 class TestCaptureGridStep:
-    def _env_with(self, agents, prey, **kwargs):
-        env = CaptureGrid(CaptureGridConfig(**kwargs))
-        env.reset(0)
-        env._agents = tuple(agents)
-        env._prey = prey
-        env._avail = env.avail_actions(env._key())  # step checks the stored mask
-        return env
+    @staticmethod
+    def _env_with(agents, prey, t=0, **kwargs):
+        return CaptureGrid(CaptureGridConfig(**kwargs)), (tuple(agents), prey, t)
 
     def test_capture_pays_and_wins(self):
         # both agents one step away after moving toward the prey at (1, 1)
-        env = self._env_with([(0, 0), (2, 2)], (1, 1), side=5)
-        result = env.step((2, 1))  # down, up -> (1,0) and (1,2), both adjacent
-        assert result.reward == 10.0 and result.win and result.terminal
+        env, key = self._env_with([(0, 0), (2, 2)], (1, 1), side=5)
+        # down, up -> (1,0) and (1,2), both adjacent
+        _, reward, terminal, win = env.step(key, (2, 1), rng())
+        assert reward == 10.0 and win and terminal
 
     def test_non_capturing_step_pays_penalty(self):
-        env = self._env_with([(0, 0), (4, 4)], (2, 2), side=5)
-        result = env.step((0, 0))
-        assert result.reward == pytest.approx(-0.1)
-        assert not result.win and not result.terminal
+        env, key = self._env_with([(0, 0), (4, 4)], (2, 2), side=5)
+        _, reward, terminal, win = env.step(key, (0, 0), rng())
+        assert reward == pytest.approx(-0.1)
+        assert not win and not terminal
 
     def test_masked_action_rejected(self):
-        env = self._env_with([(0, 0), (4, 4)], (2, 2), side=5)
+        env, key = self._env_with([(0, 0), (4, 4)], (2, 2), side=5)
         with pytest.raises(EnvError, match="masked"):
-            env.step((1, 0))  # up from row 0 is off-grid
+            env.step(key, (1, 0), rng())  # up from row 0 is off-grid
 
     def test_contested_cell_bounces_both(self):
-        env = self._env_with([(0, 0), (0, 2)], (4, 4), side=5)
-        result = env.step((4, 3))  # right and left both target (0, 1)
-        del result
-        assert env._agents == ((0, 0), (0, 2))
+        env, key = self._env_with([(0, 0), (0, 2)], (4, 4), side=5)
+        (agents, _, _), *_ = env.step(key, (4, 3), rng())  # both target (0, 1)
+        assert agents == ((0, 0), (0, 2))
 
     def test_prey_cell_blocks_movement(self):
-        env = self._env_with([(1, 0), (4, 4)], (1, 1), side=5)
-        env.step((4, 0))  # agent 0 tries to enter the prey cell
-        assert env._agents[0] == (1, 0)
+        env, key = self._env_with([(1, 0), (4, 4)], (1, 1), side=5)
+        (agents, _, _), *_ = env.step(key, (4, 0), rng())  # agent 0 tries the prey cell
+        assert agents[0] == (1, 0)
 
     def test_moving_into_currently_occupied_cell_bounces(self):
-        env = self._env_with([(0, 0), (0, 1)], (4, 4), side=5)
-        env.step((4, 4))  # agent 0 -> (0,1) occupied; agent 1 -> (0,2) free
-        assert env._agents == ((0, 0), (0, 2))
+        env, key = self._env_with([(0, 0), (0, 1)], (4, 4), side=5)
+        # agent 0 -> (0,1) occupied; agent 1 -> (0,2) free
+        (agents, _, _), *_ = env.step(key, (4, 4), rng())
+        assert agents == ((0, 0), (0, 2))
 
     def test_horizon_terminates_without_win(self):
-        env = self._env_with([(0, 0), (4, 4)], (2, 2), side=5, horizon=2)
-        env._t = 1
-        result = env.step((0, 0))
-        assert result.terminal and not result.win
+        env, key = self._env_with([(0, 0), (4, 4)], (2, 2), t=1, side=5, horizon=2)
+        (_, _, t), _, terminal, win = env.step(key, (0, 0), rng())
+        assert t == 2 and terminal and not win
 
     def test_walking_prey_stays_in_grid_and_off_agents(self):
         env = CaptureGrid(CaptureGridConfig(prey="walk", side=3))
-        env.reset(7)
+        generator = rng(7)
+        key = env.reset(generator)
         for _ in range(5):
-            avail = env.avail_actions(env._key())
+            avail = env.avail_actions(key)
             actions = [int(np.flatnonzero(avail[a])[0]) for a in range(2)]
-            result = env.step(actions)
-            assert 0 <= env._prey[0] < 3 and 0 <= env._prey[1] < 3
-            assert env._prey not in env._agents
-            if result.terminal:
+            key, _, terminal, _ = env.step(key, actions, generator)
+            agents, prey, _ = key
+            assert 0 <= prey[0] < 3 and 0 <= prey[1] < 3
+            assert prey not in agents
+            if terminal:
                 break
 
     @pytest.mark.parametrize("horizon", [1, 2])
     def test_transitions_match_step_from_every_initial_state(self, horizon):
         # with a static prey every (state, joint action) has one outcome, which
-        # the enumeration must give exactly as the stateful step plays it;
-        # horizon 1 ends every uncaptured first step, horizon 2 none of them
-        env = CaptureGrid(CaptureGridConfig(side=3, prey="static", horizon=horizon))
-        env.reset(0)
+        # step must play; horizon 1 ends every uncaptured first step, horizon 2
+        # none of them
+        cfg = CaptureGridConfig(side=3, prey="static", horizon=horizon)
+        env = CaptureGrid(cfg)
         checked = 0
         for key, _ in env.initial_states():
             avail = env.avail_actions(key)
             for joint in itertools.product(*(np.flatnonzero(row).tolist() for row in avail)):
                 (expected,) = env.transitions(key, joint)
-                env._agents, env._prey, env._t, env._terminal = key[0], key[1], key[2], False
-                env._avail = avail
-                result = env.step(joint)
-                assert (env._key(), result.reward, result.terminal, result.win, 1.0) == expected
+                next_key, reward, terminal, win = env.step(key, joint, rng())
+                assert (next_key, reward, terminal, win, 1.0) == expected
+                assert next_key[1:] == (key[1], 1)
+                assert reward == (cfg.capture_reward if win else cfg.step_penalty)
+                assert terminal == (win or horizon == 1)
                 checked += 1
         assert checked > len(env.initial_states())
+
+    @pytest.mark.parametrize("env", [
+        CaptureGrid(CaptureGridConfig(side=3, horizon=3, prey="walk")),
+        SwitchGame(),
+    ], ids=["capture-3x3-walk", "switch"])
+    def test_outcomes_are_equiprobable_on_every_reachable_key(self, env):
+        # step draws an outcome index uniformly, which is exact only when every
+        # outcome of transitions is equally likely; the oracle's table holds
+        # every available joint action of every reachable key
+        pairs = exact_action_values(env, uniform_policy(env)).action_values
+        assert len(pairs) > (1000 if isinstance(env, CaptureGrid) else 0)
+        for key, joint in pairs:
+            outcomes = env.transitions(key, joint)
+            assert len({o[0] for o in outcomes}) == len(outcomes)
+            assert all(o[4] == 1.0 / len(outcomes) for o in outcomes)
 
 
 class TestFeatureTables:
@@ -197,16 +203,15 @@ class TestFeatureTables:
 
     def test_step_returns_the_features_of_the_new_state(self):
         env = CaptureGrid(CaptureGridConfig(prey="walk", side=4, horizon=30))
-        _, obs, avail = env.reset(5)
-        rng = np.random.default_rng(5)
+        env_rng, action_rng = rng(5), rng(5)
+        key = env.reset(env_rng)
         terminal = False
         while not terminal:
-            key = env._key()
-            assert obs.tobytes() == capture_observations(env, key).tobytes()
+            avail = env.avail_actions(key)
+            assert env.observations(key).tobytes() == capture_observations(env, key).tobytes()
             assert avail.tobytes() == capture_avail_actions(env, key).tobytes()
-            actions = [int(rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
-            result = env.step(actions)
-            obs, avail, terminal = result.obs, result.avail, result.terminal
+            actions = [int(action_rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
+            key, _, terminal, _ = env.step(key, actions, env_rng)
 
 
 class TestTrajectoryDeterminism:
@@ -215,17 +220,16 @@ class TestTrajectoryDeterminism:
     def test_same_seed_and_actions_replay_bit_exactly(self, seed):
         def run():
             env = CaptureGrid(CaptureGridConfig(prey="walk", horizon=6))
-            env.reset(seed)
-            rng = np.random.default_rng(seed + 1)
+            env_rng, action_rng = rng(seed), rng(seed + 1)
+            key = env.reset(env_rng)
             trace = []
             terminal = False
             while not terminal:
-                avail = env.avail_actions(env._key())
-                actions = [int(rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
-                result = env.step(actions)
-                trace.append((result.state.tobytes(), result.obs.tobytes(),
-                              result.reward, result.terminal, result.win))
-                terminal = result.terminal
+                avail = env.avail_actions(key)
+                actions = [int(action_rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
+                key, reward, terminal, win = env.step(key, actions, env_rng)
+                trace.append((env.state_vector(key).tobytes(), env.observations(key).tobytes(),
+                              reward, terminal, win))
             return trace
 
         assert run() == run()
@@ -234,29 +238,28 @@ class TestTrajectoryDeterminism:
     @settings(max_examples=50, deadline=None)
     def test_masks_always_offer_an_action(self, seed, steps):
         env = CaptureGrid()
-        _, _, avail = env.reset(seed)
-        rng = np.random.default_rng(seed)
+        env_rng, action_rng = rng(seed), rng(seed)
+        key = env.reset(env_rng)
         for _ in range(steps % 5):
+            avail = env.avail_actions(key)
             assert (avail.sum(axis=1) >= 1).all()
-            actions = [int(rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
-            result = env.step(actions)
-            avail = result.avail
-            if result.terminal:
+            actions = [int(action_rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
+            key, _, terminal, _ = env.step(key, actions, env_rng)
+            if terminal:
                 break
-        assert (avail.sum(axis=1) >= 1).all()
+        assert (env.avail_actions(key).sum(axis=1) >= 1).all()
 
     def test_rewards_stay_in_configured_range(self):
         cfg = CaptureGridConfig()
         env = CaptureGrid(cfg)
-        env.reset(3)
-        rng = np.random.default_rng(3)
+        env_rng, action_rng = rng(3), rng(3)
+        key = env.reset(env_rng)
         terminal = False
         while not terminal:
-            avail = env.avail_actions(env._key())
-            actions = [int(rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
-            result = env.step(actions)
-            assert result.reward in (cfg.step_penalty, cfg.capture_reward)
-            terminal = result.terminal
+            avail = env.avail_actions(key)
+            actions = [int(action_rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
+            key, reward, terminal, _ = env.step(key, actions, env_rng)
+            assert reward in (cfg.step_penalty, cfg.capture_reward)
 
 
 class TestSpecAndFactory:

@@ -96,7 +96,7 @@ class TestEvaluate:
     def test_optimal_policy_wins_every_episode(self):
         env = SwitchGame()
         params, cfg = self._optimal_actor(env)
-        win_rate, mean_return = evaluate(params, cfg, [SwitchGame() for _ in range(16)], seed=0)
+        win_rate, mean_return = evaluate(params, cfg, env, 16, seed=0)
         assert win_rate == 1.0
         assert mean_return == pytest.approx(1.0)
 
@@ -106,8 +106,7 @@ class TestEvaluate:
         params = actor_init(np.random.default_rng(1), cfg)
         uniform = ParamSet({k: np.zeros_like(v.data) for k, v in params.items()})
         episodes = 10_000
-        win_rate, _ = evaluate(uniform, cfg, [SwitchGame() for _ in range(episodes)], seed=5,
-                               mode="sample")
+        win_rate, _ = evaluate(uniform, cfg, env, episodes, seed=5, mode="sample")
         p = 1.0 / 9.0
         se = np.sqrt(p * (1 - p) / episodes)
         assert abs(win_rate - p) < 3.0 * se
@@ -116,9 +115,8 @@ class TestEvaluate:
         env = SwitchGame()
         params, cfg = self._optimal_actor(env)
         before = params.copy()
-        envs = [SwitchGame() for _ in range(8)]
-        first = evaluate(params, cfg, envs, seed=9)
-        second = evaluate(params, cfg, envs, seed=9)
+        first = evaluate(params, cfg, env, 8, seed=9)
+        second = evaluate(params, cfg, env, 8, seed=9)
         assert first == second
         assert params_equal(params, before)
 
@@ -342,6 +340,7 @@ class TestCli:
         {"env_config": {"capture_reward": float("nan")}},
         {"eps_anneal_steps": 2.5},
         {"eps_anneal_steps": True},
+        {"env_config": {"side": 3, "n_agents": 9}},
     ], ids=["eps-start-below-end", "eps-start-above-one", "zero-anneal",
             "unknown-env-key", "list-env-config", "zero-lr", "rms-alpha-above-one",
             "gamma-above-one", "zero-gamma", "fractional-batch", "float-steps",
@@ -351,7 +350,8 @@ class TestCli:
             "bool-lam", "bool-gamma", "bool-lr", "bool-kl-threshold", "bool-eps-start",
             "bool-eps-end", "bool-rms-eps", "string-lam", "fractional-side",
             "float-n-agents", "fractional-view-radius", "fractional-horizon",
-            "nan-capture-reward", "fractional-anneal", "bool-anneal"])
+            "nan-capture-reward", "fractional-anneal", "bool-anneal",
+            "overfull-grid"])
     def test_invalid_config_exits_two_before_writing(self, tmp_path, bad):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(dict({"env": "capture", "total_steps": 40}, **bad)))

@@ -30,6 +30,7 @@ from reference import (
     counterfactual_baseline,
     n_step_return,
     params_equal,
+    td_lambda_loop,
 )
 
 DIMS = dict(n=2, m=3, state_width=4, obs_width=3, gru_hidden=6,
@@ -119,6 +120,21 @@ class TestTdLambdaTargets:
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ValueError):
             td_lambda_targets(np.ones(2), np.ones(2), 1.5, 0.9)
+
+    @pytest.mark.parametrize("trailing", [(), (3,)], ids=["centralv", "per-agent"])
+    def test_batch_rows_equal_the_one_episode_loop(self, trailing):
+        # ragged lengths: every episode's rows must be its own recursion to
+        # the bit, and every padded step exactly +0.0
+        rng = np.random.default_rng(11)
+        lengths = np.array([3, 1, 5, 2])
+        rewards = rng.standard_normal((4, 5))
+        boots = rng.standard_normal((4, 5, *trailing))
+        targets = learn.batch_td_lambda_targets(rewards, boots, lengths, 0.8, 0.99)
+        for i, length in enumerate(lengths):
+            want = td_lambda_loop(rewards[i, :length], boots[i, :length], 0.8, 0.99)
+            assert np.array_equal(targets[i, :length].view(np.int64), want.view(np.int64))
+            padded = targets[i, length:]
+            assert (padded == 0.0).all() and not np.signbit(padded).any()
 
 
 class TestAdvantages:
@@ -326,14 +342,13 @@ class TestCriticSchedules:
         episodes = []
         for u0 in range(m):
             for u1 in range(m):
-                env.reset(0)
                 state, obs, avail = env.state_vector(0), env.observations(0), env.avail_actions(0)
-                result = env.step((u0, u1))
+                _, reward, _, _ = env.step(0, (u0, u1), np.random.default_rng(0))
                 episodes.append(learn.Episode(
                     states=state[None, :], obs=obs[None, :, :],
                     avail=avail.astype(np.float64)[None, :, :],
                     actions=np.asarray([[u0, u1]], dtype=np.int64),
-                    rewards=np.asarray([result.reward]),
+                    rewards=np.asarray([reward]),
                     dists=np.full((1, 2, m), 1.0 / m),
                     epsilon=1.0,
                     generation=0,
@@ -453,7 +468,7 @@ class TestEpisodeContainers:
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=5))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(0), cfg)
-        [episode] = rollout_episodes([env], params, cfg, 0.5, seed=1, stream=1)
+        [episode] = rollout_episodes(env, 1, params, cfg, 0.5, seed=1, stream=1)
         validate_episode(episode)
 
     def test_validate_rejects_ragged_and_unnormalised_records(self):
@@ -471,8 +486,6 @@ class TestForwardPathConsistency:
     def test_training_unroll_reproduces_rollout_distributions_bit_exactly(self):
         # the two evaluation paths (n-row rollout, padded B*n replay used for
         # training and KL) must agree to the bit for the generating params
-        import copy
-
         from sopac.envs import CaptureGrid, CaptureGridConfig
         from sopac.policy import actor_init
         from sopac.rollout import rollout_episodes
@@ -480,8 +493,7 @@ class TestForwardPathConsistency:
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=6))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(3), cfg)
-        episodes = rollout_episodes(
-            [copy.deepcopy(env) for _ in range(3)], params, cfg, 0.5, seed=10, stream=1)
+        episodes = rollout_episodes(env, 3, params, cfg, 0.5, seed=10, stream=1)
         batch = Batch.from_episodes(episodes)
         batched = learn.batch_policy_probs(params, cfg, batch)
         for i, episode in enumerate(episodes):

@@ -157,15 +157,15 @@ class TestMonteCarloAgreement:
         rng = np.random.default_rng(77)
         returns = []
         for episode in range(20_000):
-            env.reset(int(rng.integers(2**31)))
+            env_rng = np.random.default_rng(int(rng.integers(2**31)))
+            key = env.reset(env_rng)
             total, discount, terminal = 0.0, 1.0, False
             while not terminal:
-                avail = env.avail_actions(env._key())
+                avail = env.avail_actions(key)
                 actions = [int(rng.choice(np.flatnonzero(avail[a]))) for a in range(2)]
-                result = env.step(actions)
-                total += discount * result.reward
+                key, reward, terminal, _ = env.step(key, actions, env_rng)
+                total += discount * reward
                 discount *= GAMMA
-                terminal = result.terminal
             returns.append(total)
         returns = np.asarray(returns)
         se = returns.std(ddof=1) / np.sqrt(returns.size)

@@ -28,7 +28,7 @@ def capture_episode(seed=0, params=None, cfg=None):
     actor_cfg = cfg or ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
     params = params or actor_init(np.random.default_rng(seed), actor_cfg)
     [episode] = rollout_episodes(
-        [env], params, actor_cfg, epsilon_at(0, EpsilonSchedule()), seed, stream=1)
+        env, 1, params, actor_cfg, epsilon_at(0, EpsilonSchedule()), seed, stream=1)
     return episode, params, actor_cfg
 
 

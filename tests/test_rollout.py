@@ -1,6 +1,6 @@
 """Lockstep rollouts store every episode bit-identically to playing it alone."""
 
-import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -52,11 +52,10 @@ def play(env, params, cfg, epsilon, count, mode, grouped, seed=0):
     """Episodes 0..count-1 of stream 1 of ``seed``, as one lockstep group or
     one group each."""
     if grouped:
-        return rollout_episodes([copy.deepcopy(env) for _ in range(count)], params, cfg,
-                                epsilon, seed, stream=1, mode=mode)
+        return rollout_episodes(env, count, params, cfg, epsilon, seed, stream=1, mode=mode)
     return [e for g in range(count)
-            for e in rollout_episodes([copy.deepcopy(env)], params, cfg, epsilon, seed,
-                                      stream=1, first=g, mode=mode)]
+            for e in rollout_episodes(env, 1, params, cfg, epsilon, seed, stream=1, first=g,
+                                      mode=mode)]
 
 
 class TestLockstepGroup:
@@ -75,10 +74,9 @@ class TestLockstepGroup:
     def test_evaluate_matches_one_episode_at_a_time(self):
         env = walking_grid()
         params, cfg = actor_for(env, 4)
-        win_rate, mean_return = harness.evaluate(
-            params, cfg, [copy.deepcopy(env) for _ in range(12)], seed=9)
+        win_rate, mean_return = harness.evaluate(params, cfg, env, 12, seed=9)
         played = [e for i in range(12)
-                  for e in rollout_episodes([env], params, cfg, 0.0, 9, stream=2, first=i,
+                  for e in rollout_episodes(env, 1, params, cfg, 0.0, 9, stream=2, first=i,
                                             mode="greedy")]
         assert win_rate == sum(e.win for e in played) / 12
         assert mean_return == float(np.mean([e.total_return for e in played]))
@@ -94,17 +92,29 @@ class TestLockstepGroup:
     def test_episodes_follow_the_seed_rule(self):
         env = walking_grid()
         params, cfg = actor_for(env, 7)
-        episodes = rollout_episodes([copy.deepcopy(env) for _ in range(3)], params, cfg, 0.3,
-                                    seed=11, stream=5, first=4)
+        episodes = rollout_episodes(env, 3, params, cfg, 0.3, seed=11, stream=5, first=4)
         assert [e.generation for e in episodes] == [4, 5, 6]
         for episode in episodes:
             seq = np.random.SeedSequence(11, spawn_key=(5, episode.generation))
             env_seed, action_seed = (int(s) for s in seq.generate_state(2))
-            assert np.array_equal(episode.states[0], copy.deepcopy(env).reset(env_seed)[0])
+            # the env generator places the agents and then walks the prey
+            env_rng = np.random.default_rng(env_seed)
+            key = env.reset(env_rng)
+            for state, actions in zip(episode.states, episode.actions):
+                assert np.array_equal(state, env.state_vector(key))
+                key, *_ = env.step(key, actions, env_rng)
             rng = np.random.default_rng(action_seed)
             assert episode.actions.dtype == np.int64
             assert episode.actions.tolist() == [
                 [select_action(dist, "sample", rng) for dist in step] for step in episode.dists]
+
+    @pytest.mark.parametrize("env", [walking_grid(), SwitchGame()], ids=["capture", "switch"])
+    def test_rollout_leaves_the_env_unchanged(self, env):
+        params, cfg = actor_for(env, 8)
+        before = pickle.dumps(vars(env))
+        rollout_episodes(env, 5, params, cfg, 0.4, seed=2, stream=1)
+        harness.evaluate(params, cfg, env, 3, seed=2)
+        assert pickle.dumps(vars(env)) == before
 
 
 class TestSampler:
@@ -115,15 +125,15 @@ class TestSampler:
 
     @classmethod
     def sampler(cls, env, schedule, actor):
-        return sample_episode_fn(copy.deepcopy(env), actor[1], schedule, cls.MASTER_SEED)
+        return sample_episode_fn(env, actor[1], schedule, cls.MASTER_SEED)
 
     @classmethod
     def alone(cls, env, actor, epsilon, generations):
         """The sampler's episodes ``generations``, each played in a group of one."""
         params, cfg = actor
         return [e for g in generations
-                for e in rollout_episodes([copy.deepcopy(env)], params, cfg, epsilon,
-                                          cls.MASTER_SEED, stream=1, first=g)]
+                for e in rollout_episodes(env, 1, params, cfg, epsilon, cls.MASTER_SEED,
+                                          stream=1, first=g)]
 
     def test_switch_group_of_eight(self, actor_cells):
         env = SwitchGame()
