@@ -7,11 +7,12 @@ and prints one markdown table row per run: the sha256 of ``metrics.csv``,
 the sha256 of ``params.npz``, and the manifest's episode and step totals.
 A last row digests the verification path: the sha256 of the gradient
 suite's per-loss maximum errors over 20 seeds, and of the four numbers the
-switch oracle check returns. A final row digests the exact oracle on the
-benchmark's walking-prey 3x3 grid (horizon 3) under the uniform policy: the
-sha256 of its Q values, its V values and its initial value. A change that
-must not alter training, verification, the environments or the oracle then
-checks with one ``diff``:
+switch oracle check returns. Two final rows digest the exact oracle on the
+benchmark's walking-prey 3x3 grid (horizon 3): the sha256 of its Q values,
+its V values and its initial value, under the uniform policy and under a
+policy that plays each agent's first available action, so that every other
+joint action has zero weight. A change that must not alter training,
+verification, the environments or the oracle then checks with one ``diff``:
 
     python3 scripts/metrics_digest.py > after.md   # in the changed checkout
     python3 scripts/metrics_digest.py > before.md  # in a checkout of its parent
@@ -113,12 +114,19 @@ def verify_digests() -> tuple[str, str]:
             hashlib.sha256(oracle.tobytes()).hexdigest())
 
 
-def oracle_digest() -> str:
-    """sha256 of the exact uniform-policy Q values in sorted (key, joint
-    action) order, then the V values in sorted key order, then the initial
-    value, all packed as float64."""
+def first_available_policy(key, avail: np.ndarray) -> np.ndarray:
+    """All weight on each agent's first available action."""
+    probs = np.zeros(avail.shape, dtype=np.float64)
+    probs[np.arange(avail.shape[0]), np.argmax(avail, axis=1)] = 1.0
+    return probs
+
+
+def oracle_digest(policy=None) -> str:
+    """sha256 of the exact Q values of ``policy`` (default uniform) in sorted
+    (key, joint action) order, then the V values in sorted key order, then
+    the initial value, all packed as float64."""
     grid = make_env("capture", ORACLE_GRID)
-    table = exact_action_values(grid, uniform_policy(grid))
+    table = exact_action_values(grid, policy or uniform_policy(grid))
     values = [table.action_values[k] for k in sorted(table.action_values)]
     values += [table.state_values[k] for k in sorted(table.state_values)]
     values.append(table.initial_value)
@@ -143,6 +151,8 @@ def main() -> None:
     suite, oracle = verify_digests()
     print(f"| `verify` | `{suite}` (gradient suite) | `{oracle}` (oracle check) | - | - |")
     print(f"| `oracle-capture-3x3-walk` | `{oracle_digest()}` (Q, V, initial value) | - | - | - |")
+    print(f"| `oracle-capture-3x3-walk-fixed` | `{oracle_digest(first_available_policy)}` "
+          "(Q, V, initial value) | - | - | - |")
 
 
 if __name__ == "__main__":

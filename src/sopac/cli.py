@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .autodiff import NumericError
 from .harness import (
@@ -83,6 +84,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     data.update((key, value) for key, value in vars(args).items()
                 if key in RunConfig.__dataclass_fields__)
     cfg = RunConfig.from_dict(data)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
     result = run_experiment(cfg, args.out)
     last = result.rows[-1] if result.rows else {}
     print(f"wrote {result.metrics_path} ({len(result.rows)} rows)")
@@ -95,8 +100,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     paths = []
     for entry in args.runs:
         p = Path(entry)
@@ -105,7 +108,10 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         rows = aggregate(paths)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
-    write_aggregate(args.out, rows)
+    try:
+        write_aggregate(args.out, rows)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
     print(f"wrote {args.out} ({len(rows)} rows over {len(paths)} runs)")
     return 0
 

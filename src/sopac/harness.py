@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .autodiff import NumericError, ParamSet, check_rmsprop
 from .envs import make_env, make_env_config
-from .learn import LearnConfig, Trainer
+from .learn import ALGOS, SCHEDULES, LearnConfig, Trainer
 from .policy import ActorConfig, EpsilonSchedule, epsilon_at
 from .rollout import rollout_episodes, sample_episode_fn
 from .sop import SOP_MODES, ReplayBuffer, episode_kls, max_mean_kl, sop_iteration
@@ -46,8 +46,6 @@ METRICS_HEADER = (
 )
 
 ENVS = ("switch", "capture")
-ALGOS = ("centralv", "coma", "coma-cc")
-SCHEDULES = ("minibatch", "wholebatch")
 
 
 class ConfigError(ValueError):
@@ -204,19 +202,18 @@ def eval_grid(total_steps: int, interval: int) -> list[int]:
 
 def evaluate(
     actor: ParamSet, actor_cfg: ActorConfig, env, episodes: int, seed: int,
-    mode: str = "greedy",
 ) -> tuple[float, float]:
-    """Win rate and mean return over ``episodes`` evaluation rollouts of ``env``.
+    """Win rate and mean return over ``episodes`` greedy evaluation rollouts of
+    ``env``.
 
-    Greedy by default (argmax action selection); sampling mode draws from
-    the policy instead. Exploration is off: all episodes play as one lockstep
-    group with epsilon 0. Evaluation plays stream 2 of ``seed`` and never
-    touches the actor, the env or any training generator.
+    Actions are the argmax of the policy and exploration is off: all episodes
+    play as one lockstep group with epsilon 0. Evaluation plays stream 2 of
+    ``seed`` and never touches the actor, the env or any training generator.
     """
     if episodes < 1:
         raise ValueError("need at least one evaluation episode")
     played = rollout_episodes(env, episodes, actor, actor_cfg, 0.0, seed, stream=2,
-                              mode=mode)
+                              mode="greedy")
     return (sum(e.win for e in played) / len(played),
             float(np.mean([e.total_return for e in played])))
 

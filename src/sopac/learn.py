@@ -396,6 +396,10 @@ def policy_gradient_update(
 # Trainer glue
 
 
+ALGOS = ("centralv", "coma", "coma-cc")
+SCHEDULES = ("minibatch", "wholebatch")
+
+
 @dataclass(frozen=True)
 class LearnConfig:
     algo: str
@@ -409,9 +413,9 @@ class LearnConfig:
     target_period: int = 200
 
     def __post_init__(self) -> None:
-        if self.algo not in ("centralv", "coma", "coma-cc"):
+        if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.critic_schedule not in ("minibatch", "wholebatch"):
+        if self.critic_schedule not in SCHEDULES:
             raise ValueError(f"unknown critic schedule {self.critic_schedule!r}")
 
 

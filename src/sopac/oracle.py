@@ -1,11 +1,12 @@
 """Exact dynamic-programming value oracle for small enumerable instances.
 
 Given a fixed joint policy, ``exact_action_values`` computes Q(s, u) at every
-reachable state for every available joint action, together with V(s) and
-the value of the initial distribution, as full expectations over policy
-randomness and transition randomness, via recursion over the environment's
-enumeration interface that evaluates each Q and V entry once. Instances
-whose expansion exceeds the path budget are rejected up front rather than
+state reachable under any joint action, for every available joint action,
+together with V(s) and the value of the initial distribution, as full
+expectations over policy randomness and transition randomness. One memoised
+recursion over the environment's enumeration interface evaluates each Q and
+V entry once and calls ``transitions`` once per (state, joint action).
+Instances whose expansion exceeds the path budget are rejected rather than
 silently truncated.
 """
 
@@ -63,8 +64,7 @@ class _Enumerator:
             )
 
     def q_value(self, key, joint: tuple[int, ...]) -> float:
-        if (key, joint) in self.q_memo:
-            return self.q_memo[(key, joint)]
+        # called once per pair, from the memoised state_value of its key
         total = 0.0
         for next_key, reward, terminal, _win, prob in self.env.transitions(key, joint):
             self._spend()
@@ -80,35 +80,21 @@ class _Enumerator:
         probs = self.policy(key, avail)
         total = 0.0
         for joint in itertools.product(*[np.flatnonzero(avail[a]) for a in range(avail.shape[0])]):
+            # Q is tabled at every available joint action, V sums the played ones
+            q = self.q_value(key, tuple(int(a) for a in joint))
             weight = 1.0
             for agent, action in enumerate(joint):
                 weight *= probs[agent, action]
-            if weight == 0.0:
-                continue
-            total += weight * self.q_value(key, tuple(int(a) for a in joint))
+            if weight != 0.0:
+                total += weight * q
         self.v_memo[key] = total
         return total
 
 
 def exact_action_values(env, policy: Policy, *, max_paths: int = 10_000_000) -> ValueTable:
-    """Exact Q(s, u) at every reachable state, for every available joint action."""
+    """Exact Q(s, u) at every state reachable under any joint action, for every
+    available joint action, with V at the same states and the value of the
+    initial distribution; each pair's ``transitions`` are enumerated once."""
     enum = _Enumerator(env, policy, max_paths)
-    initial_states = env.initial_states()
-    seen = set()
-    queue = [key for key, _ in initial_states]
-    while queue:
-        key = queue.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        avail = env.avail_actions(key)
-        for joint in itertools.product(*[np.flatnonzero(avail[a]) for a in range(avail.shape[0])]):
-            joint_t = tuple(int(a) for a in joint)
-            enum.q_value(key, joint_t)
-            for next_key, _r, terminal, _w, _p in env.transitions(key, joint_t):
-                if not terminal and next_key not in seen:
-                    queue.append(next_key)
-    # the walk evaluated Q at every pair it reached, and the recursion reaches
-    # no other pair, so the memos are the tables
-    initial = sum(prob * enum.state_value(key) for key, prob in initial_states)
+    initial = sum(prob * enum.state_value(key) for key, prob in env.initial_states())
     return ValueTable(enum.v_memo, enum.q_memo, initial)

@@ -19,10 +19,12 @@ from . import critic as cr
 from .autodiff import ParamSet
 from .envs import SwitchGame
 from .learn import (
+    ALGOS,
     Batch,
     Episode,
     LearnConfig,
     Trainer,
+    actor_step_inputs,
     compute_advantages,
     critic_batch_inputs,
     critic_loss_tensor,
@@ -98,8 +100,6 @@ def _critic_relu_margin(params: ParamSet, inputs: Array) -> float:
 
 def _actor_relu_margin(params: ParamSet, batch: Batch, cfg: ActorConfig) -> float:
     """Smallest |preactivation| of the actor's sole ReLU over the batch."""
-    from .learn import actor_step_inputs
-
     inputs = actor_step_inputs(batch, cfg)
     pre = inputs.reshape(-1, inputs.shape[-1]) @ params["fc1.w0"].data + params["fc1.b0"].data
     return float(np.abs(pre).min())
@@ -138,11 +138,11 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5, dims: dict | None = None
     """
     d = dict(CHECK_DIMS, **(dims or {}))
     margin = 100.0 * step
-    worst = {"actor": 0.0, "centralv": 0.0, "coma": 0.0, "coma-cc": 0.0}
+    worst = dict.fromkeys(("actor",) + ALGOS, 0.0)
     for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
         batch = random_batch(rng, d)
-        for algo in ("centralv", "coma", "coma-cc"):
+        for algo in ALGOS:
             inputs = critic_batch_inputs(batch, algo)
             for _ in range(200):
                 trainer = _check_trainer(rng, algo, d)

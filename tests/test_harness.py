@@ -19,6 +19,7 @@ from sopac.harness import (
     write_aggregate,
 )
 from sopac.policy import ActorConfig, actor_init
+from sopac.rollout import rollout_episodes
 
 from reference import params_equal
 
@@ -106,7 +107,9 @@ class TestEvaluate:
         params = actor_init(np.random.default_rng(1), cfg)
         uniform = ParamSet({k: np.zeros_like(v.data) for k, v in params.items()})
         episodes = 10_000
-        win_rate, _ = evaluate(uniform, cfg, env, episodes, seed=5, mode="sample")
+        played = rollout_episodes(env, episodes, uniform, cfg, 0.0, seed=5, stream=2,
+                                  mode="sample")
+        win_rate = sum(e.win for e in played) / len(played)
         p = 1.0 / 9.0
         se = np.sqrt(p * (1 - p) / episodes)
         assert abs(win_rate - p) < 3.0 * se
@@ -384,6 +387,29 @@ class TestCli:
         assert manifest["env_step"] == manifest["env_steps"] > 0
         assert "not finite" in manifest["error"]
         assert manifest["config"]["lr"] == 1e200
+
+    def test_train_out_that_is_a_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("keep me")
+        code = cli.main(["train", "--env", "switch", "--sop", "off", "--batch-size", "2",
+                         "--total-steps", "40", "--eval-interval", "20", "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert out.read_text() == "keep me"
+
+    def test_aggregate_out_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        cli.main(["train", "--env", "switch", "--sop", "off", "--batch-size", "2",
+                  "--total-steps", "40", "--eval-interval", "20",
+                  "--out", str(tmp_path / "a")])
+        out = tmp_path / "agg"
+        (out / "inner").mkdir(parents=True)
+        (out / "inner" / "keep.txt").write_text("keep me")
+        capsys.readouterr()
+        code = cli.main(["aggregate", "--runs", str(tmp_path / "a"), "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in out.rglob("*")] == ["inner", "keep.txt"]
+        assert (out / "inner" / "keep.txt").read_text() == "keep me"
 
     def test_aggregate_subcommand(self, tmp_path):
         for seed in (0, 1):

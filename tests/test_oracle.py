@@ -82,10 +82,62 @@ class TestCaptureOracle:
                 mix += w * table.action_values[(key, tuple(int(a) for a in joint))]
             assert abs(mix - value) < 1e-12
 
+    def test_transitions_enumerated_once_per_action_value(self, monkeypatch):
+        env = small_grid()
+        calls = []
+        transitions = env.transitions
+
+        def counting(key, joint):
+            calls.append((key, joint))
+            return transitions(key, joint)
+
+        monkeypatch.setattr(env, "transitions", counting)
+        table = exact_action_values(env, uniform_policy(env))
+        assert len(calls) == len(table.action_values)
+        assert set(calls) == set(table.action_values)
+
     def test_oversized_instance_rejected_with_report(self):
         env = small_grid()
         with pytest.raises(InstanceTooLarge, match="expansions"):
             exact_action_values(env, uniform_policy(env), max_paths=1000)
+
+
+def reachable_pairs(env):
+    """Every (key, available joint action) reachable from the initial states
+    under any sequence of available joint actions."""
+    pairs, seen = set(), set()
+    stack = [key for key, _ in env.initial_states()]
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        avail = env.avail_actions(key)
+        for joint in itertools.product(*[np.flatnonzero(avail[a]) for a in range(avail.shape[0])]):
+            joint = tuple(int(a) for a in joint)
+            pairs.add((key, joint))
+            stack.extend(next_key for next_key, _r, terminal, _w, _p
+                         in env.transitions(key, joint) if not terminal)
+    return pairs
+
+
+class TestTableContract:
+    """Q is tabled at every reachable pair, including the joint actions the
+    policy never plays, and V at every state those pairs reach."""
+
+    @pytest.mark.parametrize("make_env", [small_grid, SwitchGame], ids=["capture", "switch"])
+    def test_zero_weight_actions_are_tabled(self, make_env):
+        env = make_env()
+        table = exact_action_values(env, fixed_joint_policy((0, 0)))
+        pairs = reachable_pairs(env)
+        assert set(table.action_values) == pairs
+        assert set(table.state_values) == {key for key, _ in pairs}
+        for (key, joint), q in table.action_values.items():
+            expected = 0.0
+            for next_key, reward, terminal, _win, prob in env.transitions(key, joint):
+                future = 0.0 if terminal else table.state_values[next_key]
+                expected += prob * (reward + env.spec.gamma * future)
+            assert abs(expected - q) < 1e-12
 
 
 # ---------------------------------------------------------------------------
