@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the outputs of a fixed set of training runs, for refactor identity checks.
 
-Runs fifteen (config, seed) pairs through ``harness.run_experiment`` with
+Runs sixteen (config, seed) pairs through ``harness.run_experiment`` with
 the ``sopac`` package of the checkout this script lives in, one BLAS thread,
 and prints one markdown table row per run: the sha256 of ``metrics.csv``,
 the sha256 of ``params.npz``, and the manifest's episode and step totals.
@@ -94,6 +94,11 @@ def configs() -> dict[str, dict]:
     runs["switch-coma-permissive-eval32"] = dict(
         env="switch", algo="coma", sop="permissive", batch_size=4,
         total_steps=200, eval_interval=50, eval_episodes=32, seed=8)
+    # three agents, so the action draw digests an agent axis wider than two
+    runs["tiny-3agents-comacc-strict"] = dict(
+        env="capture", env_config=dict(TINY_CAPTURE, n_agents=3), algo="coma-cc",
+        sop="strict", kl_threshold=0.02, batch_size=3, total_steps=120,
+        eval_interval=40, eval_episodes=4, seed=9)
     return runs
 
 

@@ -46,6 +46,10 @@ class EnvError(RuntimeError):
     """Illegal interaction with an environment (a masked or out-of-range action)."""
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and np.isfinite(value)
+
+
 # ---------------------------------------------------------------------------
 # One-shot coordination game
 
@@ -72,8 +76,8 @@ class SwitchGameConfig:
         m = len(self.payoff)
         if m < 2 or any(len(row) != m for row in self.payoff):
             raise ValueError("payoff must be a square matrix with m >= 2")
-        if not np.isfinite(np.asarray(self.payoff, dtype=np.float64)).all():
-            raise ValueError("payoff entries must be finite")
+        if not all(map(_finite_number, itertools.chain(*self.payoff))):
+            raise ValueError(f"payoff entries must be finite numbers, got {self.payoff!r}")
 
 
 class SwitchGame:
@@ -156,8 +160,7 @@ class CaptureGridConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("capture_reward", "step_penalty"):
             value = getattr(self, name)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not np.isfinite(value)):
+            if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.side < 3:
             raise ValueError("grid side must be >= 3")

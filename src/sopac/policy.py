@@ -120,13 +120,23 @@ def masked_epsilon_probs(logits, avail: Array, epsilon) -> Tensor:
     return ad.record(out, (logits,), backward)
 
 
-def select_action(dist: Array, mode: str, rng: np.random.Generator | None = None) -> int:
-    """Greedy argmax (ties break to the lowest index) or a seeded sample."""
-    dist = np.asarray(dist, dtype=np.float64)
+_P_ATOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
+
+
+def select_actions(dist: Array, mode: str, rngs=None) -> Array:
+    """(L, n) int64 actions for the (L, n, m) acting distributions of L episodes:
+    each row's argmax (ties to the lowest index), or a sample by numpy's
+    ``Generator.choice`` rule with p = row / row.sum(), episode i drawing
+    ``rngs[i].random(n)``, so each generator draws and picks as n single-row
+    calls would. Like them, it rejects NaN, p outside [0, 1] and sums off 1."""
     if mode == "greedy":
-        return int(np.argmax(dist))
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs a generator")
-        return int(rng.choice(dist.size, p=dist / dist.sum()))
-    raise ValueError(f"unknown selection mode {mode!r}")
+        return dist.argmax(axis=-1)
+    if mode != "sample":
+        raise ValueError(f"unknown selection mode {mode!r}")
+    p = dist / dist.sum(axis=-1, keepdims=True)
+    if not ((p >= 0.0) & (p <= 1.0)).all() or (abs(p.sum(axis=-1) - 1.0) > _P_ATOL).any():
+        raise ValueError("probabilities must lie in [0, 1] and sum to 1")
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    u = np.array([rng.random(dist.shape[1]) for rng in rngs])
+    return (cdf <= u[..., None]).sum(axis=-1)

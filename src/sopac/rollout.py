@@ -1,21 +1,21 @@
 """Episode generation: exploratory rollouts and greedy evaluation runs.
 
 :func:`rollout_episodes` plays a group of episodes of one stateless env in
-lockstep: every step makes one stacked actor forward over the n agent rows
-of every episode still running. Each episode is its current env key plus
-two seeded generators, one for the env's draws and one for its actions, so
+lockstep. Every step makes one stacked actor forward over the n agent rows of
+every episode still running, then one ``policy.select_actions`` draw over
+their acting distributions; only ``env.step`` runs once per episode. Each
+episode is its env key plus two seeded generators: the env generator makes
+the env's draws, the action generator one uniform per agent per step. So
 row-exact batching in the autodiff core makes each stored episode
-bit-identical to playing it alone, and to the padded replay of
-``learn.unroll_policy``. A group of one is the sequential case. Each episode
-stores its acting distributions and the one epsilon it ran with, so that
-replay can re-evaluate stale episodes exactly later.
+bit-identical to playing it alone (a group of one), and to the padded replay
+of ``learn.unroll_policy``. Each episode stores its acting distributions and
+the one epsilon it ran with, so that replay can re-evaluate it exactly later.
 
 One seed rule serves training and evaluation: episode g of stream s under
-seed S seeds its env generator with word 0 of
-``SeedSequence(S, spawn_key=(s, g)).generate_state(2)`` and its action
-generator with word 1, and stores g as its generation. The sampler plays
-stream 1 of the run seed, ``harness.evaluate`` stream 2 of its evaluation
-seed.
+seed S seeds its env and action generators with words 0 and 1 of
+``SeedSequence(S, spawn_key=(s, g)).generate_state(2)`` and stores g as its
+generation. The sampler plays stream 1 of the run seed, ``harness.evaluate``
+stream 2 of its evaluation seed.
 
 Exploration is fixed once per sampler request: every episode of a request
 runs with ``epsilon_at(S)``, where S is the env-step count when the request
@@ -30,15 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .learn import Episode
-from .policy import (
-    ActorConfig,
-    EpsilonSchedule,
-    actor_cell,
-    actor_inputs,
-    epsilon_at,
-    masked_epsilon_probs,
-    select_action,
-)
+from .policy import (ActorConfig, EpsilonSchedule, actor_cell, actor_inputs, epsilon_at,
+                     masked_epsilon_probs, select_actions)
 
 Array = np.ndarray
 
@@ -70,7 +63,7 @@ def rollout_episodes(
     keys = [env.reset(rng) for rng in env_rngs]
     steps: list[list[tuple]] = [[] for _ in range(count)]
     wins = [False] * count
-    prev_actions = [[-1] * n for _ in range(count)]
+    actions = np.full((count, n), -1)  # each live episode's previous actions
     hidden: Array | ad.Tensor = np.zeros((count * n, cfg.gru_hidden))
     live = list(range(count))
     while live:
@@ -78,24 +71,22 @@ def rollout_episodes(
         obs = np.array([env.observations(keys[i]) for i in live])
         avail = np.array([env.avail_actions(keys[i]) for i in live], dtype=np.float64)
         with ad.no_grad():
-            x = actor_inputs(cfg, obs, [prev_actions[i] for i in live]).reshape(rows, -1)
+            x = actor_inputs(cfg, obs, actions).reshape(rows, -1)
             logits, hidden = actor_cell(params, x, hidden)
             dist = masked_epsilon_probs(
                 logits, avail.reshape(rows, -1), epsilon).data.reshape(len(live), n, -1)
 
+        actions = select_actions(dist, mode, [action_rngs[i] for i in live])
         still = []
         for j, i in enumerate(live):
-            actions = [select_action(dist[j, a], mode, action_rngs[i]) for a in range(n)]
-            key, reward, terminal, wins[i] = env.step(keys[i], actions, env_rngs[i])
-            steps[i].append((env.state_vector(keys[i]), obs[j], avail[j], actions, reward,
-                             dist[j]))
-            keys[i] = key
-            prev_actions[i] = actions
+            state = env.state_vector(keys[i])
+            keys[i], reward, terminal, wins[i] = env.step(keys[i], actions[j], env_rngs[i])
+            steps[i].append((state, obs[j], avail[j], actions[j], reward, dist[j]))
             if not terminal:
                 still.append(j)
         if len(still) < len(live):
-            keep = (np.asarray(still, dtype=np.int64)[:, None] * n + np.arange(n)).reshape(-1)
-            hidden = hidden.data[keep]
+            hidden = hidden.data.reshape(len(live), n, -1)[still].reshape(-1, cfg.gru_hidden)
+            actions = actions[still]
             live = [live[j] for j in still]
 
     episodes = []

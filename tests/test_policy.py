@@ -15,7 +15,7 @@ from sopac.policy import (
     actor_inputs,
     epsilon_at,
     masked_epsilon_probs,
-    select_action,
+    select_actions,
 )
 from sopac.rollout import rollout_episodes
 from sopac.sop import episode_kls
@@ -94,25 +94,84 @@ class TestMaskedEpsilonProbs:
         assert (probs[avail[0] == 1.0] >= eps / n_avail - 1e-12).all()
 
 
-class TestSelectAction:
+def choice_reference(dist, rngs):
+    """One ``rng.choice`` per agent, agents in order, each episode on its own generator."""
+    m = dist.shape[-1]
+    return np.array([[rng.choice(m, p=row / row.sum()) for row in rows]
+                     for rows, rng in zip(dist, rngs)], dtype=np.int64)
+
+
+def random_dists(rng, shape, kind):
+    """(L, n, m) acting distributions: masked epsilon-softmaxes at a random
+    epsilon, epsilon = 0 ones with sharp logits, or near-one-hot rows."""
+    if kind == "near-one-hot":
+        dist = np.full(shape, 1e-12)
+        dist[..., rng.integers(shape[-1])] = 1.0
+        return dist
+    avail = rng.random(shape) < 0.6
+    avail[..., rng.integers(shape[-1])] = True
+    scale, eps = (30.0, 0.0) if kind == "epsilon-zero" else (2.0, rng.random())
+    logits = rng.standard_normal(shape) * scale
+    rows = masked_epsilon_probs(logits.reshape(-1, shape[-1]),
+                                avail.reshape(-1, shape[-1]), eps)
+    return rows.data.reshape(shape)
+
+
+class TestSelectActions:
     def test_greedy_argmax(self):
-        assert select_action(np.array([0.1, 0.7, 0.2]), "greedy") == 1
+        dist = np.array([[[0.1, 0.7, 0.2], [0.6, 0.1, 0.3]]])
+        actions = select_actions(dist, "greedy")
+        assert actions.dtype == np.int64 and actions.tolist() == [[1, 0]]
 
     def test_greedy_tie_breaks_to_lowest_index(self):
-        assert select_action(np.array([0.5, 0.5]), "greedy") == 0
+        assert select_actions(np.array([[[0.5, 0.5], [0.0, 0.0]]]), "greedy").tolist() == [[0, 0]]
 
     def test_degenerate_sample(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert select_action(np.array([0.0, 1.0]), "sample", rng) == 1
+            assert select_actions(np.array([[[0.0, 1.0], [1.0, 0.0]]]), "sample",
+                                  [rng]).tolist() == [[1, 0]]
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 5.0), st.floats(0.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_greedy_invariant_under_monotone_transforms(self, seed, scale, shift):
         rng = np.random.default_rng(seed)
-        probs = rng.dirichlet(np.ones(5))
+        probs = rng.dirichlet(np.ones(5), size=(3, 2))
         transformed = scale * probs + shift
-        assert select_action(probs, "greedy") == select_action(transformed, "greedy")
+        assert np.array_equal(select_actions(probs, "greedy"),
+                              select_actions(transformed, "greedy"))
+
+    @pytest.mark.parametrize("kind", ["masked", "epsilon-zero", "near-one-hot"])
+    def test_sample_matches_generator_choice(self, kind):
+        """Same actions as per-agent ``rng.choice``, and every generator left
+        in the same state: the draw relies on numpy's ``choice`` internals."""
+        meta = np.random.default_rng(["masked", "epsilon-zero", "near-one-hot"].index(kind))
+        for _ in range(150):
+            shape = (int(meta.integers(1, 9)), int(meta.integers(1, 5)),
+                     int(meta.choice([2, 3, 5, 9])))
+            dist = random_dists(meta, shape, kind)
+            seeds = [int(s) for s in meta.integers(2**63, size=shape[0])]
+            ours = [np.random.default_rng(s) for s in seeds]
+            theirs = [np.random.default_rng(s) for s in seeds]
+            actions = select_actions(dist, "sample", ours)
+            assert actions.dtype == np.int64
+            assert np.array_equal(actions, choice_reference(dist, theirs))
+            assert [r.bit_generator.state for r in ours] == [
+                r.bit_generator.state for r in theirs]
+
+    @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [-0.2, 0.6, 0.6], [0.0, 0.0, 0.0]],
+                             ids=["nan", "negative", "zero-sum"])
+    def test_invalid_row_rejected(self, row):
+        dist = np.array([[[0.2, 0.3, 0.5], row]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                select_actions(dist, "sample", [np.random.default_rng(0)])
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(3, p=np.asarray(row) / np.sum(row))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            select_actions(np.full((1, 2, 2), 0.5), "softmax")
 
 
 class TestHistoryAndDistribution:

@@ -8,7 +8,7 @@ import pytest
 from sopac import harness, rollout
 from sopac.envs import CaptureGrid, CaptureGridConfig, SwitchGame
 from sopac.learn import Batch, batch_policy_probs
-from sopac.policy import ActorConfig, EpsilonSchedule, actor_init, epsilon_at, select_action
+from sopac.policy import ActorConfig, EpsilonSchedule, actor_init, epsilon_at
 from sopac.rollout import rollout_episodes, sample_episode_fn
 
 FIELDS = ("states", "obs", "avail", "actions", "rewards", "dists")
@@ -103,10 +103,13 @@ class TestLockstepGroup:
             for state, actions in zip(episode.states, episode.actions):
                 assert np.array_equal(state, env.state_vector(key))
                 key, *_ = env.step(key, actions, env_rng)
+            # the action generator makes one choice per agent per step
             rng = np.random.default_rng(action_seed)
+            m = env.spec.n_actions
             assert episode.actions.dtype == np.int64
             assert episode.actions.tolist() == [
-                [select_action(dist, "sample", rng) for dist in step] for step in episode.dists]
+                [int(rng.choice(m, p=dist / dist.sum())) for dist in step]
+                for step in episode.dists]
 
     @pytest.mark.parametrize("env", [walking_grid(), SwitchGame()], ids=["capture", "switch"])
     def test_rollout_leaves_the_env_unchanged(self, env):
