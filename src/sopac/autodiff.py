@@ -28,6 +28,15 @@ associative, so ``g + (a + b)`` and ``(g + a) + b`` can differ in the last
 bit. ``tests/reference.py`` keeps the composed versions as oracles, with
 the elementwise ops only they use (``matmul``, ``sigmoid``, ``tanh``,
 ``exp``, ``div``, ``sum_last``).
+
+Time-hoisted nodes take the R rows of each of T time steps at once,
+time-major: ``linear`` and ``sum_all`` with ``steps=T``, and ``gru_unroll``.
+Row-exactness lets every product that does not depend on the hidden state
+run once over all T*R rows. Their backward equals a tape of T per-step nodes
+bit for bit under one more rule: every product that tape takes per step is
+one stacked ``np.matmul`` over the (T, R, .) view, never a flat product over
+all rows, and the per-step terms bound for one parameter are added one step
+at a time, in the per-step tape's order.
 """
 
 from __future__ import annotations
@@ -205,20 +214,42 @@ def _rowwise(xd: Array, wd: Array) -> Array:
     return np.ascontiguousarray(xd) @ wd
 
 
-def linear(x, w, b) -> Tensor:
-    """Dense layer ``x @ w + b`` as one node: row-exact product plus bias."""
+def _sum_steps(terms: Array, last_first: bool) -> Array:
+    """Add ``terms[t]`` one step at a time, first step first or last step first."""
+    if last_first:
+        terms = terms[::-1]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _steps_view(a: Array, steps: int) -> Array:
+    """The (steps, R, width) view of time-major rows."""
+    if a.ndim != 2 or a.shape[0] % steps:
+        raise ShapeError(f"{a.shape[0]} rows do not split into {steps} steps")
+    return a.reshape(steps, -1, a.shape[1])
+
+
+def linear(x, w, b, steps: int = 1, last_first: bool = False) -> Tensor:
+    """Dense layer ``x @ w + b`` as one node: row-exact product plus bias.
+    With ``steps`` > 1, ``x`` holds the rows of ``steps`` time steps and the
+    backward is that of one node per step, adding the weight and bias terms
+    last step first when ``last_first``."""
     xd, wd, bd = _data(x), _data(w), _data(b)
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {xd.shape} @ {wd.shape}")
+    x3 = _steps_view(xd, steps)
     out = _rowwise(xd, wd) + bd
 
     def backward(g: Array) -> None:
+        g3 = _steps_view(g, steps)
         if isinstance(x, Tensor):
-            accumulate(x, g @ wd.T)
+            accumulate(x, np.matmul(g3, wd.T).reshape(xd.shape))
         if isinstance(w, Tensor):
-            accumulate(w, xd.T @ g)
+            accumulate(w, _sum_steps(np.matmul(x3.transpose(0, 2, 1), g3), last_first))
         if isinstance(b, Tensor):
-            accumulate(b, _unbroadcast(g, bd.shape))
+            accumulate(b, _sum_steps(g3.sum(axis=1), last_first).reshape(bd.shape))
 
     return record(out, (x, w, b), backward)
 
@@ -260,9 +291,12 @@ def square(x) -> Tensor:
     return record(out, (x,), backward)
 
 
-def sum_all(x) -> Tensor:
+def sum_all(x, steps: int = 1) -> Tensor:
+    """Sum of every entry. With ``steps`` > 1 the rows are ``steps`` equal
+    blocks, time-major: each block is summed alone and the block sums are
+    added first block first, as a tape of one sum per step adds them."""
     xd = _data(x)
-    out = np.asarray(xd.sum())
+    out = np.asarray(_sum_steps(xd.reshape(steps, -1).sum(axis=1), last_first=False))
 
     def backward(g: Array) -> None:
         if isinstance(x, Tensor):
@@ -447,6 +481,40 @@ def gru_init(
     return ParamSet(params)
 
 
+def _gru_gates(params: ParamSet, prefix: str) -> tuple[tuple[Tensor, ...], ...]:
+    """The GRU's (W, U, b) tensors, each in gate order: reset, update, candidate."""
+    return tuple(tuple(params[f"{prefix}{kind}{gate}"] for gate in "rzh") for kind in "wub")
+
+
+def _gru_cell(xw, hd: Array, u, b) -> tuple[Array, ...]:
+    """One GRU step from its input products ``xw`` = (x Wr, x Wz, x Wh):
+    returns (r, z, r*h, c, h')."""
+    r = _sigmoid((xw[0] + _rowwise(hd, u[0])) + b[0])
+    z = _sigmoid((xw[1] + _rowwise(hd, u[1])) + b[1])
+    rh = r * hd
+    c = np.tanh((xw[2] + _rowwise(rh, u[2])) + b[2])
+    return r, z, rh, c, (1.0 - z) * hd + z * c
+
+
+def _gru_cell_grads(g: Array, hd: Array, r: Array, z: Array, c: Array,
+                    uh: Array) -> tuple[Array, ...]:
+    """One step's (reset, update, candidate) pre-activation gradients and the
+    gradient of r*h, grouped as the composed graph groups them."""
+    g_z = g * c - g * hd
+    g_zpre = (g_z * z) * (1.0 - z)
+    g_cpre = (g * z) * (1.0 - c * c)
+    g_rh = g_cpre @ uh.T
+    g_rpre = ((g_rh * hd) * r) * (1.0 - r)
+    return g_rpre, g_zpre, g_cpre, g_rh
+
+
+def _gru_state_terms(g: Array, r: Array, z: Array, g_rpre: Array, g_zpre: Array,
+                     g_rh: Array, u) -> tuple[Array, ...]:
+    """The four terms one step sends its input hidden state, in the composed
+    graph's order."""
+    return g * (1.0 - z), g_zpre @ u[1].T, g_rh * r, g_rpre @ u[0].T
+
+
 def gru_step(params: ParamSet, x, h, prefix: str = "") -> Tensor:
     """One GRU cell step, recorded as one node.
 
@@ -456,46 +524,82 @@ def gru_step(params: ParamSet, x, h, prefix: str = "") -> Tensor:
     next     h' = (1 - z) * h + z * c
     """
     xd, hd = _data(x), _data(h)
-    wr, ur, br, wz, uz, bz, wh, uh, bh = (
-        params[f"{prefix}{name}"]
-        for name in ("wr", "ur", "br", "wz", "uz", "bz", "wh", "uh", "bh"))
+    (wr, wz, wh), (ur, uz, uh), (br, bz, bh) = _gru_gates(params, prefix)
     hidden = ur.data.shape[0]
     if hd.ndim != 2 or hd.shape[1] != hidden:
         raise ShapeError(f"gru_step: hidden state {hd.shape} vs width {hidden}")
-    r = _sigmoid((_rowwise(xd, wr.data) + _rowwise(hd, ur.data)) + br.data)
-    z = _sigmoid((_rowwise(xd, wz.data) + _rowwise(hd, uz.data)) + bz.data)
-    rh = r * hd
-    c = np.tanh((_rowwise(xd, wh.data) + _rowwise(rh, uh.data)) + bh.data)
-    keep = 1.0 - z
-    out = keep * hd + z * c
+    u = (ur.data, uz.data, uh.data)
+    r, z, rh, c, out = _gru_cell([_rowwise(xd, w.data) for w in (wr, wz, wh)], hd, u,
+                                 (br.data, bz.data, bh.data))
 
     def backward(g: Array) -> None:
-        # The composed graph's terms, grouped as it grouped them.
-        g_z = g * c - g * hd
-        g_zpre = (g_z * z) * keep
-        g_cpre = (g * z) * (1.0 - c * c)
-        g_rh = g_cpre @ uh.data.T
-        g_rpre = ((g_rh * hd) * r) * (1.0 - r)
+        g_rpre, g_zpre, g_cpre, g_rh = _gru_cell_grads(g, hd, r, z, c, uh.data)
         for p, gp in ((wr, xd.T @ g_rpre), (ur, hd.T @ g_rpre), (br, g_rpre),
                       (wz, xd.T @ g_zpre), (uz, hd.T @ g_zpre), (bz, g_zpre),
                       (wh, xd.T @ g_cpre), (uh, rh.T @ g_cpre), (bh, g_cpre)):
             accumulate(p, _unbroadcast(gp, p.data.shape))
         # Each term separately and in the composed graph's order.
         if isinstance(x, Tensor):
-            accumulate(x, g_cpre @ wh.data.T)
-            accumulate(x, g_zpre @ wz.data.T)
-            accumulate(x, g_rpre @ wr.data.T)
+            for w, gp in ((wh, g_cpre), (wz, g_zpre), (wr, g_rpre)):
+                accumulate(x, gp @ w.data.T)
         if isinstance(h, Tensor):
-            accumulate(h, g * keep)
-            accumulate(h, g_zpre @ uz.data.T)
-            accumulate(h, g_rh * r)
-            accumulate(h, g_rpre @ ur.data.T)
+            for term in _gru_state_terms(g, r, z, g_rpre, g_zpre, g_rh, u):
+                accumulate(h, term)
 
     # x before h: backward()'s depth-first ordering then explores the earlier
     # steps before this step's input layer, as in the composed graph, so a
     # shared parameter such as fc1's receives its per-step terms in the same
     # order (last step first).
     return record(out, (x, h, wr, ur, br, wz, uz, bz, wh, uh, bh), backward)
+
+
+def gru_unroll(params: ParamSet, x, steps: int, prefix: str = "") -> Tensor:
+    """The GRU over ``steps`` time steps from a zero hidden state, as one node
+    whose values and gradients equal ``steps`` chained ``gru_step`` nodes'.
+
+    ``x`` holds the input rows of every step and the output the hidden state
+    after every step, time-major. Only the h U products run per step. The
+    backward is one reverse loop: a step's hidden-state gradient is the
+    output's term, then the next step's four terms in ``gru_step``'s order;
+    parameter terms are added last step first; the input gets its candidate,
+    update and reset terms in that order.
+    """
+    xd = _data(x)
+    (wr, wz, wh), (ur, uz, uh), (br, bz, bh) = _gru_gates(params, prefix)
+    u, b = (ur.data, uz.data, uh.data), (br.data, bz.data, bh.data)
+    x3 = _steps_view(xd, steps)
+    xw = [_steps_view(_rowwise(xd, w.data), steps) for w in (wr, wz, wh)]
+    hs = np.zeros((steps + 1, x3.shape[1], ur.data.shape[0]))  # hs[t]: step t's input
+    rhs = np.empty_like(hs[1:])
+    cells = []
+    for t in range(steps):
+        r, z, rhs[t], c, hs[t + 1] = _gru_cell([p[t] for p in xw], hs[t], u, b)
+        cells.append((r, z, c))
+    out = hs[1:].reshape(xd.shape[0], -1)
+
+    def backward(g: Array) -> None:
+        g3 = _steps_view(g, steps)
+        pre = np.empty((3, *g3.shape))  # reset, update, candidate; per step
+        terms: tuple[Array, ...] = ()
+        for t in range(steps - 1, -1, -1):
+            g_t = g3[t]
+            for term in terms:
+                g_t = g_t + term
+            r, z, c = cells[t]
+            pre[0, t], pre[1, t], pre[2, t], g_rh = _gru_cell_grads(g_t, hs[t], r, z, c, u[2])
+            if t:
+                terms = _gru_state_terms(g_t, r, z, pre[0, t], pre[1, t], g_rh, u)
+        states = hs[:-1].transpose(0, 2, 1)
+        for gp, w, uu, bb, h_in in zip(pre, (wr, wz, wh), (ur, uz, uh), (br, bz, bh),
+                                       (states, states, rhs.transpose(0, 2, 1))):
+            accumulate(w, _sum_steps(np.matmul(x3.transpose(0, 2, 1), gp), True))
+            accumulate(uu, _sum_steps(np.matmul(h_in, gp), True))
+            accumulate(bb, _sum_steps(gp.sum(axis=1), True))
+        if isinstance(x, Tensor):
+            for w, gp in ((wh, pre[2]), (wz, pre[1]), (wr, pre[0])):
+                accumulate(x, np.matmul(gp, w.data.T).reshape(xd.shape))
+
+    return record(out, (x, wr, ur, br, wz, uz, bz, wh, uh, bh), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ targets fixed up front; the schedule is the sweep. ``minibatch`` takes one
 optimiser step per timestep, sweeping t = T..1, and ``wholebatch`` takes a
 single step on the loss summed over all timesteps. Every optimiser step
 advances the target-network counter.
+
+The actor is replayed over a batch by ``unroll_policy`` in one hoisted pass:
+its (T*B*n, m) probabilities are time-major, then episode-major, and
+``policy_loss`` reads them in one gather, mask, log and weighted sum. The
+unroll and loss record the same 12 tape nodes at any T, and their values and
+gradients equal those of a tape with one actor step per time step, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import critic as cr
 from .autodiff import NumericError, OptimizerState, ParamSet, Tensor
-from .policy import ActorConfig, actor_cell, actor_init, actor_inputs, masked_epsilon_probs
+from .policy import ActorConfig, actor_init, actor_inputs, actor_unroll, masked_epsilon_probs
 
 Array = np.ndarray
 
@@ -193,37 +200,34 @@ def actor_step_inputs(batch: Batch, cfg: ActorConfig) -> Array:
     return rows.reshape(t_max, b * n, cfg.input_width)
 
 
-def unroll_policy(params: ParamSet, cfg: ActorConfig, batch: Batch) -> list[Tensor]:
-    """Per-step acting distributions over the batch, each episode's rows
-    floored by its stored epsilon.
+def unroll_policy(params: ParamSet, cfg: ActorConfig, batch: Batch) -> Tensor:
+    """(T*B*n, m) acting distributions over the batch, rows time-major then
+    episode-major, each episode's rows floored by its stored epsilon.
 
-    Runs in the caller's gradient mode: wrap in ``autodiff.no_grad()`` when
-    the probabilities are wanted as constants.
+    One hoisted pass (``policy.actor_unroll``) whose values and gradients
+    equal a per-step unroll's bit for bit. Runs in the caller's gradient
+    mode: wrap in ``autodiff.no_grad()`` when the probabilities are wanted
+    as constants.
     """
     b, t_max, n, m = batch.dists.shape
     if not ((batch.epsilons >= 0.0) & (batch.epsilons <= 1.0)).all():
         raise ValueError("stored epsilons must lie in [0, 1]")
-    inputs = actor_step_inputs(batch, cfg)
-    eps = np.repeat(batch.epsilons, n)[:, None]  # (b * n, 1), episode-major
-    hidden: Tensor | Array = np.zeros((b * n, cfg.gru_hidden))
-    probs: list[Tensor] = []
-    for t in range(t_max):
-        logits, hidden = actor_cell(params, inputs[t], hidden)
-        avail_t = batch.avail[:, t].reshape(b * n, m)
-        probs.append(masked_epsilon_probs(logits, avail_t, eps))
-    return probs
+    inputs = actor_step_inputs(batch, cfg).reshape(t_max * b * n, cfg.input_width)
+    eps = np.tile(np.repeat(batch.epsilons, n), t_max)[:, None]
+    avail = batch.avail.swapaxes(0, 1).reshape(t_max * b * n, m)
+    return masked_epsilon_probs(actor_unroll(params, inputs, t_max), avail, eps)
 
 
-def _stacked_probs(batch: Batch, probs: Sequence[Tensor]) -> Array:
-    """(B, T, n, m) array of the per-step probabilities of an unroll."""
-    b, _, n, m = batch.dists.shape
-    return np.stack([p.data.reshape(b, n, m) for p in probs], axis=1)
+def _by_episode(batch: Batch, rows: Array) -> Array:
+    """(B, T, n, ...) C-ordered array of time-major (T*B*n, ...) rows."""
+    b, t_max, n, _ = batch.dists.shape
+    return np.ascontiguousarray(rows.reshape(t_max, b, n, -1).swapaxes(0, 1))
 
 
 def batch_policy_probs(params: ParamSet, cfg: ActorConfig, batch: Batch) -> Array:
     """(B, T, n, m) current-policy probabilities as plain arrays."""
     with ad.no_grad():
-        return _stacked_probs(batch, unroll_policy(params, cfg, batch))
+        return _by_episode(batch, unroll_policy(params, cfg, batch).data)
 
 
 def _batch_layout(batch: Batch, algo: str) -> cr.CriticInputLayout:
@@ -250,12 +254,18 @@ def _critic_values(params: ParamSet, inputs: Array, actions: Array | None) -> Te
 # Critic updates
 
 
+def _critic_loss_terms(params: ParamSet, inputs: Array, targets: Array,
+                       weights: Array, actions: Array | None) -> Tensor:
+    """One weighted squared error per row of ``targets``, in its order."""
+    pred = _critic_values(params, inputs, actions)
+    diff = ad.sub(targets.reshape(-1, 1), pred)
+    return ad.mul(ad.square(diff), weights.reshape(-1, 1))
+
+
 def critic_loss_tensor(params: ParamSet, inputs: Array, targets: Array,
                        weights: Array, actions: Array | None) -> Tensor:
     """Weighted squared error between fixed targets and critic predictions."""
-    pred = _critic_values(params, inputs, actions)
-    diff = ad.sub(targets.reshape(-1, 1), pred)
-    return ad.sum_all(ad.mul(ad.square(diff), weights.reshape(-1, 1)))
+    return ad.sum_all(_critic_loss_terms(params, inputs, targets, weights, actions))
 
 
 def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
@@ -309,7 +319,7 @@ def critic_update(
 
 def compute_advantages(
     batch: Batch, inputs: Array, algo: str, critic_params: ParamSet,
-    probs: Sequence[Tensor] | None, gamma: float, gamma_adv_one: bool,
+    probs: Tensor | None, gamma: float, gamma_adv_one: bool,
 ) -> Array:
     """(B, T, n) advantages from the batch's ``critic_batch_inputs``; padded
     steps come out exactly zero.
@@ -336,7 +346,7 @@ def compute_advantages(
 
     rows = cr.counterfactual_values(critic_params, _batch_layout(batch, algo), inputs)
     taken = np.take_along_axis(rows, batch.actions[..., None], axis=-1)[..., 0]
-    baseline = np.einsum("btam,btam->bta", _stacked_probs(batch, probs), rows)
+    baseline = np.einsum("btam,btam->bta", _by_episode(batch, probs.data), rows)
     return (taken - baseline) * batch.pad[:, :, None]
 
 
@@ -344,24 +354,26 @@ def compute_advantages(
 # Policy update
 
 
-def policy_loss(batch: Batch, advantages: Array, probs: Sequence[Tensor]) -> Tensor:
-    """-sum over valid (t, a) of log pi(u_t^a | tau_t^a) * A, padding-masked;
-    ``probs`` is a taped ``unroll_policy`` over the batch."""
+def _policy_loss_terms(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
+    """(T*B*n, 1) terms log pi(u_t^a | tau_t^a) * A of every (t, b, a) row,
+    time-major; padded rows are exactly zero."""
     b, t_max, n, m = batch.dists.shape
     advantages = np.asarray(advantages, dtype=np.float64)
     if advantages.shape != (b, t_max, n):
         raise ValueError(f"advantages shape {advantages.shape} != {(b, t_max, n)}")
-    pad_rows = np.repeat(batch.pad, n, axis=0).reshape(b, n, t_max)
-    total: Tensor | None = None
-    for t in range(t_max):
-        taken = batch.actions[:, t].reshape(-1)
-        p = ad.gather_last(probs[t], taken)
-        pad_t = pad_rows[:, :, t].reshape(b * n, 1)
-        p_safe = ad.add(ad.mul(p, pad_t), 1.0 - pad_t)  # padded rows read log(1) = 0
-        weight = (advantages[:, t, :].reshape(b * n, 1)) * pad_t
-        term = ad.sum_all(ad.mul(ad.log(p_safe), weight))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, -1.0)
+    pad = np.repeat(batch.pad.T, n, axis=1).reshape(-1, 1)
+    p = ad.gather_last(probs, batch.actions.swapaxes(0, 1).reshape(-1))
+    p_safe = ad.add(ad.mul(p, pad), 1.0 - pad)  # padded rows read log(1) = 0
+    weight = advantages.swapaxes(0, 1).reshape(-1, 1) * pad
+    return ad.mul(ad.log(p_safe), weight)
+
+
+def policy_loss(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
+    """-sum over valid (t, a) of log pi(u_t^a | tau_t^a) * A, padding-masked;
+    ``probs`` is a taped ``unroll_policy`` over the batch. The terms are
+    summed per step and the step sums added first step first."""
+    terms = _policy_loss_terms(batch, advantages, probs)
+    return ad.mul(ad.sum_all(terms, batch.max_length), -1.0)
 
 
 def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
@@ -372,7 +384,7 @@ def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
 
 
 def policy_gradient_update(
-    batch: Batch, advantages: Array, probs: Sequence[Tensor], params: ParamSet,
+    batch: Batch, advantages: Array, probs: Tensor, params: ParamSet,
     opt: OptimizerState, cfg: LearnConfig,
 ) -> tuple[ParamSet, OptimizerState, float]:
     """One optimiser step on the policy-gradient loss of ``probs``, a taped

@@ -5,7 +5,10 @@ linear output head. Per-agent behaviour differs only through the inputs,
 which concatenate the local observation, the agent's previous action as a
 one-hot, and the agent's one-hot id; ``actor_inputs`` is the one encoder of
 those rows, for a single step of the rollout and for a padded batch alike.
-Recorded histories are replayed by ``learn.unroll_policy`` alone.
+The rollout steps the actor with ``actor_cell``; recorded histories are
+replayed by ``learn.unroll_policy`` alone, through ``actor_unroll``, which
+runs all T steps as one hoisted pass with the values and gradients of T
+chained ``actor_cell`` calls.
 
 The acting distribution masks unavailable actions, softmaxes the remaining
 logits, and mixes in a uniform floor: pi = (1 - eps) * softmax + eps / k over
@@ -88,6 +91,16 @@ def actor_cell(params: ParamSet, x, h) -> tuple[Tensor, Tensor]:
     h_next = ad.gru_step(params, z, h, prefix="gru.")
     logits = ad.mlp_forward(params, h_next, prefix="fc2.")
     return logits, h_next
+
+
+def actor_unroll(params: ParamSet, x, steps: int) -> Tensor:
+    """The logits of ``steps`` chained ``actor_cell`` calls from a zero hidden
+    state, bit for bit, as one hoisted pass over the time-major rows of every
+    step. A per-step tape adds fc1's weight terms last step first, behind the
+    recursion, and fc2's first step first."""
+    z = ad.relu(ad.linear(x, params["fc1.w0"], params["fc1.b0"], steps, last_first=True))
+    h = ad.gru_unroll(params, z, steps, prefix="gru.")
+    return ad.linear(h, params["fc2.w0"], params["fc2.b0"], steps)
 
 
 def masked_epsilon_probs(logits, avail: Array, epsilon) -> Tensor:

@@ -8,8 +8,10 @@ episode is its env key plus two seeded generators: the env generator makes
 the env's draws, the action generator one uniform per agent per step. So
 row-exact batching in the autodiff core makes each stored episode
 bit-identical to playing it alone (a group of one), and to the padded replay
-of ``learn.unroll_policy``. Each episode stores its acting distributions and
-the one epsilon it ran with, so that replay can re-evaluate it exactly later.
+of ``learn.unroll_policy``, which runs all steps of a batch in one hoisted
+pass where the rollout runs one ``actor_cell`` per step. Each episode stores
+its acting distributions and the one epsilon it ran with, so that replay can
+re-evaluate it exactly later.
 
 One seed rule serves training and evaluation: episode g of stream s under
 seed S seeds its env and action generators with words 0 and 1 of

@@ -4,7 +4,11 @@ The composed dense stack, GRU cell and masked epsilon-softmax build their
 graphs from elementwise autodiff ops, one tape node per op; the fused nodes
 in ``sopac`` must match them bit for bit, forward and backward. The ops that
 only these compositions use (``matmul``, ``sigmoid``, ``tanh``, ``exp``,
-``div``, ``sum_last``) live here, on the engine's tape helpers. The scalar
+``div``, ``sum_last``) live here, on the engine's tape helpers.
+``stepwise_unroll`` and ``stepwise_policy_loss`` are the per-step taped actor
+replay and policy loss, one ``actor_cell`` and seven loss nodes per step,
+that the hoisted ``learn.unroll_policy`` and ``learn.policy_loss`` must
+match bit for bit. The scalar
 return, advantage and KL formulas are the per-step definitions that the
 batched code in ``sopac`` vectorises, ``td_lambda_loop`` is the one-episode
 backward recursion that the batched TD(lambda) targets must reproduce, ``comacc_q`` is the one-row critic
@@ -22,9 +26,11 @@ import numpy as np
 
 from sopac import autodiff as ad
 from sopac import critic as cr
+from sopac import learn
 from sopac.autodiff import Tensor, _data, _rowwise, _sigmoid, _unbroadcast, accumulate, record
 from sopac.envs import _MOVES, CaptureGrid, GridKey
-from sopac.policy import MaskError
+from sopac.learn import Batch, actor_step_inputs
+from sopac.policy import ActorConfig, MaskError, actor_cell
 from sopac.sop import kl_estimator_term
 
 Array = np.ndarray
@@ -143,6 +149,48 @@ def composed_masked_epsilon_probs(logits, avail: Array, epsilon) -> ad.Tensor:
     soft = div(z, sum_last(z))
     eps = np.asarray(epsilon, dtype=np.float64)
     return ad.add(ad.mul(soft, 1.0 - eps), (eps / counts) * avail)
+
+
+# ---------------------------------------------------------------------------
+# The per-step actor unroll and policy loss
+
+
+def stepwise_unroll(params: ad.ParamSet, cfg: ActorConfig, batch: Batch) -> list[Tensor]:
+    """Per-step acting distributions over the batch, each episode's rows
+    floored by its stored epsilon: one ``actor_cell`` and one masked
+    epsilon-softmax node per step."""
+    b, t_max, n, m = batch.dists.shape
+    if not ((batch.epsilons >= 0.0) & (batch.epsilons <= 1.0)).all():
+        raise ValueError("stored epsilons must lie in [0, 1]")
+    inputs = actor_step_inputs(batch, cfg)
+    eps = np.repeat(batch.epsilons, n)[:, None]  # (b * n, 1), episode-major
+    hidden: Tensor | Array = np.zeros((b * n, cfg.gru_hidden))
+    probs: list[Tensor] = []
+    for t in range(t_max):
+        logits, hidden = actor_cell(params, inputs[t], hidden)
+        avail_t = batch.avail[:, t].reshape(b * n, m)
+        probs.append(learn.masked_epsilon_probs(logits, avail_t, eps))
+    return probs
+
+
+def stepwise_policy_loss(batch: Batch, advantages: Array, probs: Sequence[Tensor]) -> Tensor:
+    """-sum over valid (t, a) of log pi(u_t^a | tau_t^a) * A, padding-masked,
+    with seven nodes per step; ``probs`` is a taped ``stepwise_unroll``."""
+    b, t_max, n, m = batch.dists.shape
+    advantages = np.asarray(advantages, dtype=np.float64)
+    if advantages.shape != (b, t_max, n):
+        raise ValueError(f"advantages shape {advantages.shape} != {(b, t_max, n)}")
+    pad_rows = np.repeat(batch.pad, n, axis=0).reshape(b, n, t_max)
+    total: Tensor | None = None
+    for t in range(t_max):
+        taken = batch.actions[:, t].reshape(-1)
+        p = ad.gather_last(probs[t], taken)
+        pad_t = pad_rows[:, :, t].reshape(b * n, 1)
+        p_safe = ad.add(ad.mul(p, pad_t), 1.0 - pad_t)  # padded rows read log(1) = 0
+        weight = (advantages[:, t, :].reshape(b * n, 1)) * pad_t
+        term = ad.sum_all(ad.mul(ad.log(p_safe), weight))
+        total = term if total is None else ad.add(total, term)
+    return ad.mul(total, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -218,9 +218,9 @@ class TestDeterminismAndBatching:
         assert params_equal(grads(), grads())
 
 
-def trainer_weight_shapes() -> list[tuple[int, int]]:
-    """(K, N) of every weight matrix of the default trainer of each env and
-    algorithm, and of the gradient suite's trainers."""
+def trainer_weight_shapes(nets=("actor", "critic")) -> list[tuple[int, int]]:
+    """(K, N) of every weight matrix of the ``nets`` of the default trainer of
+    each env and algorithm, and of the gradient suite's trainers."""
     trainers = []
     for env in harness.ENVS:
         for algo in harness.ALGOS:
@@ -229,7 +229,7 @@ def trainer_weight_shapes() -> list[tuple[int, int]]:
     rng = np.random.default_rng(0)
     trainers += [verify._check_trainer(rng, algo, verify.CHECK_DIMS) for algo in harness.ALGOS]
     return sorted({tensor.data.shape for trainer in trainers
-                   for params in (trainer.actor, trainer.critic)
+                   for params in (getattr(trainer, net) for net in nets)
                    for _, tensor in params.items() if tensor.data.ndim == 2})
 
 
@@ -264,6 +264,53 @@ class TestRowExactKernel:
                      != singles[offset : offset + rows].view(np.int64)).any(axis=1))
                 assert bad.size == 0, (
                     f"{k}x{n}, {rows} rows at offset {offset}: rows {bad[:5]} differ")
+
+
+ACTOR_SHAPES = trainer_weight_shapes(("actor",))
+STEP_COUNTS = (1, 2, 5, 20)
+STEP_ROWS = (1, 2, 3, 6, 8, 16, 24, 48)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestStackedStepProducts:
+    """The hoisted actor backward takes every product that a per-step tape
+    takes per step as one stacked ``np.matmul`` over the (T, R, .) view of
+    its rows, and every per-step row sum as one sum over the R axis. At every
+    actor weight shape, each step's slice must equal that step's own product
+    or sum bit for bit; a BLAS or numpy that folds the stack into one larger
+    product fails here."""
+
+    @pytest.mark.parametrize("shape", ACTOR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_stacked_products_equal_per_step_products(self, shape):
+        k, n = shape
+        rng = np.random.default_rng(1000 * k + n)
+        w = rng.uniform(-1.0, 1.0, size=(k, n))
+        for steps in STEP_COUNTS:
+            for rows in STEP_ROWS:
+                x = rng.standard_normal((steps, rows, k))
+                g = rng.standard_normal((steps, rows, n))
+                weight_terms = np.matmul(x.transpose(0, 2, 1), g)
+                input_terms = np.matmul(g, w.T)
+                bias_terms = g.sum(axis=1)
+                for t in range(steps):
+                    where = f"{k}x{n}, step {t} of {steps}, {rows} rows"
+                    assert np.array_equal(bits(weight_terms[t]), bits(x[t].T @ g[t])), where
+                    assert np.array_equal(bits(input_terms[t]), bits(g[t] @ w.T)), where
+                    assert np.array_equal(bits(bias_terms[t]), bits(g[t].sum(axis=0))), where
+
+    def test_block_sums_equal_per_step_sums(self):
+        rng = np.random.default_rng(5)
+        for steps in STEP_COUNTS:
+            for rows in STEP_ROWS:
+                scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(steps * rows, 1))
+                x = rng.standard_normal((steps * rows, 1)) * scale
+                blocks = x.reshape(steps, -1).sum(axis=1)
+                for t in range(steps):
+                    one = x[t * rows:(t + 1) * rows].sum()
+                    assert np.array_equal(bits(blocks[t]), bits(one)), (steps, rows, t)
 
 
 class TestParamSet:

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from sopac.learn import (
     target_sync,
     td_lambda_targets,
 )
-from sopac.policy import ActorConfig
+from sopac.policy import ActorConfig, actor_init
 from sopac.verify import random_batch, random_episode, uniform_switch_episodes
 
 from reference import (
@@ -30,8 +32,11 @@ from reference import (
     counterfactual_baseline,
     n_step_return,
     params_equal,
+    stepwise_policy_loss,
+    stepwise_unroll,
     td_lambda_loop,
 )
+from test_fused import assert_bits_equal, assert_each_bits_equal, composed_nodes, tape_nodes
 
 DIMS = dict(n=2, m=3, state_width=4, obs_width=3, gru_hidden=6,
             critic_hidden=(8, 8), batch=3, max_len=4)
@@ -501,6 +506,75 @@ class TestForwardPathConsistency:
             assert np.array_equal(batched[i, :t], episode.dists)
 
 
+# (agents, actions, observation width, GRU width, steps, episodes) of the
+# unit-test trainer, the capture and switch trainers, and a 3-agent grid.
+HOISTED_SHAPES = {
+    "dims": (DIMS["n"], DIMS["m"], DIMS["obs_width"], DIMS["gru_hidden"], DIMS["max_len"],
+             DIMS["batch"]),
+    "capture": (2, 5, 40, 64, 20, 8),
+    "switch": (2, 3, 2, 64, 1, 8),
+    "capture-3-agents": (3, 5, 41, 64, 8, 3),
+}
+
+
+def ragged_actor_batch(rng, shape, steps=None):
+    """Random episodes of ``shape``, the first ``steps`` long and the others
+    shorter or equal, with about a third of the untaken actions masked."""
+    n, m, obs_width, _, max_len, size = shape
+    steps = steps or max_len
+    lengths = [steps, *rng.integers(1, steps + 1, size=size - 1)]
+    episodes = []
+    for i, length in enumerate(lengths):
+        episode = random_episode(rng, n, m, 4, obs_width, int(length), generation=i)
+        episode.avail[rng.uniform(size=episode.avail.shape) < 0.3] = 0.0
+        np.put_along_axis(episode.avail, episode.actions[..., None], 1.0, axis=-1)
+        episodes.append(episode)
+    return Batch.from_episodes(episodes)
+
+
+class TestHoistedUnroll:
+    """``unroll_policy`` and ``policy_loss`` against the per-step tape they
+    replace (``reference.stepwise_unroll`` and ``stepwise_policy_loss``):
+    probabilities, loss and every actor gradient bit for bit, compared as
+    int64 views, on seeded ragged batches. The reference runs once with the
+    fused nodes and once with the composed graphs."""
+
+    @staticmethod
+    def run(unroll, loss_fn, shape, seed, steps=None):
+        rng = np.random.default_rng(seed)
+        n, m, obs_width, hidden, _, _ = shape
+        cfg = ActorConfig(obs_width, n, m, hidden)
+        params = actor_init(rng, cfg)
+        batch = ragged_actor_batch(rng, shape, steps)
+        adv = rng.standard_normal((batch.size, batch.max_length, n)) * batch.pad[:, :, None]
+        probs = unroll(params, cfg, batch)
+        loss = loss_fn(batch, adv, probs)
+        loss.backward()
+        return probs, loss, {name: t.grad for name, t in params.items()}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("nodes", ["fused", "composed"])
+    @pytest.mark.parametrize("shape", HOISTED_SHAPES)
+    def test_bits_equal_the_stepwise_tape(self, shape, nodes, seed):
+        probs, loss, grads = self.run(learn.unroll_policy, learn.policy_loss,
+                                      HOISTED_SHAPES[shape], seed)
+        with composed_nodes() if nodes == "composed" else nullcontext():
+            ref_probs, ref_loss, ref_grads = self.run(stepwise_unroll, stepwise_policy_loss,
+                                                      HOISTED_SHAPES[shape], seed)
+        assert_bits_equal(probs.data, np.concatenate([p.data for p in ref_probs]))
+        assert_bits_equal(loss.data, ref_loss.data)
+        assert len(grads) == 13
+        assert_each_bits_equal(grads, ref_grads)
+
+    def test_tape_size_does_not_grow_with_steps(self):
+        # fc1, ReLU, GRU, fc2, masked epsilon-softmax; gather, mask, shift,
+        # log, weight, sum, negate
+        nodes = {steps: tape_nodes(self.run(learn.unroll_policy, learn.policy_loss,
+                                            HOISTED_SHAPES["dims"], 0, steps)[1])
+                 for steps in (1, 5, 20)}
+        assert nodes == {1: 12, 5: 12, 20: 12}
+
+
 class TestBatchedCriticInputsMatchSingleCalls:
     """The counterfactual values of a batch equal those of each step alone."""
 
@@ -608,23 +682,31 @@ class TestPadding:
 
 
 class TestBatchComposition:
-    """An episode's targets, advantages and counterfactual values do not
-    depend on its batch-mates."""
+    """An episode's targets, advantages, counterfactual values and loss terms
+    do not depend on its batch-mates."""
 
     @staticmethod
     def rows(trainer, algo, episodes):
-        """Each episode's (targets, advantages, counterfactual values) rows,
-        cut to its length; centralv has no counterfactual values."""
+        """Each episode's (targets, advantages, counterfactual values,
+        per-(t, a) policy-loss terms, per-step critic-loss terms) rows, cut to
+        its length; centralv has no counterfactual values."""
         batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, algo)
-        targets, _, _ = prepare_critic_batch(batch, inputs, algo, trainer.target, 0.8, 0.99)
-        adv = compute_advantages(batch, inputs, algo, trainer.critic,
-                                 unrolled(trainer, batch), 0.99, False)
+        targets, weights, actions = prepare_critic_batch(
+            batch, inputs, algo, trainer.target, 0.8, 0.99)
+        probs = unrolled(trainer, batch)
+        adv = compute_advantages(batch, inputs, algo, trainer.critic, probs, 0.99, False)
         values = np.zeros((batch.size, batch.max_length))
         if algo != "centralv":
             values = cr.counterfactual_values(
                 trainer.critic, learn._batch_layout(batch, algo), inputs)
-        return [(targets[i, :n].tobytes(), adv[i, :n].tobytes(), values[i, :n].tobytes())
+        policy_terms = learn._by_episode(
+            batch, learn._policy_loss_terms(batch, adv, probs).data)
+        critic_terms = learn._critic_loss_terms(
+            trainer.critic, inputs, targets, weights, actions).data
+        critic_terms = critic_terms.reshape(batch.size, batch.max_length, -1)
+        return [(targets[i, :n].tobytes(), adv[i, :n].tobytes(), values[i, :n].tobytes(),
+                 policy_terms[i, :n].tobytes(), critic_terms[i, :n].tobytes())
                 for i, n in enumerate(batch.lengths)]
 
     @given(st.sampled_from(["centralv", "coma", "coma-cc"]),
