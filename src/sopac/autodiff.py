@@ -6,17 +6,18 @@ constraints that shape the implementation:
 
 * everything is float64, and forward passes are bit-deterministic;
 * every forward matrix product goes through the one helper ``_rowwise``
-  (shared by ``linear`` and ``gru_step``), which is row-exact: evaluating k
-  stacked inputs yields bit-identical rows to k independent single-input
-  calls -- several tests and the counterfactual critic rely on this. Its
-  kernel follows from the shape alone: one gemm over all rows when the
-  output is at least 8 wide, one gemv per row for the narrower heads (the
-  rule, and the BLAS it was verified on, are in its docstring);
+  (shared by ``linear``, ``gru_step`` and ``gru_unroll``), which is
+  row-exact: evaluating k stacked inputs yields bit-identical rows to k
+  independent single-input calls -- several tests and the counterfactual
+  critic rely on this. Its kernel follows from the shape alone: one gemm
+  over all rows when the output is at least 8 wide, one gemv per row for
+  the narrower heads (the rule, and the BLAS it was verified on, are in its
+  docstring);
 * gradients accumulate in a fixed topological order, so whole-batch
   training is reproducible down to the last bit.
 
 Besides elementwise ops, the tape has fused nodes: ``linear`` (a dense layer,
-used by ``mlp_forward``), ``gru_step`` and ``policy.masked_epsilon_probs``.
+used by ``mlp_forward``), ``gru_unroll`` and ``policy.masked_epsilon_probs``.
 Each computes its forward in plain numpy with the grouping and order of the
 elementwise ops it replaces, e.g. ``(x Wr + h Ur) + br``, and records one
 node whose hand-written backward reproduces the composed ops' gradients bit
@@ -28,6 +29,10 @@ associative, so ``g + (a + b)`` and ``(g + a) + b`` can differ in the last
 bit. ``tests/reference.py`` keeps the composed versions as oracles, with
 the elementwise ops only they use (``matmul``, ``sigmoid``, ``tanh``,
 ``exp``, ``div``, ``sum_last``).
+
+``gru_step`` is the rollout's GRU step: forward only, on plain arrays, and
+sharing the cell kernel ``_gru_cell`` with ``gru_unroll``, the GRU's one
+differentiable path.
 
 Time-hoisted nodes take the R rows of each of T time steps at once,
 time-major: ``linear`` and ``sum_all`` with ``steps=T``, and ``gru_unroll``.
@@ -443,20 +448,16 @@ def mlp_init(
     return ParamSet(params)
 
 
-def mlp_layer_count(params: ParamSet, prefix: str = "") -> int:
-    n = 0
-    while f"{prefix}w{n}" in params:
-        n += 1
-    return n
-
-
-def mlp_forward(params: ParamSet, x, prefix: str = "") -> Tensor:
-    """Forward through the dense stack; ReLU between all but the final layer."""
-    n_layers = mlp_layer_count(params, prefix)
+def mlp_forward(params: ParamSet, x) -> Tensor:
+    """Forward through the dense stack w0, b0, w1, ...; ReLU between all but
+    the final layer."""
+    n_layers = 0
+    while f"w{n_layers}" in params:
+        n_layers += 1
     if n_layers == 0:
-        raise ValueError(f"no layers found under prefix {prefix!r}")
+        raise ValueError("no dense layers w0, b0, ... in params")
     xd = _data(x)
-    expected = params[f"{prefix}w0"].data.shape[0]
+    expected = params["w0"].data.shape[0]
     if xd.ndim != 2 or xd.shape[1] != expected:
         raise ShapeError(
             f"mlp_forward: input shape {xd.shape} does not match first layer "
@@ -464,7 +465,7 @@ def mlp_forward(params: ParamSet, x, prefix: str = "") -> Tensor:
         )
     h = x
     for i in range(n_layers):
-        h = linear(h, params[f"{prefix}w{i}"], params[f"{prefix}b{i}"])
+        h = linear(h, params[f"w{i}"], params[f"b{i}"])
         if i < n_layers - 1:
             h = relu(h)
     return h
@@ -496,73 +497,33 @@ def _gru_cell(xw, hd: Array, u, b) -> tuple[Array, ...]:
     return r, z, rh, c, (1.0 - z) * hd + z * c
 
 
-def _gru_cell_grads(g: Array, hd: Array, r: Array, z: Array, c: Array,
-                    uh: Array) -> tuple[Array, ...]:
-    """One step's (reset, update, candidate) pre-activation gradients and the
-    gradient of r*h, grouped as the composed graph groups them."""
-    g_z = g * c - g * hd
-    g_zpre = (g_z * z) * (1.0 - z)
-    g_cpre = (g * z) * (1.0 - c * c)
-    g_rh = g_cpre @ uh.T
-    g_rpre = ((g_rh * hd) * r) * (1.0 - r)
-    return g_rpre, g_zpre, g_cpre, g_rh
-
-
-def _gru_state_terms(g: Array, r: Array, z: Array, g_rpre: Array, g_zpre: Array,
-                     g_rh: Array, u) -> tuple[Array, ...]:
-    """The four terms one step sends its input hidden state, in the composed
-    graph's order."""
-    return g * (1.0 - z), g_zpre @ u[1].T, g_rh * r, g_rpre @ u[0].T
-
-
-def gru_step(params: ParamSet, x, h, prefix: str = "") -> Tensor:
-    """One GRU cell step, recorded as one node.
+def gru_step(params: ParamSet, x: Array, h: Array, prefix: str = "") -> Array:
+    """One GRU cell step on plain arrays, forward only; records nothing.
 
     reset    r = sigmoid(x Wr + h Ur + br)
     update   z = sigmoid(x Wz + h Uz + bz)
     cand     c = tanh(x Wh + (r*h) Uh + bh)
     next     h' = (1 - z) * h + z * c
     """
-    xd, hd = _data(x), _data(h)
-    (wr, wz, wh), (ur, uz, uh), (br, bz, bh) = _gru_gates(params, prefix)
-    hidden = ur.data.shape[0]
-    if hd.ndim != 2 or hd.shape[1] != hidden:
-        raise ShapeError(f"gru_step: hidden state {hd.shape} vs width {hidden}")
-    u = (ur.data, uz.data, uh.data)
-    r, z, rh, c, out = _gru_cell([_rowwise(xd, w.data) for w in (wr, wz, wh)], hd, u,
-                                 (br.data, bz.data, bh.data))
-
-    def backward(g: Array) -> None:
-        g_rpre, g_zpre, g_cpre, g_rh = _gru_cell_grads(g, hd, r, z, c, uh.data)
-        for p, gp in ((wr, xd.T @ g_rpre), (ur, hd.T @ g_rpre), (br, g_rpre),
-                      (wz, xd.T @ g_zpre), (uz, hd.T @ g_zpre), (bz, g_zpre),
-                      (wh, xd.T @ g_cpre), (uh, rh.T @ g_cpre), (bh, g_cpre)):
-            accumulate(p, _unbroadcast(gp, p.data.shape))
-        # Each term separately and in the composed graph's order.
-        if isinstance(x, Tensor):
-            for w, gp in ((wh, g_cpre), (wz, g_zpre), (wr, g_rpre)):
-                accumulate(x, gp @ w.data.T)
-        if isinstance(h, Tensor):
-            for term in _gru_state_terms(g, r, z, g_rpre, g_zpre, g_rh, u):
-                accumulate(h, term)
-
-    # x before h: backward()'s depth-first ordering then explores the earlier
-    # steps before this step's input layer, as in the composed graph, so a
-    # shared parameter such as fc1's receives its per-step terms in the same
-    # order (last step first).
-    return record(out, (x, h, wr, ur, br, wz, uz, bz, wh, uh, bh), backward)
+    w, u, b = ([p.data for p in group] for group in _gru_gates(params, prefix))
+    if h.ndim != 2 or h.shape[1] != u[0].shape[0]:
+        raise ShapeError(f"gru_step: hidden state {h.shape} vs width {u[0].shape[0]}")
+    return _gru_cell([_rowwise(x, wg) for wg in w], h, u, b)[-1]
 
 
 def gru_unroll(params: ParamSet, x, steps: int, prefix: str = "") -> Tensor:
     """The GRU over ``steps`` time steps from a zero hidden state, as one node
-    whose values and gradients equal ``steps`` chained ``gru_step`` nodes'.
+    whose values and gradients equal a tape of ``steps`` chained GRU cells,
+    each built from elementwise ops (``tests/reference.py``'s
+    ``composed_gru_step``).
 
     ``x`` holds the input rows of every step and the output the hidden state
     after every step, time-major. Only the h U products run per step. The
     backward is one reverse loop: a step's hidden-state gradient is the
-    output's term, then the next step's four terms in ``gru_step``'s order;
-    parameter terms are added last step first; the input gets its candidate,
-    update and reset terms in that order.
+    output's term, then the next step's four terms in the composed graph's
+    order; parameter terms are added last step first; the input gets its
+    candidate, update and reset terms in that order. The per-step gate values
+    the backward reads are kept only when the node is taped.
     """
     xd = _data(x)
     (wr, wz, wh), (ur, uz, uh), (br, bz, bh) = _gru_gates(params, prefix)
@@ -570,11 +531,11 @@ def gru_unroll(params: ParamSet, x, steps: int, prefix: str = "") -> Tensor:
     x3 = _steps_view(xd, steps)
     xw = [_steps_view(_rowwise(xd, w.data), steps) for w in (wr, wz, wh)]
     hs = np.zeros((steps + 1, x3.shape[1], ur.data.shape[0]))  # hs[t]: step t's input
-    rhs = np.empty_like(hs[1:])
-    cells = []
+    cells = []  # (r, z, r*h, c) of every step
     for t in range(steps):
-        r, z, rhs[t], c, hs[t + 1] = _gru_cell([p[t] for p in xw], hs[t], u, b)
-        cells.append((r, z, c))
+        *cell, hs[t + 1] = _gru_cell([p[t] for p in xw], hs[t], u, b)
+        if _grad_enabled:
+            cells.append(cell)
     out = hs[1:].reshape(xd.shape[0], -1)
 
     def backward(g: Array) -> None:
@@ -585,16 +546,26 @@ def gru_unroll(params: ParamSet, x, steps: int, prefix: str = "") -> Tensor:
             g_t = g3[t]
             for term in terms:
                 g_t = g_t + term
-            r, z, c = cells[t]
-            pre[0, t], pre[1, t], pre[2, t], g_rh = _gru_cell_grads(g_t, hs[t], r, z, c, u[2])
+            r, z, _, c = cells[t]
+            # Pre-activation gradients and that of r*h, grouped as the
+            # composed graph groups them.
+            g_cpre = (g_t * z) * (1.0 - c * c)
+            g_rh = g_cpre @ u[2].T
+            pre[0, t] = ((g_rh * hs[t]) * r) * (1.0 - r)
+            pre[1, t] = ((g_t * c - g_t * hs[t]) * z) * (1.0 - z)
+            pre[2, t] = g_cpre
             if t:
-                terms = _gru_state_terms(g_t, r, z, pre[0, t], pre[1, t], g_rh, u)
+                # The four terms this step sends its input hidden state, each
+                # separately and in the composed graph's order.
+                terms = (g_t * (1.0 - z), pre[1, t] @ u[1].T, g_rh * r, pre[0, t] @ u[0].T)
         states = hs[:-1].transpose(0, 2, 1)
+        rhs = np.stack([cell[2] for cell in cells]).transpose(0, 2, 1)
         for gp, w, uu, bb, h_in in zip(pre, (wr, wz, wh), (ur, uz, uh), (br, bz, bh),
-                                       (states, states, rhs.transpose(0, 2, 1))):
+                                       (states, states, rhs)):
             accumulate(w, _sum_steps(np.matmul(x3.transpose(0, 2, 1), gp), True))
             accumulate(uu, _sum_steps(np.matmul(h_in, gp), True))
             accumulate(bb, _sum_steps(gp.sum(axis=1), True))
+        # Each term separately and in the composed graph's order.
         if isinstance(x, Tensor):
             for w, gp in ((wh, pre[2]), (wz, pre[1]), (wr, pre[0])):
                 accumulate(x, np.matmul(gp, w.data.T).reshape(xd.shape))

@@ -5,10 +5,10 @@ linear output head. Per-agent behaviour differs only through the inputs,
 which concatenate the local observation, the agent's previous action as a
 one-hot, and the agent's one-hot id; ``actor_inputs`` is the one encoder of
 those rows, for a single step of the rollout and for a padded batch alike.
-The rollout steps the actor with ``actor_cell``; recorded histories are
-replayed by ``learn.unroll_policy`` alone, through ``actor_unroll``, which
-runs all T steps as one hoisted pass with the values and gradients of T
-chained ``actor_cell`` calls.
+The rollout only acts, through ``actor_cell``: forward only, on plain arrays.
+Only the replay needs gradients: recorded histories are replayed by
+``learn.unroll_policy`` alone, through ``actor_unroll``, which runs all T
+steps as one hoisted pass with the values of T chained ``actor_cell`` calls.
 
 The acting distribution masks unavailable actions, softmaxes the remaining
 logits, and mixes in a uniform floor: pi = (1 - eps) * softmax + eps / k over
@@ -85,12 +85,14 @@ def actor_inputs(cfg: ActorConfig, obs: Array, prev_actions: Array) -> Array:
     return np.concatenate([obs, prev, ids], axis=-1)
 
 
-def actor_cell(params: ParamSet, x, h) -> tuple[Tensor, Tensor]:
-    """One recurrent step: returns (logits, next hidden) for stacked rows."""
-    z = ad.relu(ad.mlp_forward(params, x, prefix="fc1."))
-    h_next = ad.gru_step(params, z, h, prefix="gru.")
-    logits = ad.mlp_forward(params, h_next, prefix="fc2.")
-    return logits, h_next
+def actor_cell(params: ParamSet, x: Array, h: Array) -> tuple[Array, Array]:
+    """One recurrent step, forward only: (logits, next hidden) for stacked rows
+    as arrays; records nothing in any gradient mode."""
+    with ad.no_grad():
+        z = ad.relu(ad.linear(x, params["fc1.w0"], params["fc1.b0"]))
+        h_next = ad.gru_step(params, z.data, h, prefix="gru.")
+        logits = ad.linear(h_next, params["fc2.w0"], params["fc2.b0"])
+    return logits.data, h_next
 
 
 def actor_unroll(params: ParamSet, x, steps: int) -> Tensor:

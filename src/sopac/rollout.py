@@ -3,15 +3,16 @@
 :func:`rollout_episodes` plays a group of episodes of one stateless env in
 lockstep. Every step makes one stacked actor forward over the n agent rows of
 every episode still running, then one ``policy.select_actions`` draw over
-their acting distributions; only ``env.step`` runs once per episode. Each
-episode is its env key plus two seeded generators: the env generator makes
-the env's draws, the action generator one uniform per agent per step. So
-row-exact batching in the autodiff core makes each stored episode
-bit-identical to playing it alone (a group of one), and to the padded replay
-of ``learn.unroll_policy``, which runs all steps of a batch in one hoisted
-pass where the rollout runs one ``actor_cell`` per step. Each episode stores
-its acting distributions and the one epsilon it ran with, so that replay can
-re-evaluate it exactly later.
+their acting distributions; only ``env.step`` runs once per episode. The
+rollout only acts: ``actor_cell`` is forward only on plain arrays, so a
+rollout records nothing in any gradient mode. Each episode is its env key
+plus two seeded generators: the env generator makes the env's draws, the
+action generator one uniform per agent per step. So row-exact batching in
+the autodiff core makes each stored episode bit-identical to playing it alone
+(a group of one), and to the padded replay of ``learn.unroll_policy``, which
+runs all steps of a batch in one hoisted pass where the rollout runs one
+``actor_cell`` per step. Each episode stores its acting distributions and the
+one epsilon it ran with, so that replay can re-evaluate it exactly later.
 
 One seed rule serves training and evaluation: episode g of stream s under
 seed S seeds its env and action generators with words 0 and 1 of
@@ -66,18 +67,16 @@ def rollout_episodes(
     steps: list[list[tuple]] = [[] for _ in range(count)]
     wins = [False] * count
     actions = np.full((count, n), -1)  # each live episode's previous actions
-    hidden: Array | ad.Tensor = np.zeros((count * n, cfg.gru_hidden))
+    hidden = np.zeros((count * n, cfg.gru_hidden))
     live = list(range(count))
     while live:
         rows = len(live) * n
         obs = np.array([env.observations(keys[i]) for i in live])
         avail = np.array([env.avail_actions(keys[i]) for i in live], dtype=np.float64)
-        with ad.no_grad():
-            x = actor_inputs(cfg, obs, actions).reshape(rows, -1)
-            logits, hidden = actor_cell(params, x, hidden)
-            dist = masked_epsilon_probs(
-                logits, avail.reshape(rows, -1), epsilon).data.reshape(len(live), n, -1)
-
+        x = actor_inputs(cfg, obs, actions).reshape(rows, -1)
+        logits, hidden = actor_cell(params, x, hidden)
+        dist = masked_epsilon_probs(
+            logits, avail.reshape(rows, -1), epsilon).data.reshape(len(live), n, -1)
         actions = select_actions(dist, mode, [action_rngs[i] for i in live])
         still = []
         for j, i in enumerate(live):
@@ -87,7 +86,7 @@ def rollout_episodes(
             if not terminal:
                 still.append(j)
         if len(still) < len(live):
-            hidden = hidden.data.reshape(len(live), n, -1)[still].reshape(-1, cfg.gru_hidden)
+            hidden = hidden.reshape(len(live), n, -1)[still].reshape(-1, cfg.gru_hidden)
             actions = actions[still]
             live = [live[j] for j in still]
 

@@ -2,13 +2,14 @@
 
 The composed dense stack, GRU cell and masked epsilon-softmax build their
 graphs from elementwise autodiff ops, one tape node per op; the fused nodes
-in ``sopac`` must match them bit for bit, forward and backward. The ops that
-only these compositions use (``matmul``, ``sigmoid``, ``tanh``, ``exp``,
-``div``, ``sum_last``) live here, on the engine's tape helpers.
+in ``sopac`` must match them bit for bit, forward and backward, and the
+forward-only ``gru_step`` must match the composed GRU cell's forward. The
+ops that only these compositions use (``matmul``, ``sigmoid``, ``tanh``,
+``exp``, ``div``, ``sum_last``) live here, on the engine's tape helpers.
 ``stepwise_unroll`` and ``stepwise_policy_loss`` are the per-step taped actor
-replay and policy loss, one ``actor_cell`` and seven loss nodes per step,
-that the hoisted ``learn.unroll_policy`` and ``learn.policy_loss`` must
-match bit for bit. The scalar
+replay and policy loss, built from the composed actor cell and seven loss
+nodes per step, that the hoisted ``learn.unroll_policy`` and
+``learn.policy_loss`` must match bit for bit. The scalar
 return, advantage and KL formulas are the per-step definitions that the
 batched code in ``sopac`` vectorises, ``td_lambda_loop`` is the one-episode
 backward recursion that the batched TD(lambda) targets must reproduce, ``comacc_q`` is the one-row critic
@@ -30,7 +31,7 @@ from sopac import learn
 from sopac.autodiff import Tensor, _data, _rowwise, _sigmoid, _unbroadcast, accumulate, record
 from sopac.envs import _MOVES, CaptureGrid, GridKey
 from sopac.learn import Batch, actor_step_inputs
-from sopac.policy import ActorConfig, MaskError, actor_cell
+from sopac.policy import ActorConfig, MaskError
 from sopac.sop import kl_estimator_term
 
 Array = np.ndarray
@@ -119,7 +120,9 @@ def sum_last(x) -> Tensor:
 
 
 def composed_mlp_forward(params: ad.ParamSet, x, prefix: str = "") -> ad.Tensor:
-    n_layers = ad.mlp_layer_count(params, prefix)
+    n_layers = 0
+    while f"{prefix}w{n_layers}" in params:
+        n_layers += 1
     h = x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, dtype=np.float64))
     for i in range(n_layers):
         h = ad.add(matmul(h, params[f"{prefix}w{i}"]), params[f"{prefix}b{i}"])
@@ -157,8 +160,10 @@ def composed_masked_epsilon_probs(logits, avail: Array, epsilon) -> ad.Tensor:
 
 def stepwise_unroll(params: ad.ParamSet, cfg: ActorConfig, batch: Batch) -> list[Tensor]:
     """Per-step acting distributions over the batch, each episode's rows
-    floored by its stored epsilon: one ``actor_cell`` and one masked
-    epsilon-softmax node per step."""
+    floored by its stored epsilon: per step, the actor cell composed from
+    elementwise ops (dense fc1, ReLU, GRU cell, dense fc2) and one masked
+    epsilon-softmax node, read through ``learn`` so that
+    ``test_fused.composed_nodes()`` swaps it for the composed graph."""
     b, t_max, n, m = batch.dists.shape
     if not ((batch.epsilons >= 0.0) & (batch.epsilons <= 1.0)).all():
         raise ValueError("stored epsilons must lie in [0, 1]")
@@ -167,7 +172,9 @@ def stepwise_unroll(params: ad.ParamSet, cfg: ActorConfig, batch: Batch) -> list
     hidden: Tensor | Array = np.zeros((b * n, cfg.gru_hidden))
     probs: list[Tensor] = []
     for t in range(t_max):
-        logits, hidden = actor_cell(params, inputs[t], hidden)
+        z = ad.relu(composed_mlp_forward(params, inputs[t], prefix="fc1."))
+        hidden = composed_gru_step(params, z, hidden, prefix="gru.")
+        logits = composed_mlp_forward(params, hidden, prefix="fc2.")
         avail_t = batch.avail[:, t].reshape(b * n, m)
         probs.append(learn.masked_epsilon_probs(logits, avail_t, eps))
     return probs

@@ -71,7 +71,7 @@ class TestGru:
         x = rng.standard_normal((2, 3))
         h = rng.standard_normal((2, 5))
         out = ad.gru_step(params, x, h)
-        assert np.allclose(out.data, 0.5 * h, atol=1e-15)
+        assert np.allclose(out, 0.5 * h, atol=1e-15)
 
     def test_zero_state_with_zero_candidate_weights_stays_zero(self):
         rng = np.random.default_rng(5)
@@ -79,7 +79,7 @@ class TestGru:
         for name in ("wh", "uh", "bh"):
             params[name].data[...] = 0.0
         out = ad.gru_step(params, rng.standard_normal((2, 3)), np.zeros((2, 5)))
-        assert np.array_equal(out.data, np.zeros((2, 5)))
+        assert np.array_equal(out, np.zeros((2, 5)))
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(6)
@@ -88,18 +88,16 @@ class TestGru:
             ad.gru_step(params, rng.standard_normal((2, 3)), np.zeros((2, 4)))
 
     def test_gradients_match_finite_differences_through_x_and_h(self):
+        # gru_unroll is the GRU's one differentiable path: over three steps of
+        # two rows, the gradients reach the parameters and x directly and
+        # through the carried hidden state h.
         rng = np.random.default_rng(7)
-        params = ad.gru_init(rng, 3, 5)
-        x = rng.standard_normal((2, 3))
-        h = rng.standard_normal((2, 5))
+        params = ad.merge(ad.gru_init(rng, 3, 5), ad.ParamSet({"x": rng.standard_normal((6, 3))}))
 
         def loss(p):
-            return ad.sum_all(ad.square(ad.gru_step(p, x, h)))
+            return ad.sum_all(ad.square(ad.gru_unroll(p, p["x"], steps=3)))
 
         assert ad.finite_diff_check(loss, params) < 1e-4
-        xt, ht = ad.Tensor(x), ad.Tensor(h)
-        ad.sum_all(ad.gru_step(params, xt, ht)).backward()
-        assert xt.grad is not None and ht.grad is not None
 
 
 class TestRmsProp:
@@ -199,10 +197,8 @@ class TestDeterminismAndBatching:
         params = ad.gru_init(rng, 4, 6)
         x = rng.standard_normal((17, 4))
         h = rng.standard_normal((17, 6))
-        batched = ad.gru_step(params, x, h).data
-        singles = np.vstack(
-            [ad.gru_step(params, x[i : i + 1], h[i : i + 1]).data for i in range(17)]
-        )
+        batched = ad.gru_step(params, x, h)
+        singles = np.vstack([ad.gru_step(params, x[i : i + 1], h[i : i + 1]) for i in range(17)])
         assert np.array_equal(batched, singles)
 
     def test_gradient_accumulation_is_reproducible(self):

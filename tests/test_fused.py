@@ -1,9 +1,13 @@
 """The fused autodiff nodes against the composed graphs they replace.
 
-``linear``, ``gru_step`` and ``masked_epsilon_probs`` each record one tape
-node with a hand-written backward. These tests build the same computations
-from the elementwise ops (``reference.py``) and require every forward value
-and every gradient to be identical down to the bit, compared as int64 views.
+``linear`` and ``masked_epsilon_probs`` each record one tape node with a
+hand-written backward. These tests build the same computations from the
+elementwise ops (``reference.py``) and require every forward value and every
+gradient to be identical down to the bit, compared as int64 views. The
+rollout's forward-only GRU step, ``gru_step``, must match the composed cell's
+forward bits and record nothing. ``gru_unroll``, the hoisted actor replay,
+is pinned against a per-step tape of the composed cell by
+``test_learn.py::TestHoistedUnroll``.
 """
 
 from contextlib import contextmanager
@@ -12,7 +16,8 @@ import numpy as np
 import pytest
 
 from sopac import autodiff as ad
-from sopac import learn
+from sopac import learn, rollout
+from sopac.envs import SwitchGame
 from sopac.learn import Batch, LearnConfig, Trainer, critic_batch_inputs
 from sopac.policy import ActorConfig, actor_cell, actor_init, masked_epsilon_probs
 from sopac.verify import random_episode
@@ -43,10 +48,16 @@ def assert_each_bits_equal(fused: dict, composed: dict):
 
 @contextmanager
 def composed_nodes():
-    """Route every network in ``sopac`` through the composed graphs."""
+    """Route the critic's dense stacks (``ad.mlp_forward``) and the masked
+    epsilon-softmax that ``learn`` reads through the composed graphs.
+
+    The actor replay's ``linear`` and ``gru_unroll`` nodes are not routed, so
+    under it the actor differs from the fused run only in the epsilon-softmax;
+    ``test_learn.py::TestHoistedUnroll`` pins the hoisted actor against a
+    per-step tape of the composed cell.
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "mlp_forward", composed_mlp_forward)
-        mp.setattr(ad, "gru_step", composed_gru_step)
         mp.setattr(learn, "masked_epsilon_probs", composed_masked_epsilon_probs)
         yield
 
@@ -92,18 +103,12 @@ class TestSingleNodes:
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_gru_cell(self, rows):
-        def run():
-            rng = np.random.default_rng(10 + rows)
-            params = ad.gru_init(rng, 4, 6, prefix="gru.")
-            x = ad.Tensor(rng.standard_normal((rows, 4)))
-            h = ad.Tensor(rng.standard_normal((rows, 6)))
-            out = ad.gru_step(params, x, h, prefix="gru.")
-            out.backward(rng.standard_normal(out.shape))
-            return out.data, dict(param_grads(params), x=x.grad, h=h.grad)
-
-        (fused_out, fused), (composed_out, composed) = both(run)
-        assert_bits_equal(fused_out, composed_out)
-        assert_each_bits_equal(fused, composed)
+        # gru_step is forward only: its bits against the composed cell's forward
+        rng = np.random.default_rng(10 + rows)
+        params = ad.gru_init(rng, 4, 6, prefix="gru.")
+        x, h = rng.standard_normal((rows, 4)), rng.standard_normal((rows, 6))
+        assert_bits_equal(ad.gru_step(params, x, h, prefix="gru."),
+                          composed_gru_step(params, x, h, prefix="gru.").data)
 
     @pytest.mark.parametrize("per_row_epsilon", [False, True])
     def test_masked_epsilon_softmax(self, per_row_epsilon):
@@ -124,48 +129,23 @@ class TestSingleNodes:
 
 
 class TestActorUnroll:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_unroll_gradients_reach_params_inputs_and_state(self, seed):
-        # Each hidden state feeds fc2 at its own step and the GRU at the next,
-        # so its gradient collects one fc2 term and four GRU terms.
-        cfg = ActorConfig(obs_width=3, n_agents=2, n_actions=4, gru_hidden=7)
-        steps, rows = 4, 6
+    def test_step_returns_arrays_with_gradients_on(self, monkeypatch):
+        # The rollout only acts: its actor step returns plain arrays and
+        # records nothing, so the rollout runs with no no_grad block.
+        env = SwitchGame()
+        cfg = ActorConfig(env.spec.obs_width, env.spec.n_agents, env.spec.n_actions, 7)
+        params = actor_init(np.random.default_rng(0), cfg)
+        steps = []
 
-        def run():
-            rng = np.random.default_rng(seed)
-            params = actor_init(rng, cfg)
-            xs = [ad.Tensor(rng.standard_normal((rows, cfg.input_width)))
-                  for _ in range(steps)]
-            h0 = ad.Tensor(rng.standard_normal((rows, cfg.gru_hidden)))
-            h, total, outs = h0, None, []
-            for x in xs:
-                logits, h = actor_cell(params, x, h)
-                probs = learn.masked_epsilon_probs(logits, np.ones((rows, cfg.n_actions)), 0.2)
-                term = ad.sum_all(ad.mul(ad.log(probs), rng.standard_normal(probs.shape)))
-                total = term if total is None else ad.add(total, term)
-                outs.append(probs.data)
-            total.backward()
-            grads = dict(param_grads(params), h0=h0.grad)
-            grads.update({f"x{t}": x.grad for t, x in enumerate(xs)})
-            return outs, grads
+        def cell(params, x, h):
+            out = actor_cell(params, x, h)
+            steps.append((ad._grad_enabled, *(type(o) for o in out)))
+            return out
 
-        (fused_out, fused), (composed_out, composed) = both(run)
-        for a, b in zip(fused_out, composed_out):
-            assert_bits_equal(a, b)
-        assert_each_bits_equal(fused, composed)
-
-    def test_one_step_records_five_nodes(self):
-        cfg = ActorConfig(obs_width=3, n_agents=2, n_actions=4, gru_hidden=7)
-
-        def run():
-            params = actor_init(np.random.default_rng(0), cfg)
-            x = np.random.default_rng(1).standard_normal((2, cfg.input_width))
-            logits, _ = actor_cell(params, x, np.zeros((2, cfg.gru_hidden)))
-            return tape_nodes(learn.masked_epsilon_probs(logits, np.ones((2, 4)), 0.1))
-
-        fused, composed = both(run)
-        assert fused == 5   # fc1, ReLU, GRU, fc2, masked epsilon-softmax
-        assert composed == 33
+        monkeypatch.setattr(rollout, "actor_cell", cell)
+        assert ad._grad_enabled
+        rollout.rollout_episodes(env, 3, params, cfg, 0.3, seed=0, stream=1)
+        assert steps and all(step == (True, np.ndarray, np.ndarray) for step in steps)
 
 
 class TestLossesOnPaddedBatch:

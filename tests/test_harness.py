@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,3 +485,40 @@ class TestCli:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         for key, value in flag_fields.items():
             assert manifest["config"][key] == value
+
+
+# Criterion 11's two configs, as RunConfig keywords.
+CRITERION_11_CONFIGS = [
+    dict(env="switch", algo="coma-cc", sop="permissive", batch_size=3, total_steps=60,
+         eval_interval=30, eval_episodes=2, seed=11),
+    dict(env="capture", algo="centralv", sop="strict", kl_threshold=0.05, batch_size=2,
+         total_steps=80, eval_interval=40, eval_episodes=2, seed=12,
+         env_config={"side": 4, "horizon": 8, "prey": "walk"}),
+]
+
+# Run every config of argv[1] (JSON) into argv[2]/<index>.
+RUN_CONFIGS = """
+import json, sys
+from sopac.harness import RunConfig, run_experiment
+for i, cfg in enumerate(json.loads(sys.argv[1])):
+    run_experiment(RunConfig(**cfg), f"{sys.argv[2]}/{i}")
+"""
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # One process at one BLAS thread, then one at two, never both at once.
+        src = str(Path(harness.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-c", RUN_CONFIGS,
+                            json.dumps(CRITERION_11_CONFIGS), str(out)],
+                           env=env, check=True, timeout=300)
+            outputs[threads] = {
+                f"{i}/{name}": (out / str(i) / name).read_bytes()
+                for i in range(len(CRITERION_11_CONFIGS))
+                for name in ("metrics.csv", "params.npz")}
+        assert outputs["1"] == outputs["2"]

@@ -536,8 +536,10 @@ class TestHoistedUnroll:
     """``unroll_policy`` and ``policy_loss`` against the per-step tape they
     replace (``reference.stepwise_unroll`` and ``stepwise_policy_loss``):
     probabilities, loss and every actor gradient bit for bit, compared as
-    int64 views, on seeded ragged batches. The reference runs once with the
-    fused nodes and once with the composed graphs."""
+    int64 views, on seeded ragged batches. The reference tapes the actor cell
+    composed from elementwise ops at every step; ``nodes`` picks its masked
+    epsilon-softmax: the fused node, which isolates the hoisting, or the
+    composed graph (under ``composed_nodes()``)."""
 
     @staticmethod
     def run(unroll, loss_fn, shape, seed, steps=None):

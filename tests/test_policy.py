@@ -218,12 +218,11 @@ class TestParameterSharing:
         rows = actor_inputs(CFG, obs, [1, 1])
         assert np.array_equal(rows[:, -CFG.n_agents:], np.eye(2))
         same_rows = np.stack([rows[0], rows[0]])
-        with ad.no_grad():
-            h = np.zeros((2, CFG.gru_hidden))
-            logits_diff, _ = actor_cell(params, rows, h)
-            logits_same, _ = actor_cell(params, same_rows, h)
-        assert np.array_equal(logits_same.data[0], logits_same.data[1])
-        assert not np.array_equal(logits_diff.data[0], logits_diff.data[1])
+        h = np.zeros((2, CFG.gru_hidden))
+        logits_diff, _ = actor_cell(params, rows, h)
+        logits_same, _ = actor_cell(params, same_rows, h)
+        assert np.array_equal(logits_same[0], logits_same[1])
+        assert not np.array_equal(logits_diff[0], logits_diff[1])
 
     def test_encoder_rows_carry_obs_previous_action_and_id(self):
         obs = np.arange(2 * 3 * CFG.obs_width, dtype=np.float64).reshape(3, 2, -1)
