@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the outputs of a fixed set of training runs, for refactor identity checks.
 
-Runs sixteen (config, seed) pairs through ``harness.run_experiment`` with
+Runs nineteen (config, seed) pairs through ``harness.run_experiment`` with
 the ``sopac`` package of the checkout this script lives in, one BLAS thread,
 and prints one markdown table row per run: the sha256 of ``metrics.csv``,
 the sha256 of ``params.npz``, and the manifest's episode and step totals.
@@ -99,6 +99,13 @@ def configs() -> dict[str, dict]:
         env="capture", env_config=dict(TINY_CAPTURE, n_agents=3), algo="coma-cc",
         sop="strict", kl_threshold=0.02, batch_size=3, total_steps=120,
         eval_interval=40, eval_episodes=4, seed=9)
+    # the per-timestep critic sweep of every critic, syncing the target
+    # network several times within each update
+    for seed, algo in enumerate(("centralv", "coma", "coma-cc"), start=13):
+        runs[f"tiny-{algo.replace('-', '')}-minibatch-sync5"] = dict(
+            env="capture", env_config=TINY_CAPTURE, algo=algo, sop="permissive",
+            critic_schedule="minibatch", target_period=5, batch_size=3,
+            total_steps=120, eval_interval=40, eval_episodes=2, seed=seed)
     return runs
 
 

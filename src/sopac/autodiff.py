@@ -401,28 +401,23 @@ def check_rmsprop(lr: float, alpha: float, eps: float) -> None:
         raise ValueError(f"bad RMSProp hyperparameters lr={lr} alpha={alpha} eps={eps}")
 
 
-def rmsprop_step(
-    params: ParamSet,
-    grads: ParamSet,
-    state: OptimizerState,
-    lr: float,
-    alpha: float,
-    eps: float,
-) -> tuple[ParamSet, OptimizerState]:
-    """One RMSProp update: acc' = a*acc + (1-a)*g^2, p' = p - lr*g/sqrt(acc'+eps)."""
+def rmsprop_step(params: ParamSet, state: OptimizerState, lr: float, alpha: float,
+                 eps: float) -> None:
+    """One RMSProp update in place from each parameter's own ``.grad``:
+    acc = a*acc + (1-a)*g^2, p = p - lr*g/sqrt(acc+eps). A parameter the
+    backward never reached steps with g = 0. Every ``.grad`` is None after."""
     check_rmsprop(lr, alpha, eps)
-    if params.names() != grads.names():
+    if params.names() != tuple(state.acc):
         raise ValueError(
-            f"gradient keys {grads.names()} do not match parameters {params.names()}"
+            f"accumulator keys {tuple(state.acc)} do not match parameters {params.names()}"
         )
-    new_params: dict[str, Array] = {}
-    new_acc: dict[str, Array] = {}
     for name, tensor in params.items():
-        g = grads[name].data
-        acc = alpha * state.acc[name] + (1.0 - alpha) * g * g
-        new_acc[name] = acc
-        new_params[name] = tensor.data - lr * g / np.sqrt(acc + eps)
-    return ParamSet(new_params), OptimizerState(acc=new_acc)
+        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        acc = state.acc[name]
+        acc *= alpha
+        acc += ((1.0 - alpha) * g) * g
+        tensor.data -= (lr * g) / np.sqrt(acc + eps)
+        tensor.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ One critic update, ``critic_update``, serves both training schedules with
 targets fixed up front; the schedule is the sweep. ``minibatch`` takes one
 optimiser step per timestep, sweeping t = T..1, and ``wholebatch`` takes a
 single step on the loss summed over all timesteps. Every optimiser step
-advances the target-network counter.
+advances the target-network counter. The updates write the trainer's
+parameters, RMSProp accumulators and target network in place.
 
 The actor is replayed over a batch by ``unroll_policy`` in one hoisted pass:
 its (T*B*n, m) probabilities are time-major, then episode-major, and
@@ -23,7 +24,7 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -171,22 +172,22 @@ def batch_td_lambda_targets(rewards: Array, boots: Array, lengths: Array, lam: f
 # Target network bookkeeping
 
 
-@dataclass(frozen=True)
+@dataclass
 class TargetNetState:
+    """Target parameters in arrays of their own, and optimiser steps since the last sync."""
+
     params: ParamSet
     counter: int = 0
     period: int = 200
 
 
-def target_sync(state: TargetNetState, online: ParamSet) -> TargetNetState:
-    """Copy online parameters into the target when the counter reaches the period."""
+def target_sync(state: TargetNetState, online: ParamSet) -> None:
+    """Copy the online values into the target's arrays and reset the counter
+    when the counter has reached the period."""
     if state.counter >= state.period:
-        return TargetNetState(online.copy(), 0, state.period)
-    return state
-
-
-def _tick_target(state: TargetNetState, online: ParamSet) -> TargetNetState:
-    return target_sync(replace(state, counter=state.counter + 1), online)
+        for name, tensor in state.params.items():
+            np.copyto(tensor.data, online[name].data)
+        state.counter = 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +286,15 @@ def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
 def critic_update(
     batch: Batch, inputs: Array, cfg: LearnConfig, params: ParamSet, opt: OptimizerState,
     target: TargetNetState,
-) -> tuple[ParamSet, OptimizerState, TargetNetState, float]:
-    """Fit the critic to TD(lambda) targets; returns the summed loss.
+) -> float:
+    """Fit the critic to TD(lambda) targets in place; returns the summed loss.
 
     Targets are computed once from the target network before any step. The
     schedule is the sweep: ``wholebatch`` takes one step on the loss summed
     over every timestep, ``minibatch`` one step per timestep for t = T..1.
-    The target counter advances on every optimiser step.
+    The target counter advances on every optimiser step. A ``NumericError``
+    part-way through a minibatch sweep leaves the critic with the steps
+    already taken; ``run_experiment`` then saves no parameters.
     """
     targets, weights, actions = prepare_critic_batch(
         batch, inputs, cfg.algo, target, cfg.lam, cfg.gamma)
@@ -307,10 +310,10 @@ def critic_update(
             raise NumericError("critic loss is not finite")
         total += value
         loss.backward()
-        params, opt = ad.rmsprop_step(params, params.grad_set(), opt,
-                                      cfg.lr, cfg.rms_alpha, cfg.rms_eps)
-        target = _tick_target(target, params)
-    return params, opt, target, total
+        ad.rmsprop_step(params, opt, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
+        target.counter += 1
+        target_sync(target, params)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +389,9 @@ def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
 def policy_gradient_update(
     batch: Batch, advantages: Array, probs: Tensor, params: ParamSet,
     opt: OptimizerState, cfg: LearnConfig,
-) -> tuple[ParamSet, OptimizerState, float]:
-    """One optimiser step on the policy-gradient loss of ``probs``, a taped
-    ``unroll_policy`` of ``params`` over the batch.
+) -> float:
+    """One optimiser step in place on the policy-gradient loss of ``probs``, a
+    taped ``unroll_policy`` of ``params`` over the batch; returns the loss.
 
     Advantages enter as constants; no gradient reaches the critic. A
     non-finite loss raises without touching the parameters.
@@ -399,9 +402,8 @@ def policy_gradient_update(
     if not np.isfinite(value):
         raise NumericError("policy loss is not finite")
     loss.backward()
-    new_params, new_opt = ad.rmsprop_step(params, params.grad_set(), opt,
-                                          cfg.lr, cfg.rms_alpha, cfg.rms_eps)
-    return new_params, new_opt, value
+    ad.rmsprop_step(params, opt, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +435,7 @@ class LearnConfig:
 
 @dataclass
 class Trainer:
-    """Actor/critic parameter bundle with the per-iteration update recipe."""
+    """Actor/critic parameters and optimiser state, which the update recipe writes in place."""
 
     cfg: LearnConfig
     actor_cfg: ActorConfig
@@ -474,13 +476,13 @@ class Trainer:
         """
         batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, self.cfg.algo)
-        self.critic, self.critic_opt, self.target, critic_loss = critic_update(
+        critic_loss = critic_update(
             batch, inputs, self.cfg, self.critic, self.critic_opt, self.target)
         probs = unroll_policy(self.actor, self.actor_cfg, batch)
         advantages = compute_advantages(
             batch, inputs, self.cfg.algo, self.critic, probs,
             self.cfg.gamma, self.cfg.gamma_adv_one,
         )
-        self.actor, self.actor_opt, actor_loss = policy_gradient_update(
+        actor_loss = policy_gradient_update(
             batch, advantages, probs, self.actor, self.actor_opt, self.cfg)
         return critic_loss, actor_loss

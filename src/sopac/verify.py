@@ -245,9 +245,8 @@ def switch_oracle_check(
         for updates in range(1, max_updates + 1):
             episodes = uniform_switch_episodes(env, rng, batch)
             b = Batch.from_episodes(episodes)
-            trainer.critic, trainer.critic_opt, trainer.target, _ = critic_update(
-                b, critic_batch_inputs(b, algo), trainer.cfg, trainer.critic,
-                trainer.critic_opt, trainer.target)
+            critic_update(b, critic_batch_inputs(b, algo), trainer.cfg, trainer.critic,
+                          trainer.critic_opt, trainer.target)
             if updates % 25 == 0 or updates == max_updates:
                 if algo == "centralv":
                     with ad.no_grad():

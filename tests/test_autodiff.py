@@ -8,6 +8,7 @@ from sopac import harness, verify
 from sopac.envs import make_env
 
 from reference import params_equal
+from test_fused import assert_bits_equal
 
 
 def zero_like(params):
@@ -104,35 +105,62 @@ class TestRmsProp:
     def test_zero_gradient_leaves_params_and_decays_accumulator(self):
         params = ad.ParamSet({"p": np.array([1.0, -2.0])})
         state = ad.OptimizerState(acc={"p": np.array([0.5, 0.5])})
-        grads = ad.ParamSet({"p": np.zeros(2)})
-        new_params, new_state = ad.rmsprop_step(params, grads, state, 0.005, 0.99, 1e-5)
-        assert np.array_equal(new_params["p"].data, params["p"].data)
-        assert np.allclose(new_state.acc["p"], 0.99 * 0.5)
+        params["p"].grad = np.zeros(2)
+        before = params["p"].data.copy()
+        ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
+        assert np.array_equal(params["p"].data, before)
+        assert np.allclose(state.acc["p"], 0.99 * 0.5)
 
     def test_hand_evaluated_single_step(self):
         params = ad.ParamSet({"p": np.array([1.0])})
-        grads = ad.ParamSet({"p": np.array([2.0])})
+        params["p"].grad = np.array([2.0])
         state = ad.rmsprop_init(params)
-        new_params, new_state = ad.rmsprop_step(params, grads, state, 0.005, 0.99, 1e-5)
-        assert np.allclose(new_state.acc["p"], 0.04)
-        assert np.allclose(new_params["p"].data, 1.0 - 0.005 * 2.0 / np.sqrt(0.04 + 1e-5))
+        ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
+        assert np.allclose(state.acc["p"], 0.04)
+        assert np.allclose(params["p"].data, 1.0 - 0.005 * 2.0 / np.sqrt(0.04 + 1e-5))
 
     def test_two_steps_descend_a_quadratic(self):
         params = ad.ParamSet({"p": np.array([1.0])})
         state = ad.rmsprop_init(params)
         values = [float(params["p"].data[0] ** 2)]
         for _ in range(2):
-            g = 2.0 * params["p"].data
-            params, state = ad.rmsprop_step(params, ad.ParamSet({"p": g}), state,
-                                            0.005, 0.99, 1e-5)
+            params["p"].grad = 2.0 * params["p"].data
+            ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
             values.append(float(params["p"].data[0] ** 2))
         assert values[1] < values[0] and values[2] < values[1]
 
     def test_key_mismatch_rejected(self):
         params = ad.ParamSet({"p": np.zeros(2)})
-        grads = ad.ParamSet({"q": np.zeros(2)})
+        state = ad.OptimizerState(acc={"q": np.zeros(2)})
         with pytest.raises(ValueError, match="do not match"):
-            ad.rmsprop_step(params, grads, ad.rmsprop_init(params), 0.005, 0.99, 1e-5)
+            ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
+
+    def test_in_place_step_bits_at_trainer_shapes(self):
+        # every weight shape, every bias shape (each layer's output width),
+        # and one parameter the backward never reached
+        lr, alpha, eps = 0.005, 0.99, 1e-5
+        rng = np.random.default_rng(41)
+        shapes = WEIGHT_SHAPES + sorted({(n,) for _, n in WEIGHT_SHAPES})
+        params = ad.ParamSet({f"p{i}": rng.standard_normal(shape)
+                              for i, shape in enumerate(shapes)})
+        params = ad.merge(params, ad.ParamSet({"unreached": rng.standard_normal((3, 4))}))
+        state = ad.OptimizerState(acc={k: np.abs(rng.standard_normal(v.data.shape))
+                                       * 10.0 ** rng.integers(-8, 3, v.data.shape)
+                                       for k, v in params.items()})
+        for name, tensor in params.items():
+            if name != "unreached":
+                tensor.grad = (rng.standard_normal(tensor.data.shape)
+                               * 10.0 ** rng.integers(-8, 3, tensor.data.shape))
+        before = {k: (v.data.copy(), state.acc[k].copy(), v.grad) for k, v in params.items()}
+        ad.rmsprop_step(params, state, lr, alpha, eps)
+        for name, (p, acc, g) in before.items():
+            if g is None:
+                assert_bits_equal(state.acc[name], alpha * acc)
+                assert_bits_equal(params[name].data, p)
+            else:
+                assert_bits_equal(params[name].data,
+                            p - (lr * g) / np.sqrt((alpha * acc + ((1.0 - alpha) * g) * g) + eps))
+            assert params[name].grad is None
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -141,9 +169,11 @@ class TestRmsProp:
         params = ad.ParamSet({"a": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)})
         state = ad.OptimizerState(acc={k: np.abs(rng.standard_normal(v.data.shape))
                                        for k, v in params.items()})
-        grads = ad.ParamSet({k: np.zeros_like(v.data) for k, v in params.items()})
-        new_params, _ = ad.rmsprop_step(params, grads, state, 0.005, 0.99, 1e-5)
-        assert params_equal(new_params, params)
+        for _, tensor in params.items():
+            tensor.grad = np.zeros_like(tensor.data)
+        before = params.copy()
+        ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
+        assert params_equal(params, before)
 
 
 class TestFiniteDiffCheck:

@@ -393,6 +393,7 @@ class TestCli:
         assert manifest["env_step"] == manifest["env_steps"] > 0
         assert "not finite" in manifest["error"]
         assert manifest["config"]["lr"] == 1e200
+        assert not (tmp_path / "run" / "params.npz").exists()
 
     def test_train_out_that_is_a_file_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"

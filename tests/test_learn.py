@@ -224,12 +224,12 @@ class TestPolicyGradientUpdate:
         trainer = make_trainer("centralv")
         batch = random_batch(np.random.default_rng(3), DIMS)
         before = trainer.actor.copy()
-        after, _, loss = policy_gradient_update(
+        loss = policy_gradient_update(
             batch, np.zeros((batch.size, batch.max_length, DIMS["n"])),
             unrolled(trainer, batch), trainer.actor, trainer.actor_opt, trainer.cfg,
         )
         assert loss == 0.0
-        assert params_equal(after, before)
+        assert params_equal(trainer.actor, before)
 
     def test_positive_advantage_increases_taken_action_probability(self):
         trainer = make_trainer("coma-cc", seed=4)
@@ -239,9 +239,9 @@ class TestPolicyGradientUpdate:
         adv = np.zeros((1, 1, DIMS["n"]))
         adv[0, 0, 0] = 1.0
         probs_before = learn.batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)
-        new_actor, _, _ = policy_gradient_update(
+        policy_gradient_update(
             batch, adv, unrolled(trainer, batch), trainer.actor, trainer.actor_opt, trainer.cfg)
-        probs_after = learn.batch_policy_probs(new_actor, trainer.actor_cfg, batch)
+        probs_after = learn.batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)
         u = episode.actions[0, 0]
         assert probs_after[0, 0, 0, u] > probs_before[0, 0, 0, u]
 
@@ -288,11 +288,11 @@ class TestCriticSchedules:
         a = make_trainer("coma-cc", seed=13, critic_schedule="minibatch")
         b = make_trainer("coma-cc", seed=13, critic_schedule="wholebatch")
         inputs = critic_batch_inputs(batch, "coma-cc")
-        pa, _, ta, la = critic_update(batch, inputs, a.cfg, a.critic, a.critic_opt, a.target)
-        pb, _, tb, lb = critic_update(batch, inputs, b.cfg, b.critic, b.critic_opt, b.target)
-        assert params_equal(pa, pb)
+        la = critic_update(batch, inputs, a.cfg, a.critic, a.critic_opt, a.target)
+        lb = critic_update(batch, inputs, b.cfg, b.critic, b.critic_opt, b.target)
+        assert params_equal(a.critic, b.critic)
         assert la == lb
-        assert ta.counter == tb.counter
+        assert a.target.counter == b.target.counter
 
     @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
     def test_perfect_critic_is_a_fixed_point(self, schedule):
@@ -303,20 +303,21 @@ class TestCriticSchedules:
         episode.rewards[:] = 0.0  # zero targets match the zero critic everywhere
         batch = Batch.from_episodes([episode])
         target = TargetNetState(zero_critic.copy(), 0, 200)
-        new_params, _, _, loss = critic_update(
+        before = zero_critic.copy()
+        loss = critic_update(
             batch, critic_batch_inputs(batch, "centralv"), trainer.cfg, zero_critic,
             ad.rmsprop_init(zero_critic), target)
         assert loss == 0.0
-        assert params_equal(new_params, zero_critic)
+        assert params_equal(zero_critic, before)
 
     def test_multistep_minibatch_differs_from_wholebatch(self):
         batch = random_batch(np.random.default_rng(16), dict(DIMS, max_len=2))
         a = make_trainer("centralv", seed=17, critic_schedule="minibatch")
         b = make_trainer("centralv", seed=17, critic_schedule="wholebatch")
         inputs = critic_batch_inputs(batch, "centralv")
-        pa, *_ = critic_update(batch, inputs, a.cfg, a.critic, a.critic_opt, a.target)
-        pb, *_ = critic_update(batch, inputs, b.cfg, b.critic, b.critic_opt, b.target)
-        assert not params_equal(pa, pb)
+        critic_update(batch, inputs, a.cfg, a.critic, a.critic_opt, a.target)
+        critic_update(batch, inputs, b.cfg, b.critic, b.critic_opt, b.target)
+        assert not params_equal(a.critic, b.critic)
 
     def test_wholebatch_gradient_is_sum_of_per_step_gradients(self):
         trainer = make_trainer("coma-cc", seed=18)
@@ -367,7 +368,7 @@ class TestCriticSchedules:
         inputs = critic_batch_inputs(batch, "coma-cc")
         loss = np.inf
         for _ in range(4000):
-            trainer.critic, trainer.critic_opt, trainer.target, loss = critic_update(
+            loss = critic_update(
                 batch, inputs, trainer.cfg, trainer.critic, trainer.critic_opt, trainer.target)
             if loss < 1e-3:
                 break
@@ -398,24 +399,25 @@ class TestCriticSchedules:
 
         summed = float(learn.critic_loss_tensor(
             whole.critic, inputs, targets, weights, actions).data)
-        _, _, target, loss = critic_update(batch, inputs, whole.cfg, whole.critic,
-                                           whole.critic_opt, whole.target)
-        assert target.counter == 1
+        loss = critic_update(batch, inputs, whole.cfg, whole.critic,
+                             whole.critic_opt, whole.target)
+        assert whole.target.counter == 1
         assert loss == summed
 
-        params, opt, per_step = mini.critic, mini.critic_opt, []
+        # the same sweep by hand, on a second copy of the minibatch trainer
+        manual = make_trainer("coma", seed=31, critic_schedule="minibatch")
+        params, opt, per_step = manual.critic, manual.critic_opt, []
         for t in range(t_max - 1, -1, -1):
             params.zero_grads()
             step = learn.critic_loss_tensor(params, inputs[:, t], targets[:, t],
                                             weights[:, t], actions[:, t])
             per_step.append(float(step.data))
             step.backward()
-            params, opt = ad.rmsprop_step(params, params.grad_set(), opt, 0.005, 0.99, 1e-5)
-        new_params, _, target, loss = critic_update(batch, inputs, mini.cfg, mini.critic,
-                                                    mini.critic_opt, mini.target)
-        assert target.counter == t_max
+            ad.rmsprop_step(params, opt, 0.005, 0.99, 1e-5)
+        loss = critic_update(batch, inputs, mini.cfg, mini.critic, mini.critic_opt, mini.target)
+        assert mini.target.counter == t_max
         assert loss == sum(per_step)
-        assert params_equal(new_params, params)
+        assert params_equal(mini.critic, params)
 
 
 class TestTargetNetwork:
@@ -424,16 +426,19 @@ class TestTargetNetwork:
         online = cr.critic_init(rng, 4, 1, hidden=(8, 8))
         stale = cr.critic_init(rng, 4, 1, hidden=(8, 8))
         state = TargetNetState(stale, counter=200, period=200)
-        synced = target_sync(state, online)
-        assert params_equal(synced.params, online)
-        assert synced.counter == 0
+        assert target_sync(state, online) is None
+        assert params_equal(state.params, online)
+        assert state.counter == 0
 
     def test_below_period_leaves_target_unchanged(self):
         rng = np.random.default_rng(25)
         online = cr.critic_init(rng, 4, 1, hidden=(8, 8))
         stale = cr.critic_init(rng, 4, 1, hidden=(8, 8))
         state = TargetNetState(stale, counter=199, period=200)
-        assert target_sync(state, online) is state
+        before = stale.copy()
+        assert target_sync(state, online) is None
+        assert params_equal(state.params, before)
+        assert state.counter == 199
 
     def test_exactly_one_sync_in_two_hundred_wholebatch_iterations(self):
         trainer = make_trainer("centralv", seed=26, target_period=200)
@@ -441,14 +446,44 @@ class TestTargetNetwork:
         inputs = critic_batch_inputs(batch, "centralv")
         syncs = 0
         for _ in range(200):
-            before = trainer.target.params
-            trainer.critic, trainer.critic_opt, trainer.target, _ = critic_update(
+            critic_update(
                 batch, inputs, trainer.cfg, trainer.critic, trainer.critic_opt, trainer.target)
-            if trainer.target.params is not before:
+            if trainer.target.counter == 0:
                 syncs += 1
                 assert params_equal(trainer.target.params, trainer.critic)
         assert syncs == 1
         assert trainer.target.counter == 0
+
+    @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])
+    def test_training_writes_the_trainers_own_arrays(self, algo):
+        # every update syncs; the target must copy values, never alias the
+        # critic, and no parameter may carry a gradient past its step
+        trainer = make_trainer(algo, seed=28, target_period=1)
+        episodes = random_batch(np.random.default_rng(29), DIMS).episodes
+
+        def tensors():
+            return [t for params in (trainer.actor, trainer.critic, trainer.target.params)
+                    for _, t in params.items()]
+
+        def owned():
+            return ([obj for t in tensors() for obj in (t, t.data)]
+                    + [*trainer.actor_opt.acc.values(), *trainer.critic_opt.acc.values()])
+
+        def assert_disjoint():
+            for name, tensor in trainer.critic.items():
+                assert not np.shares_memory(trainer.target.params[name].data, tensor.data)
+
+        objects = owned()
+        assert_disjoint()
+        for _ in range(2):
+            before = trainer.actor.copy()
+            trainer.train_on_batch(episodes)
+            assert all(a is b for a, b in zip(owned(), objects, strict=True))
+            assert not params_equal(trainer.actor, before)
+            assert trainer.target.counter == 0
+            assert params_equal(trainer.target.params, trainer.critic)
+            assert_disjoint()
+            assert all(t.grad is None for t in tensors())
 
 
 def validate_episode(episode):
