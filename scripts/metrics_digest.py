@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the outputs of a fixed set of training runs, for refactor identity checks.
 
-Runs nineteen (config, seed) pairs through ``harness.run_experiment`` with
+Runs twenty-one (config, seed) pairs through ``harness.run_experiment`` with
 the ``sopac`` package of the checkout this script lives in, one BLAS thread,
 and prints one markdown table row per run: the sha256 of ``metrics.csv``,
 the sha256 of ``params.npz``, and the manifest's episode and step totals.
@@ -106,6 +106,17 @@ def configs() -> dict[str, dict]:
             env="capture", env_config=TINY_CAPTURE, algo=algo, sop="permissive",
             critic_schedule="minibatch", target_period=5, batch_size=3,
             total_steps=120, eval_interval=40, eval_episodes=2, seed=seed)
+    # 320 no-grad critic rows per update, so that the counterfactual pass of
+    # the m-headed coma critic and the bootstrap pass of centralv each run
+    # in more than one block of ``mlp_forward``
+    runs["capture-coma-b8"] = dict(
+        env="capture", env_config=dict(CAPTURE, prey="static"), algo="coma",
+        sop="permissive", batch_size=8, total_steps=480, eval_interval=240,
+        eval_episodes=2, seed=16)
+    runs["capture-centralv-b16"] = dict(
+        env="capture", env_config=dict(CAPTURE, prey="walk"), algo="centralv",
+        sop="permissive", batch_size=16, total_steps=960, eval_interval=480,
+        eval_episodes=2, seed=17)
     return runs
 
 

@@ -42,6 +42,12 @@ bit for bit under one more rule: every product that tape takes per step is
 one stacked ``np.matmul`` over the (T, R, .) view, never a flat product over
 all rows, and the per-step terms bound for one parameter are added one step
 at a time, in the per-step tape's order.
+
+With gradients off, ``mlp_forward`` forwards an input of more than
+``_BLOCK_ROWS`` rows one block of rows at a time, so the temporaries stay
+small even for the B*T*n*m rows of the coma-cc counterfactual pass;
+row-exactness keeps every row bit-identical. Taped forwards are never
+blocked: the bits of a weight gradient ``x^T g`` depend on the row count.
 """
 
 from __future__ import annotations
@@ -245,7 +251,8 @@ def linear(x, w, b, steps: int = 1, last_first: bool = False) -> Tensor:
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {xd.shape} @ {wd.shape}")
     x3 = _steps_view(xd, steps)
-    out = _rowwise(xd, wd) + bd
+    out = _rowwise(xd, wd)
+    out += bd
 
     def backward(g: Array) -> None:
         g3 = _steps_view(g, steps)
@@ -443,9 +450,20 @@ def mlp_init(
     return ParamSet(params)
 
 
+# Rows per block of a no-grad ``mlp_forward``. A 1600-row coma-cc
+# counterfactual pass ran fastest at 160 to 400 rows per block (timed at 40
+# to 1600 in a plain process); unblocked it took about 1.5x as long. Each
+# (256, 128) float64 temporary is 256 KiB.
+_BLOCK_ROWS = 256
+
+
 def mlp_forward(params: ParamSet, x) -> Tensor:
     """Forward through the dense stack w0, b0, w1, ...; ReLU between all but
-    the final layer."""
+    the final layer.
+
+    With gradients off, an input of more than ``_BLOCK_ROWS`` rows runs one
+    block of rows at a time into one output array; row-exactness keeps every
+    row bit-identical. Taped forwards are never blocked."""
     n_layers = 0
     while f"w{n_layers}" in params:
         n_layers += 1
@@ -458,6 +476,16 @@ def mlp_forward(params: ParamSet, x) -> Tensor:
             f"mlp_forward: input shape {xd.shape} does not match first layer "
             f"width {expected}"
         )
+    if _grad_enabled or xd.shape[0] <= _BLOCK_ROWS:
+        return _dense_stack(params, x, n_layers)
+    out = np.empty((xd.shape[0], params[f"w{n_layers - 1}"].data.shape[1]))
+    for start in range(0, xd.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        out[block] = _dense_stack(params, xd[block], n_layers).data
+    return Tensor(out)
+
+
+def _dense_stack(params: ParamSet, x, n_layers: int) -> Tensor:
     h = x
     for i in range(n_layers):
         h = linear(h, params[f"w{i}"], params[f"b{i}"])

@@ -339,6 +339,84 @@ class TestStackedStepProducts:
                     assert np.array_equal(bits(blocks[t]), bits(one)), (steps, rows, t)
 
 
+BLOCKED_ROWS = (1, 255, 256, 257, 513, 1600)
+
+
+class TestBlockedForward:
+    """With gradients off, ``mlp_forward`` runs more than ``_BLOCK_ROWS`` rows
+    one block at a time; every row must equal the taped (unblocked) forward
+    and a forward of that row alone, bit for bit. The critics are those of
+    the benchmark's 5x5 capture workloads."""
+
+    @pytest.mark.parametrize("algo", ["coma-cc", "coma"])
+    def test_blocked_rows_equal_taped_and_single_row_forwards(self, algo):
+        cfg = harness.RunConfig(env="capture", env_config={"side": 5, "horizon": 20}, algo=algo)
+        params = harness.build_trainer(cfg, make_env(cfg.env, cfg.env_config)).critic
+        if algo == "coma-cc":
+            assert [params[f"w{i}"].data.shape for i in range(3)] == [
+                (107, 128), (128, 128), (128, 1)]
+        else:
+            assert params["w2"].data.shape[1] == 5  # one head per action
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((max(BLOCKED_ROWS), params["w0"].data.shape[0]))
+        with ad.no_grad():
+            singles = np.vstack([ad.mlp_forward(params, x[i : i + 1]).data
+                                 for i in range(len(x))])
+        for rows in BLOCKED_ROWS:
+            with ad.no_grad():
+                blocked = ad.mlp_forward(params, x[:rows])
+            taped = ad.mlp_forward(params, x[:rows])
+            assert blocked._parents == () and taped._parents != ()
+            assert_bits_equal(blocked.data, taped.data)
+            assert_bits_equal(blocked.data, singles[:rows])
+
+    def test_only_no_grad_forwards_are_blocked(self, monkeypatch):
+        params = ad.mlp_init(np.random.default_rng(19), (6, 16, 16, 3))
+        x = np.random.default_rng(20).standard_normal((2 * ad._BLOCK_ROWS + 1, 6))
+        calls = []
+        linear = ad.linear
+
+        def counted(h, w, b):
+            calls.append(ad._data(h).shape[0])
+            return linear(h, w, b)
+
+        monkeypatch.setattr(ad, "linear", counted)
+        ad.mlp_forward(params, x)
+        assert calls == [len(x)] * 3
+        calls.clear()
+        with ad.no_grad():
+            ad.mlp_forward(params, x)
+        assert calls == [ad._BLOCK_ROWS] * 6 + [1] * 3
+
+
+def sequential_sum(terms, last_first):
+    """``terms[0] + terms[1] + ...`` one step at a time, or from the last step."""
+    order = range(len(terms) - 1, -1, -1) if last_first else range(len(terms))
+    total = None
+    for t in order:
+        total = terms[t] if total is None else np.add(total, terms[t])
+    return total
+
+
+class TestSumSteps:
+    """``_sum_steps`` must add steps one at a time. numpy's axis-0 sum does
+    not at every shape: it adds (T,), (T, 1) and (T, 1, 1) pairwise from
+    T = 9 on. Those are ``sum_all``'s step sums and the bias terms of a
+    width-1 critic head."""
+
+    @pytest.mark.parametrize("steps", [9, 16, 20])
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (16, 64)],
+                             ids=lambda s: "x".join(map(str, s)) or "scalar")
+    def test_equals_a_sequential_sum(self, steps, shape):
+        rng = np.random.default_rng(100 * steps + len(shape))
+        size = (steps, *shape)
+        for _ in range(20):
+            terms = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+            for last_first in (False, True):
+                assert np.array_equal(bits(ad._sum_steps(terms, last_first)),
+                                      bits(sequential_sum(terms, last_first))), last_first
+
+
 class TestParamSet:
     def test_copy_is_independent_and_equal(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from sopac import critic as cr
 from sopac.autodiff import ParamSet, ShapeError
+from sopac.envs import make_env
 
 from reference import comacc_q
 
@@ -226,6 +229,29 @@ class TestComaCCCritic:
         assert table.shape == (1, m)
         for u in range(m):
             assert table[0, u] == comacc_q(params, layout, state, obs, first, [u])
+
+
+class TestCounterfactualMemory:
+    def test_benchmark_batch_peaks_under_three_mib(self):
+        """One coma-cc pass over an (8, 20) batch of the 5x5 capture shape
+        forwards 1600 rows. Blocked, its temporaries stay far below the
+        6 MiB that one unblocked forward of those rows peaks at."""
+        spec = make_env("capture", {"side": 5, "horizon": 20}).spec
+        n, m = spec.n_agents, spec.n_actions
+        layout = cr.comacc_layout(spec.state_width, spec.obs_width, n, m)
+        rng = np.random.default_rng(21)
+        params = cr.critic_init(rng, layout.width, 1)
+        inputs = cr.encode(layout, rng.standard_normal((8, 20, spec.state_width)),
+                           rng.standard_normal((8, 20, n, spec.obs_width)),
+                           rng.integers(m, size=(8, 20, n)), rng.integers(m, size=(8, 20, n)))
+        tracemalloc.start()
+        try:
+            values = cr.counterfactual_values(params, layout, inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (8, 20, n, m) and layout.width == 107
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestInputCounting:
