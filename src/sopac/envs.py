@@ -183,7 +183,10 @@ GridKey = tuple[tuple[Cell, ...], Cell, int]  # (agent cells, prey cell, t)
 
 
 class CaptureGrid:
-    """Partially observable pursuit task; see :class:`CaptureGridConfig`."""
+    """Partially observable pursuit task; see :class:`CaptureGridConfig`.
+
+    ``transitions`` reads per-cell tables built once: the five move targets,
+    the prey's on-grid moves and the orthogonal neighbours."""
 
     def __init__(self, config: CaptureGridConfig | None = None):
         self.config = config or CaptureGridConfig()
@@ -215,6 +218,16 @@ class CaptureGrid:
         targets = cells[:, :, None] + np.asarray(_MOVES)
         self._avail_table = ((targets >= 0) & (targets < side)).all(axis=-1).reshape(-1, 5)
         self._view_channel = [plane] * n + [2 * plane]  # ally bits, then prey bits
+        grid = [(row, col) for row in range(side) for col in range(side)]
+        self._target = {cell: tuple((cell[0] + dr, cell[1] + dc) for dr, dc in _MOVES)
+                        for cell in grid}
+        self._prey_moves = {cell: [t for t in self._target[cell] if t in self._target]
+                            for cell in grid}
+        self._neighbours = {cell: frozenset(t for t in moves if _adjacent(cell, t))
+                            for cell, moves in self._prey_moves.items()}
+        penalty = float(c.step_penalty)
+        self._win = (float(c.capture_reward), True, True)
+        self._no_win = ((penalty, False, False), (penalty, True, False))  # by t >= horizon
 
     def reset(self, rng: np.random.Generator) -> GridKey:
         """Distinct cells for the agents and then the prey, rejection-sampled."""
@@ -241,38 +254,25 @@ class CaptureGrid:
 
     def _move_agents(self, agents: tuple[Cell, ...], prey: Cell,
                      u: tuple[int, ...]) -> tuple[Cell, ...]:
-        targets = [
-            (agents[i][0] + _MOVES[a][0], agents[i][1] + _MOVES[a][1])
-            for i, a in enumerate(u)
-        ]
-        occupied = set(agents)
-        out: list[Cell] = []
-        for i, target in enumerate(targets):
-            contested = any(j != i and targets[j] == target for j in range(len(targets)))
-            blocked = (
-                target == prey
-                or (target != agents[i] and target in occupied)
-                or contested
-            )
-            out.append(agents[i] if blocked else target)
+        targets = [self._target[cell][a] for cell, a in zip(agents, u)]
+        out = []
+        for cell, target in zip(agents, targets):
+            blocked = (target == prey
+                       or (target != cell and target in agents)
+                       or targets.count(target) > 1)
+            out.append(cell if blocked else target)
         return tuple(out)
 
     def _prey_options(self, prey: Cell, agents: tuple[Cell, ...]) -> list[Cell]:
-        side = self.config.side
-        options = []
-        for dr, dc in _MOVES:
-            cell = (prey[0] + dr, prey[1] + dc)
-            if 0 <= cell[0] < side and 0 <= cell[1] < side and cell not in agents:
-                options.append(cell)
-        return options or [prey]
+        return [cell for cell in self._prey_moves[prey] if cell not in agents] or [prey]
 
     def _outcome(self, agents: tuple[Cell, ...], prey: Cell, t: int) -> tuple[float, bool, bool]:
         """(reward, terminal, win) on arriving at ``(agents, prey)`` at step t:
         the team wins when every agent is adjacent to the prey, and the
         episode also ends at the horizon."""
-        if all(_adjacent(a, prey) for a in agents):
-            return float(self.config.capture_reward), True, True
-        return float(self.config.step_penalty), t >= self.config.horizon, False
+        if self._neighbours[prey].issuperset(agents):
+            return self._win
+        return self._no_win[t >= self.config.horizon]
 
     # enumeration interface ----------------------------------------------------
 
@@ -290,13 +290,9 @@ class CaptureGrid:
     def transitions(self, key: GridKey, joint_action: tuple[int, ...]):
         agents, prey, t = key
         moved = self._move_agents(agents, prey, joint_action)
-        if self.config.prey == "walk":
-            options = self._prey_options(prey, moved)
-            outcomes = [(cell, 1.0 / len(options)) for cell in options]
-        else:
-            outcomes = [(prey, 1.0)]
-        return [((moved, new_prey, t + 1), *self._outcome(moved, new_prey, t + 1), prob)
-                for new_prey, prob in outcomes]
+        options = self._prey_options(prey, moved) if self.config.prey == "walk" else [prey]
+        prob, t = 1.0 / len(options), t + 1
+        return [((moved, cell, t), *self._outcome(moved, cell, t), prob) for cell in options]
 
     # feature builders ----------------------------------------------------------
 

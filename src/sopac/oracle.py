@@ -46,6 +46,8 @@ def uniform_policy(env) -> Policy:
 
 
 class _Enumerator:
+    """Memoised V/Q recursion; each outcome of a pair spends one expansion."""
+
     def __init__(self, env, policy: Policy, max_paths: int):
         self.env = env
         self.policy = policy
@@ -55,7 +57,7 @@ class _Enumerator:
         self.v_memo: dict = {}
         self.q_memo: dict = {}
 
-    def _spend(self, count: int = 1) -> None:
+    def _spend(self, count: int) -> None:
         self.expansions += count
         if self.expansions > self.max_paths:
             raise InstanceTooLarge(
@@ -65,10 +67,16 @@ class _Enumerator:
 
     def q_value(self, key, joint: tuple[int, ...]) -> float:
         # called once per pair, from the memoised state_value of its key
-        total = 0.0
-        for next_key, reward, terminal, _win, prob in self.env.transitions(key, joint):
-            self._spend()
-            future = 0.0 if terminal else self.state_value(next_key)
+        outcomes = self.env.transitions(key, joint)
+        self._spend(len(outcomes))
+        v_memo, total = self.v_memo, 0.0
+        for next_key, reward, terminal, _win, prob in outcomes:
+            if terminal:
+                future = 0.0
+            elif next_key in v_memo:
+                future = v_memo[next_key]
+            else:
+                future = self.state_value(next_key)
             total += prob * (reward + self.gamma * future)
         self.q_memo[(key, joint)] = total
         return total

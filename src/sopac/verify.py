@@ -144,8 +144,14 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5, dims: dict | None = None
         batch = random_batch(rng, d)
         for algo in ALGOS:
             inputs = critic_batch_inputs(batch, algo)
-            for _ in range(200):
+            for attempt in range(200):
                 trainer = _check_trainer(rng, algo, d)
+                margins_ok = (
+                    _critic_relu_margin(trainer.critic, inputs) > margin
+                    and _actor_relu_margin(trainer.actor, batch, trainer.actor_cfg) > margin
+                )
+                if not margins_ok and attempt < 199:
+                    continue  # rejected anyway; the last draw is still checked
                 targets, weights, actions = prepare_critic_batch(
                     batch, inputs, algo, trainer.target, lam=0.8, gamma=0.99)
 
@@ -160,10 +166,6 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5, dims: dict | None = None
                 def actor_loss(params: ParamSet) -> ad.Tensor:
                     return policy_loss_tensor(batch, adv, params, trainer.actor_cfg)
 
-                margins_ok = (
-                    _critic_relu_margin(trainer.critic, inputs) > margin
-                    and _actor_relu_margin(trainer.actor, batch, trainer.actor_cfg) > margin
-                )
                 if (_well_conditioned(critic_loss, trainer.critic, margins_ok)
                         and _well_conditioned(actor_loss, trainer.actor, True)):
                     break

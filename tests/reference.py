@@ -14,9 +14,11 @@ return, advantage and KL formulas are the per-step definitions that the
 batched code in ``sopac`` vectorises, ``td_lambda_loop`` is the one-episode
 backward recursion that the batched TD(lambda) targets must reproduce, ``comacc_q`` is the one-row critic
 call that the stacked counterfactual pass must reproduce,
-``params_equal`` compares two parameter sets bit for bit, and
+``params_equal`` compares two parameter sets bit for bit,
 ``capture_observations`` and ``capture_avail_actions`` are the cell-by-cell
-loops that ``CaptureGrid``'s feature tables must reproduce bit for bit.
+loops that ``CaptureGrid``'s feature tables must reproduce bit for bit, and
+``reference_transitions`` is the tuple-arithmetic capture dynamics that
+``CaptureGrid``'s per-cell move, prey and adjacency tables must reproduce.
 """
 
 from __future__ import annotations
@@ -339,3 +341,43 @@ def capture_avail_actions(env: CaptureGrid, key: GridKey) -> Array:
             rr, cc = ar + dr, ac + dc
             avail[a, m] = 0 <= rr < side and 0 <= cc < side
     return avail
+
+
+def reference_transitions(env: CaptureGrid, key: GridKey, joint_action) -> list:
+    """Outcomes of ``env.transitions``, with every move target, bound check,
+    prey option and adjacency recomputed from cell coordinates."""
+    c = env.config
+    agents, prey, t = key
+    targets = [
+        (agents[i][0] + _MOVES[a][0], agents[i][1] + _MOVES[a][1])
+        for i, a in enumerate(joint_action)
+    ]
+    occupied = set(agents)
+    out: list = []
+    for i, target in enumerate(targets):
+        contested = any(j != i and targets[j] == target for j in range(len(targets)))
+        blocked = (
+            target == prey
+            or (target != agents[i] and target in occupied)
+            or contested
+        )
+        out.append(agents[i] if blocked else target)
+    moved = tuple(out)
+    if c.prey == "walk":
+        options = []
+        for dr, dc in _MOVES:
+            cell = (prey[0] + dr, prey[1] + dc)
+            if 0 <= cell[0] < c.side and 0 <= cell[1] < c.side and cell not in moved:
+                options.append(cell)
+        options = options or [prey]
+        outcomes = [(cell, 1.0 / len(options)) for cell in options]
+    else:
+        outcomes = [(prey, 1.0)]
+    result = []
+    for new_prey, prob in outcomes:
+        if all(abs(a[0] - new_prey[0]) + abs(a[1] - new_prey[1]) == 1 for a in moved):
+            reward, terminal, win = float(c.capture_reward), True, True
+        else:
+            reward, terminal, win = float(c.step_penalty), t + 1 >= c.horizon, False
+        result.append(((moved, new_prey, t + 1), reward, terminal, win, prob))
+    return result

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import capture_avail_actions, capture_observations
+from reference import capture_avail_actions, capture_observations, reference_transitions
 from sopac.envs import (
     CaptureGrid,
     CaptureGridConfig,
@@ -184,6 +184,32 @@ class TestCaptureGridStep:
             outcomes = env.transitions(key, joint)
             assert len({o[0] for o in outcomes}) == len(outcomes)
             assert all(o[4] == 1.0 / len(outcomes) for o in outcomes)
+
+    @pytest.mark.parametrize("config, pairs", [
+        (CaptureGridConfig(side=3, horizon=3, prey="walk"), 18_980),
+        (CaptureGridConfig(side=3, horizon=3, prey="static"), 18_980),
+        # three agents contest and occupy each other's targets
+        (CaptureGridConfig(side=3, n_agents=3, horizon=1, prey="walk"), 147_240),
+    ], ids=["3x3-walk-h3", "3x3-static-h3", "3x3-3agents-walk-h1"])
+    def test_transitions_equal_the_tuple_arithmetic_reference(self, config, pairs):
+        # every available joint action of every key reachable from the
+        # initial states: the same outcomes in the same order, floats exact
+        env = CaptureGrid(config)
+        stack = [key for key, _ in env.initial_states()]
+        seen = set(stack)
+        checked = 0
+        while stack:
+            key = stack.pop()
+            for joint in itertools.product(*(np.flatnonzero(row).tolist()
+                                             for row in env.avail_actions(key))):
+                expected = reference_transitions(env, key, joint)
+                assert env.transitions(key, joint) == expected
+                for next_key, _r, terminal, _w, _p in expected:
+                    if not terminal and next_key not in seen:
+                        seen.add(next_key)
+                        stack.append(next_key)
+                checked += 1
+        assert checked == pairs
 
 
 class TestFeatureTables:

@@ -101,6 +101,14 @@ class TestCaptureOracle:
         with pytest.raises(InstanceTooLarge, match="expansions"):
             exact_action_values(env, uniform_policy(env), max_paths=1000)
 
+    def test_path_budget_counts_every_outcome_of_every_pair(self):
+        # the benchmark's walking-prey grid expands 55 796 outcomes in all
+        env = CaptureGrid(CaptureGridConfig(side=3, horizon=3, prey="walk"))
+        with pytest.raises(InstanceTooLarge):
+            exact_action_values(env, uniform_policy(env), max_paths=55_795)
+        table = exact_action_values(env, uniform_policy(env), max_paths=55_796)
+        assert sum(len(env.transitions(*pair)) for pair in table.action_values) == 55_796
+
 
 def reachable_pairs(env):
     """Every (key, available joint action) reachable from the initial states
