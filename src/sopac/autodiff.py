@@ -6,7 +6,7 @@ constraints that shape the implementation:
 
 * everything is float64, and forward passes are bit-deterministic;
 * every forward matrix product goes through the one helper ``_rowwise``
-  (shared by ``linear``, ``gru_step`` and ``gru_unroll``), which is
+  (shared by ``linear``, ``gru_unroll`` and ``policy.actor_cell``), which is
   row-exact: evaluating k stacked inputs yields bit-identical rows to k
   independent single-input calls -- several tests and the counterfactual
   critic rely on this. Its kernel follows from the shape alone: one gemm
@@ -30,9 +30,9 @@ bit. ``tests/reference.py`` keeps the composed versions as oracles, with
 the elementwise ops only they use (``matmul``, ``sigmoid``, ``tanh``,
 ``exp``, ``div``, ``sum_last``).
 
-``gru_step`` is the rollout's GRU step: forward only, on plain arrays, and
-sharing the cell kernel ``_gru_cell`` with ``gru_unroll``, the GRU's one
-differentiable path.
+The GRU has one function, ``gru_unroll``, and one cell kernel, ``_gru_cell``,
+which the rollout's tape-free ``policy.actor_cell`` also calls. Its
+parameters are always named ``gru.{w,u,b}{r,z,h}``.
 
 Time-hoisted nodes take the R rows of each of T time steps at once,
 time-major: ``linear`` and ``sum_all`` with ``steps=T``, and ``gru_unroll``.
@@ -494,25 +494,33 @@ def _dense_stack(params: ParamSet, x, n_layers: int) -> Tensor:
     return h
 
 
-def gru_init(
-    rng: np.random.Generator, in_dim: int, hidden: int, prefix: str = ""
-) -> ParamSet:
+# The GRU's parameter names: (W, U, b), each in gate order reset, update, candidate.
+_GRU_NAMES = tuple(tuple(f"gru.{kind}{gate}" for gate in "rzh") for kind in "wub")
+
+
+def gru_init(rng: np.random.Generator, in_dim: int, hidden: int) -> ParamSet:
     params: dict[str, Array] = {}
-    for gate in ("r", "z", "h"):
-        params[f"{prefix}w{gate}"] = _uniform(rng, (in_dim, hidden), in_dim)
-        params[f"{prefix}u{gate}"] = _uniform(rng, (hidden, hidden), hidden)
-        params[f"{prefix}b{gate}"] = _uniform(rng, (hidden,), hidden)
+    for w, u, b in zip(*_GRU_NAMES):
+        params[w] = _uniform(rng, (in_dim, hidden), in_dim)
+        params[u] = _uniform(rng, (hidden, hidden), hidden)
+        params[b] = _uniform(rng, (hidden,), hidden)
     return ParamSet(params)
 
 
-def _gru_gates(params: ParamSet, prefix: str) -> tuple[tuple[Tensor, ...], ...]:
+def _gru_gates(params: ParamSet) -> tuple[tuple[Tensor, ...], ...]:
     """The GRU's (W, U, b) tensors, each in gate order: reset, update, candidate."""
-    return tuple(tuple(params[f"{prefix}{kind}{gate}"] for gate in "rzh") for kind in "wub")
+    return tuple(tuple(params[name] for name in names) for names in _GRU_NAMES)
 
 
 def _gru_cell(xw, hd: Array, u, b) -> tuple[Array, ...]:
-    """One GRU step from its input products ``xw`` = (x Wr, x Wz, x Wh):
-    returns (r, z, r*h, c, h')."""
+    """One GRU step from its input products ``xw`` = (x Wr, x Wz, x Wh), on
+    plain arrays: returns (r, z, r*h, c, h').
+
+    reset    r = sigmoid(x Wr + h Ur + br)
+    update   z = sigmoid(x Wz + h Uz + bz)
+    cand     c = tanh(x Wh + (r*h) Uh + bh)
+    next     h' = (1 - z) * h + z * c
+    """
     r = _sigmoid((xw[0] + _rowwise(hd, u[0])) + b[0])
     z = _sigmoid((xw[1] + _rowwise(hd, u[1])) + b[1])
     rh = r * hd
@@ -520,21 +528,7 @@ def _gru_cell(xw, hd: Array, u, b) -> tuple[Array, ...]:
     return r, z, rh, c, (1.0 - z) * hd + z * c
 
 
-def gru_step(params: ParamSet, x: Array, h: Array, prefix: str = "") -> Array:
-    """One GRU cell step on plain arrays, forward only; records nothing.
-
-    reset    r = sigmoid(x Wr + h Ur + br)
-    update   z = sigmoid(x Wz + h Uz + bz)
-    cand     c = tanh(x Wh + (r*h) Uh + bh)
-    next     h' = (1 - z) * h + z * c
-    """
-    w, u, b = ([p.data for p in group] for group in _gru_gates(params, prefix))
-    if h.ndim != 2 or h.shape[1] != u[0].shape[0]:
-        raise ShapeError(f"gru_step: hidden state {h.shape} vs width {u[0].shape[0]}")
-    return _gru_cell([_rowwise(x, wg) for wg in w], h, u, b)[-1]
-
-
-def gru_unroll(params: ParamSet, x, steps: int, prefix: str = "") -> Tensor:
+def gru_unroll(params: ParamSet, x, steps: int) -> Tensor:
     """The GRU over ``steps`` time steps from a zero hidden state, as one node
     whose values and gradients equal a tape of ``steps`` chained GRU cells,
     each built from elementwise ops (``tests/reference.py``'s
@@ -549,7 +543,7 @@ def gru_unroll(params: ParamSet, x, steps: int, prefix: str = "") -> Tensor:
     the backward reads are kept only when the node is taped.
     """
     xd = _data(x)
-    (wr, wz, wh), (ur, uz, uh), (br, bz, bh) = _gru_gates(params, prefix)
+    (wr, wz, wh), (ur, uz, uh), (br, bz, bh) = _gru_gates(params)
     u, b = (ur.data, uz.data, uh.data), (br.data, bz.data, bh.data)
     x3 = _steps_view(xd, steps)
     xw = [_steps_view(_rowwise(xd, w.data), steps) for w in (wr, wz, wh)]

@@ -5,7 +5,7 @@ linear output head. Per-agent behaviour differs only through the inputs,
 which concatenate the local observation, the agent's previous action as a
 one-hot, and the agent's one-hot id; ``actor_inputs`` is the one encoder of
 those rows, for a single step of the rollout and for a padded batch alike.
-The rollout only acts, through ``actor_cell``: forward only, on plain arrays.
+The rollout only acts, through ``actor_cell``: plain-array kernels, no tape.
 Only the replay needs gradients: recorded histories are replayed by
 ``learn.unroll_policy`` alone, through ``actor_unroll``, which runs all T
 steps as one hoisted pass with the values of T chained ``actor_cell`` calls.
@@ -65,7 +65,7 @@ class ActorConfig:
 
 def actor_init(rng: np.random.Generator, cfg: ActorConfig) -> ParamSet:
     fc1 = ad.mlp_init(rng, (cfg.input_width, cfg.gru_hidden), prefix="fc1.")
-    gru = ad.gru_init(rng, cfg.gru_hidden, cfg.gru_hidden, prefix="gru.")
+    gru = ad.gru_init(rng, cfg.gru_hidden, cfg.gru_hidden)
     fc2 = ad.mlp_init(rng, (cfg.gru_hidden, cfg.n_actions), prefix="fc2.")
     return ad.merge(fc1, gru, fc2)
 
@@ -86,13 +86,12 @@ def actor_inputs(cfg: ActorConfig, obs: Array, prev_actions: Array) -> Array:
 
 
 def actor_cell(params: ParamSet, x: Array, h: Array) -> tuple[Array, Array]:
-    """One recurrent step, forward only: (logits, next hidden) for stacked rows
-    as arrays; records nothing in any gradient mode."""
-    with ad.no_grad():
-        z = ad.relu(ad.linear(x, params["fc1.w0"], params["fc1.b0"]))
-        h_next = ad.gru_step(params, z.data, h, prefix="gru.")
-        logits = ad.linear(h_next, params["fc2.w0"], params["fc2.b0"])
-    return logits.data, h_next
+    """One recurrent step, forward only: (logits, next hidden) for stacked rows,
+    on plain arrays through the kernels of ``actor_unroll``'s nodes."""
+    z = np.maximum(ad._rowwise(x, params["fc1.w0"].data) + params["fc1.b0"].data, 0.0)
+    w, u, b = ([p.data for p in group] for group in ad._gru_gates(params))
+    h_next = ad._gru_cell([ad._rowwise(z, wg) for wg in w], h, u, b)[-1]
+    return ad._rowwise(h_next, params["fc2.w0"].data) + params["fc2.b0"].data, h_next
 
 
 def actor_unroll(params: ParamSet, x, steps: int) -> Tensor:
@@ -101,7 +100,7 @@ def actor_unroll(params: ParamSet, x, steps: int) -> Tensor:
     step. A per-step tape adds fc1's weight terms last step first, behind the
     recursion, and fc2's first step first."""
     z = ad.relu(ad.linear(x, params["fc1.w0"], params["fc1.b0"], steps, last_first=True))
-    h = ad.gru_unroll(params, z, steps, prefix="gru.")
+    h = ad.gru_unroll(params, z, steps)
     return ad.linear(h, params["fc2.w0"], params["fc2.b0"], steps)
 
 

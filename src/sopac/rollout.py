@@ -5,7 +5,8 @@ lockstep. Every step makes one stacked actor forward over the n agent rows of
 every episode still running, then one ``policy.select_actions`` draw over
 their acting distributions; only ``env.step`` runs once per episode. The
 rollout only acts: ``actor_cell`` is forward only on plain arrays, so a
-rollout records nothing in any gradient mode. Each episode is its env key
+rollout records nothing in any gradient mode, and a step whose acting
+distribution is not finite raises ``NumericError``. Each episode is its env key
 plus two seeded generators: the env generator makes the env's draws, the
 action generator one uniform per agent per step. So row-exact batching in
 the autodiff core makes each stored episode bit-identical to playing it alone
@@ -77,6 +78,8 @@ def rollout_episodes(
         logits, hidden = actor_cell(params, x, hidden)
         dist = masked_epsilon_probs(
             logits, avail.reshape(rows, -1), epsilon).data.reshape(len(live), n, -1)
+        if not np.isfinite(dist).all():
+            raise ad.NumericError("acting distribution is not finite")
         actions = select_actions(dist, mode, [action_rngs[i] for i in live])
         still = []
         for j, i in enumerate(live):

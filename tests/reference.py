@@ -3,9 +3,9 @@
 The composed dense stack, GRU cell and masked epsilon-softmax build their
 graphs from elementwise autodiff ops, one tape node per op; the fused nodes
 in ``sopac`` must match them bit for bit, forward and backward, and the
-forward-only ``gru_step`` must match the composed GRU cell's forward. The
-ops that only these compositions use (``matmul``, ``sigmoid``, ``tanh``,
-``exp``, ``div``, ``sum_last``) live here, on the engine's tape helpers.
+rollout's forward-only ``actor_cell`` must match the composed cell's
+forward. The ops that only these compositions use (``matmul``, ``sigmoid``,
+``tanh``, ``exp``, ``div``, ``sum_last``) live here, on the engine's tape helpers.
 ``stepwise_unroll`` and ``stepwise_policy_loss`` are the per-step taped actor
 replay and policy loss, built from the composed actor cell and seven loss
 nodes per step, that the hoisted ``learn.unroll_policy`` and
@@ -133,8 +133,8 @@ def composed_mlp_forward(params: ad.ParamSet, x, prefix: str = "") -> ad.Tensor:
     return h
 
 
-def composed_gru_step(params: ad.ParamSet, x, h, prefix: str = "") -> ad.Tensor:
-    p = {name: params[f"{prefix}{name}"]
+def composed_gru_step(params: ad.ParamSet, x, h) -> ad.Tensor:
+    p = {name: params[f"gru.{name}"]
          for name in ("wr", "ur", "br", "wz", "uz", "bz", "wh", "uh", "bh")}
     r = sigmoid(ad.add(ad.add(matmul(x, p["wr"]), matmul(h, p["ur"])), p["br"]))
     z = sigmoid(ad.add(ad.add(matmul(x, p["wz"]), matmul(h, p["uz"])), p["bz"]))
@@ -175,7 +175,7 @@ def stepwise_unroll(params: ad.ParamSet, cfg: ActorConfig, batch: Batch) -> list
     probs: list[Tensor] = []
     for t in range(t_max):
         z = ad.relu(composed_mlp_forward(params, inputs[t], prefix="fc1."))
-        hidden = composed_gru_step(params, z, hidden, prefix="gru.")
+        hidden = composed_gru_step(params, z, hidden)
         logits = composed_mlp_forward(params, hidden, prefix="fc2.")
         avail_t = batch.avail[:, t].reshape(b * n, m)
         probs.append(learn.masked_epsilon_probs(logits, avail_t, eps))

@@ -4,9 +4,9 @@
 hand-written backward. These tests build the same computations from the
 elementwise ops (``reference.py``) and require every forward value and every
 gradient to be identical down to the bit, compared as int64 views. The
-rollout's forward-only GRU step, ``gru_step``, must match the composed cell's
-forward bits and record nothing. ``gru_unroll``, the hoisted actor replay,
-is pinned against a per-step tape of the composed cell by
+rollout's forward-only actor step, ``actor_cell``, must match the composed
+cell's forward bits and record nothing. ``gru_unroll``, the hoisted actor
+replay, is pinned against a per-step tape of the composed cell by
 ``test_learn.py::TestHoistedUnroll``.
 """
 
@@ -103,12 +103,17 @@ class TestSingleNodes:
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_gru_cell(self, rows):
-        # gru_step is forward only: its bits against the composed cell's forward
+        # The acting step is forward only: its GRU state and logits against
+        # the composed cell's forward
         rng = np.random.default_rng(10 + rows)
-        params = ad.gru_init(rng, 4, 6, prefix="gru.")
+        params = actor_init(rng, ActorConfig(obs_width=1, n_agents=1, n_actions=2,
+                                             gru_hidden=6))
         x, h = rng.standard_normal((rows, 4)), rng.standard_normal((rows, 6))
-        assert_bits_equal(ad.gru_step(params, x, h, prefix="gru."),
-                          composed_gru_step(params, x, h, prefix="gru.").data)
+        logits, h_next = actor_cell(params, x, h)
+        z = ad.relu(composed_mlp_forward(params, x, prefix="fc1."))
+        composed = composed_gru_step(params, z, h)
+        assert_bits_equal(h_next, composed.data)
+        assert_bits_equal(logits, composed_mlp_forward(params, composed, prefix="fc2.").data)
 
     @pytest.mark.parametrize("per_row_epsilon", [False, True])
     def test_masked_epsilon_softmax(self, per_row_epsilon):

@@ -374,12 +374,15 @@ class TestCli:
         assert cli.main(["train", "--config", str(config),
                          "--out", str(tmp_path / "run")]) == 2
 
-    def test_numeric_failure_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lr", [1e200, 1e100])
+    def test_numeric_failure_exits_three(self, tmp_path, capsys, lr):
+        # 1e200 overflows a loss; 1e100 leaves finite losses but a policy whose
+        # acting distribution is not finite.
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "env": "switch", "algo": "centralv", "sop": "off", "batch_size": 2,
             "total_steps": 40, "eval_interval": 20, "eval_episodes": 2,
-            "lr": 1e200,
+            "lr": lr,
         }))
         with np.errstate(all="ignore"):
             code = cli.main(["train", "--config", str(config),
@@ -392,7 +395,7 @@ class TestCli:
         assert manifest["rows"] == len(rows)
         assert manifest["env_step"] == manifest["env_steps"] > 0
         assert "not finite" in manifest["error"]
-        assert manifest["config"]["lr"] == 1e200
+        assert manifest["config"]["lr"] == lr
         assert not (tmp_path / "run" / "params.npz").exists()
 
     def test_train_out_that_is_a_file_exits_two(self, tmp_path, capsys):
