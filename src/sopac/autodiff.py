@@ -16,26 +16,27 @@ constraints that shape the implementation:
 * gradients accumulate in a fixed topological order, so whole-batch
   training is reproducible down to the last bit.
 
-Besides elementwise ops, the tape has fused nodes: ``linear`` (a dense layer,
-used by ``mlp_forward``), ``gru_unroll`` and ``policy.masked_epsilon_probs``.
+Every node on the tape is a fused node: ``linear`` (a dense layer, used by
+``mlp_forward``), ``relu``, ``gru_unroll``, ``policy.masked_epsilon_probs``
+and the two losses, ``learn.critic_loss_tensor`` and ``learn.policy_loss``.
 Each computes its forward in plain numpy with the grouping and order of the
 elementwise ops it replaces, e.g. ``(x Wr + h Ur) + br``, and records one
-node whose hand-written backward reproduces the composed ops' gradients bit
-for bit. The rule that makes this hold: a fused backward passes each term
-that the composed graph would have sent to an input through its own
-``accumulate`` call, in the order the composed graph sent it, and never
-pre-sums terms bound for the same input. Floating-point addition is not
-associative, so ``g + (a + b)`` and ``(g + a) + b`` can differ in the last
-bit. ``tests/reference.py`` keeps the composed versions as oracles, with
-the elementwise ops only they use (``matmul``, ``sigmoid``, ``tanh``,
-``exp``, ``div``, ``sum_last``).
+node (``record``) whose hand-written backward reproduces the composed ops'
+gradients bit for bit. The rule that makes this hold: a fused backward
+passes each term that the composed graph would have sent to an input
+through its own ``accumulate`` call, in the order the composed graph sent
+it, and never pre-sums terms bound for the same input. Floating-point
+addition is not associative, so ``g + (a + b)`` and ``(g + a) + b`` can
+differ in the last bit. ``tests/reference.py`` keeps the composed versions
+as oracles, with the broadcasting elementwise ops only they use.
 
 The GRU has one function, ``gru_unroll``, and one cell kernel, ``_gru_cell``,
 which the rollout's tape-free ``policy.actor_cell`` also calls. Its
 parameters are always named ``gru.{w,u,b}{r,z,h}``.
 
 Time-hoisted nodes take the R rows of each of T time steps at once,
-time-major: ``linear`` and ``sum_all`` with ``steps=T``, and ``gru_unroll``.
+time-major: ``linear`` with ``steps=T``, ``gru_unroll`` and
+``learn.policy_loss``, which adds its per-step sums first step first.
 Row-exactness lets every product that does not depend on the hidden state
 run once over all T*R rows. Their backward equals a tape of T per-step nodes
 bit for bit under one more rule: every product that tape takes per step is
@@ -142,16 +143,6 @@ def accumulate(t: Tensor, g: Array) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 def record(data: Array, parents: tuple, backward) -> Tensor:
     """A node on the tape when gradients are on and a parent is a Tensor;
     ``backward(g)`` must ``accumulate`` into the Tensor parents."""
@@ -159,45 +150,6 @@ def record(data: Array, parents: tuple, backward) -> Tensor:
         tens = tuple(p for p in parents if isinstance(p, Tensor))
         return Tensor(data, tens, backward)
     return Tensor(data)
-
-
-def add(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    out = ad + bd
-
-    def backward(g: Array) -> None:
-        if isinstance(a, Tensor):
-            accumulate(a, _unbroadcast(g, ad.shape))
-        if isinstance(b, Tensor):
-            accumulate(b, _unbroadcast(g, bd.shape))
-
-    return record(out, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    out = ad - bd
-
-    def backward(g: Array) -> None:
-        if isinstance(a, Tensor):
-            accumulate(a, _unbroadcast(g, ad.shape))
-        if isinstance(b, Tensor):
-            accumulate(b, _unbroadcast(-g, bd.shape))
-
-    return record(out, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    out = ad * bd
-
-    def backward(g: Array) -> None:
-        if isinstance(a, Tensor):
-            accumulate(a, _unbroadcast(g * bd, ad.shape))
-        if isinstance(b, Tensor):
-            accumulate(b, _unbroadcast(g * ad, bd.shape))
-
-    return record(out, (a, b), backward)
 
 
 # Narrowest output width that ``_rowwise`` sends to one gemm over all rows.
@@ -281,59 +233,6 @@ def _sigmoid(xd: Array) -> Array:
     return 1.0 / (1.0 + np.exp(-xd))
 
 
-def log(x) -> Tensor:
-    xd = _data(x)
-    out = np.log(xd)
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            accumulate(x, g / xd)
-
-    return record(out, (x,), backward)
-
-
-def square(x) -> Tensor:
-    xd = _data(x)
-    out = xd * xd
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            accumulate(x, g * 2.0 * xd)
-
-    return record(out, (x,), backward)
-
-
-def sum_all(x, steps: int = 1) -> Tensor:
-    """Sum of every entry. With ``steps`` > 1 the rows are ``steps`` equal
-    blocks, time-major: each block is summed alone and the block sums are
-    added first block first, as a tape of one sum per step adds them."""
-    xd = _data(x)
-    out = np.asarray(_sum_steps(xd.reshape(steps, -1).sum(axis=1), last_first=False))
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            accumulate(x, np.broadcast_to(g, xd.shape).copy())
-
-    return record(out, (x,), backward)
-
-
-def gather_last(x, index) -> Tensor:
-    """Pick ``x[i, index[i]]`` per row of a 2-D tensor; returns shape (k, 1)."""
-    xd = _data(x)
-    idx = np.asarray(index, dtype=np.int64).reshape(-1, 1)
-    if xd.ndim != 2 or idx.shape[0] != xd.shape[0]:
-        raise ShapeError(f"gather_last: x {xd.shape} vs index {idx.shape}")
-    out = np.take_along_axis(xd, idx, axis=1)
-
-    def backward(g: Array) -> None:
-        if isinstance(x, Tensor):
-            gx = np.zeros_like(xd)
-            np.put_along_axis(gx, idx, g, axis=1)
-            accumulate(x, gx)
-
-    return record(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # Parameter containers
 
@@ -403,8 +302,8 @@ def rmsprop_init(params: ParamSet) -> OptimizerState:
 
 
 def check_rmsprop(lr: float, alpha: float, eps: float) -> None:
-    """Reject hyperparameters outside lr > 0, 0 < alpha < 1, eps > 0."""
-    if not (lr > 0.0 and 0.0 < alpha < 1.0 and eps > 0.0):
+    """Reject hyperparameters outside finite lr > 0, 0 < alpha < 1, finite eps > 0."""
+    if not (0.0 < lr < np.inf and 0.0 < alpha < 1.0 and 0.0 < eps < np.inf):
         raise ValueError(f"bad RMSProp hyperparameters lr={lr} alpha={alpha} eps={eps}")
 
 

@@ -262,14 +262,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
 
     buffer = ReplayBuffer(cfg.batch_size)
     rows: list[dict] = []
-    pending = {"next": 0}
+    pending = 0  # index into grid of the next evaluation row
 
     def emit(critic_loss: float, policy_loss: float, kls) -> None:
+        nonlocal pending
         steps_done = sample.counter["env_steps"]
         trained = buffer.episodes
-        while pending["next"] < len(grid) and steps_done >= grid[pending["next"]]:
-            idx = pending["next"]
-            eval_seq = np.random.SeedSequence(cfg.seed, spawn_key=(3, idx))
+        while pending < len(grid) and steps_done >= grid[pending]:
+            eval_seq = np.random.SeedSequence(cfg.seed, spawn_key=(3, pending))
             win_rate, test_return = evaluate(
                 trainer.actor, trainer.actor_cfg, env, cfg.eval_episodes,
                 int(eval_seq.generate_state(1)[0]),
@@ -278,7 +278,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
                 kls = episode_kls(trainer.actor, trainer.actor_cfg, trained)
             max_kl, mean_kl = max_mean_kl(kls)
             rows.append({
-                "step": grid[idx],
+                "step": grid[pending],
                 "episodes": sample.counter["rollouts"],
                 "train_return": float(np.mean([e.total_return for e in trained])),
                 "test_win_rate": win_rate,
@@ -290,7 +290,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
                 "epsilon": epsilon_at(steps_done, schedule),
                 "seconds": round(time.perf_counter() - start, 3) if cfg.record_timing else 0.0,
             })
-            pending["next"] += 1
+            pending += 1
 
     metrics_path = out / "metrics.csv"
     manifest_path = out / "manifest.json"
@@ -311,7 +311,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     try:
-        while pending["next"] < len(grid):
+        while pending < len(grid):
             sop_iteration(buffer, trainer, sample, cfg.sop, cfg.kl_threshold, emit)
     except NumericError as exc:
         write_records(status="numeric_failure", env_step=sample.counter["env_steps"],

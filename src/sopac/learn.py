@@ -16,10 +16,10 @@ parameters, RMSProp accumulators and target network in place.
 
 The actor is replayed over a batch by ``unroll_policy`` in one hoisted pass:
 its (T*B*n, m) probabilities are time-major, then episode-major, and
-``policy_loss`` reads them in one gather, mask, log and weighted sum. The
-unroll and loss record the same 12 tape nodes at any T, and their values and
-gradients equal those of a tape with one actor step per time step, bit for
-bit.
+``policy_loss`` reads them in one node. The unroll and loss record the same
+6 tape nodes at any T, and their values and gradients equal those of a tape
+with one actor step per time step, bit for bit. The critic loss is one node
+too, so every tape node is a fused node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -242,31 +242,40 @@ def critic_batch_inputs(batch: Batch, algo: str) -> Array:
                      batch.prev_actions, batch.actions)
 
 
-def _critic_values(params: ParamSet, inputs: Array, actions: Array | None) -> Tensor:
-    """Forward critic inputs with any leading shape; gather per-agent actions
-    for the m-headed critic when ``actions`` is given."""
-    out = cr.critic_forward(params, inputs.reshape(-1, inputs.shape[-1]))
-    if actions is None:
-        return out  # (rows, 1)
-    return ad.gather_last(out, actions.reshape(-1))
+def _critic_values(params: ParamSet, inputs: Array) -> Tensor:
+    """Forward critic inputs with any leading shape: (rows, 1), or (rows, m)
+    for the m-headed critic."""
+    return cr.critic_forward(params, inputs.reshape(-1, inputs.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
 # Critic updates
 
 
-def _critic_loss_terms(params: ParamSet, inputs: Array, targets: Array,
-                       weights: Array, actions: Array | None) -> Tensor:
-    """One weighted squared error per row of ``targets``, in its order."""
-    pred = _critic_values(params, inputs, actions)
-    diff = ad.sub(targets.reshape(-1, 1), pred)
-    return ad.mul(ad.square(diff), weights.reshape(-1, 1))
-
-
 def critic_loss_tensor(params: ParamSet, inputs: Array, targets: Array,
                        weights: Array, actions: Array | None) -> Tensor:
-    """Weighted squared error between fixed targets and critic predictions."""
-    return ad.sum_all(_critic_loss_terms(params, inputs, targets, weights, actions))
+    """Weighted squared error between fixed targets and critic predictions,
+    summed, as one node over the critic's output; the m-headed critic
+    predicts the value of the taken ``actions``. Forward and backward repeat
+    the grouping of ``tests/reference.py``'s ``composed_critic_loss``, so
+    its value and gradients are equal bit for bit."""
+    out = _critic_values(params, inputs)
+    pred = out.data
+    if actions is not None:
+        index = actions.reshape(-1, 1)
+        pred = np.take_along_axis(pred, index, axis=1)
+    w = weights.reshape(-1, 1)
+    diff = targets.reshape(-1, 1) - pred
+
+    def backward(g: Array) -> None:
+        g_pred = -(((g * w) * 2.0) * diff)
+        if actions is not None:
+            scattered = np.zeros_like(out.data)
+            np.put_along_axis(scattered, index, g_pred, axis=1)
+            g_pred = scattered
+        ad.accumulate(out, g_pred)
+
+    return ad.record(np.asarray(((diff * diff) * w).sum()), (out,), backward)
 
 
 def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
@@ -276,7 +285,9 @@ def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
     coma = algo == "coma"
     actions = batch.actions if coma else None
     with ad.no_grad():
-        boots = _critic_values(target.params, inputs, actions).data
+        boots = _critic_values(target.params, inputs).data
+    if coma:
+        boots = np.take_along_axis(boots, actions.reshape(-1, 1), axis=1)
     boots = boots.reshape(batch.size, batch.max_length, *((-1,) if coma else ()))
     targets = batch_td_lambda_targets(batch.rewards, boots, batch.lengths, lam, gamma)
     weights = np.broadcast_to(batch.pad[:, :, None], targets.shape).copy() if coma else batch.pad
@@ -334,7 +345,7 @@ def compute_advantages(
     b, t_max, n, _ = batch.dists.shape
     if algo == "centralv":
         with ad.no_grad():
-            values = _critic_values(critic_params, inputs, None).data.reshape(b, t_max)
+            values = _critic_values(critic_params, inputs).data.reshape(b, t_max)
         gamma_adv = 1.0 if gamma_adv_one else gamma
         v_next = np.zeros_like(values)
         v_next[:, :-1] = values[:, 1:]
@@ -357,26 +368,30 @@ def compute_advantages(
 # Policy update
 
 
-def _policy_loss_terms(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
-    """(T*B*n, 1) terms log pi(u_t^a | tau_t^a) * A of every (t, b, a) row,
-    time-major; padded rows are exactly zero."""
+def policy_loss(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
+    """-sum over valid (t, a) of log pi(u_t^a | tau_t^a) * A, padding-masked,
+    as one node over ``probs``, a taped ``unroll_policy`` over the batch.
+    Padded rows read log(1) = 0. The terms are summed per step and the step
+    sums added first step first. Forward and backward repeat the grouping of
+    ``tests/reference.py``'s ``composed_policy_loss``, so its value and
+    gradients are equal bit for bit."""
     b, t_max, n, m = batch.dists.shape
     advantages = np.asarray(advantages, dtype=np.float64)
     if advantages.shape != (b, t_max, n):
         raise ValueError(f"advantages shape {advantages.shape} != {(b, t_max, n)}")
     pad = np.repeat(batch.pad.T, n, axis=1).reshape(-1, 1)
-    p = ad.gather_last(probs, batch.actions.swapaxes(0, 1).reshape(-1))
-    p_safe = ad.add(ad.mul(p, pad), 1.0 - pad)  # padded rows read log(1) = 0
+    index = batch.actions.swapaxes(0, 1).reshape(-1, 1)
+    p_safe = np.take_along_axis(probs.data, index, axis=1) * pad + (1.0 - pad)
     weight = advantages.swapaxes(0, 1).reshape(-1, 1) * pad
-    return ad.mul(ad.log(p_safe), weight)
+    terms = np.log(p_safe) * weight
+    total = ad._sum_steps(terms.reshape(t_max, -1).sum(axis=1), last_first=False)
 
+    def backward(g: Array) -> None:
+        g_probs = np.zeros_like(probs.data)
+        np.put_along_axis(g_probs, index, (((g * -1.0) * weight) / p_safe) * pad, axis=1)
+        ad.accumulate(probs, g_probs)
 
-def policy_loss(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
-    """-sum over valid (t, a) of log pi(u_t^a | tau_t^a) * A, padding-masked;
-    ``probs`` is a taped ``unroll_policy`` over the batch. The terms are
-    summed per step and the step sums added first step first."""
-    terms = _policy_loss_terms(batch, advantages, probs)
-    return ad.mul(ad.sum_all(terms, batch.max_length), -1.0)
+    return ad.record(np.asarray(total * -1.0), (probs,), backward)
 
 
 def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,

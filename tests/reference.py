@@ -1,14 +1,19 @@
 """Reference implementations kept only as test oracles.
 
-The composed dense stack, GRU cell and masked epsilon-softmax build their
-graphs from elementwise autodiff ops, one tape node per op; the fused nodes
-in ``sopac`` must match them bit for bit, forward and backward, and the
-rollout's forward-only ``actor_cell`` must match the composed cell's
-forward. The ops that only these compositions use (``matmul``, ``sigmoid``,
-``tanh``, ``exp``, ``div``, ``sum_last``) live here, on the engine's tape helpers.
-``stepwise_unroll`` and ``stepwise_policy_loss`` are the per-step taped actor
-replay and policy loss, built from the composed actor cell and seven loss
-nodes per step, that the hoisted ``learn.unroll_policy`` and
+The composed dense stack, GRU cell, masked epsilon-softmax and the two
+losses build their graphs from elementwise autodiff ops, one tape node per
+op; the fused nodes in ``sopac`` must match them bit for bit, forward and
+backward, and the rollout's forward-only ``actor_cell`` must match the
+composed cell's forward. The ops that only these compositions use
+(``add``, ``sub``, ``mul``, ``div``, ``log``, ``square``, ``sigmoid``,
+``tanh``, ``exp``, ``matmul``, ``sum_all``, ``sum_last``, ``gather_last``
+and their ``_unbroadcast``) live here, on the engine's tape helpers.
+``critic_loss_terms`` and ``policy_loss_terms`` are the per-row loss terms
+of ``composed_critic_loss`` and ``composed_policy_loss``, which
+``learn.critic_loss_tensor`` and ``learn.policy_loss`` must match bit for
+bit. ``stepwise_unroll`` and ``stepwise_policy_loss`` are the per-step taped
+actor replay and policy loss, built from the composed actor cell and seven
+loss nodes per step, that the hoisted ``learn.unroll_policy`` and
 ``learn.policy_loss`` must match bit for bit. The scalar
 return, advantage and KL formulas are the per-step definitions that the
 batched code in ``sopac`` vectorises, ``td_lambda_loop`` is the one-episode
@@ -30,7 +35,7 @@ import numpy as np
 from sopac import autodiff as ad
 from sopac import critic as cr
 from sopac import learn
-from sopac.autodiff import Tensor, _data, _rowwise, _sigmoid, _unbroadcast, accumulate, record
+from sopac.autodiff import Tensor, _data, _rowwise, _sigmoid, _sum_steps, accumulate, record
 from sopac.envs import _MOVES, CaptureGrid, GridKey
 from sopac.learn import Batch, actor_step_inputs
 from sopac.policy import ActorConfig, MaskError
@@ -40,7 +45,56 @@ Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ops used only by the composed networks
+# Elementwise ops used only by the composed networks and losses
+
+
+def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum gradient over axes that were broadcast in the forward pass."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b) -> Tensor:
+    ad, bd = _data(a), _data(b)
+    out = ad + bd
+
+    def backward(g: Array) -> None:
+        if isinstance(a, Tensor):
+            accumulate(a, _unbroadcast(g, ad.shape))
+        if isinstance(b, Tensor):
+            accumulate(b, _unbroadcast(g, bd.shape))
+
+    return record(out, (a, b), backward)
+
+
+def sub(a, b) -> Tensor:
+    ad, bd = _data(a), _data(b)
+    out = ad - bd
+
+    def backward(g: Array) -> None:
+        if isinstance(a, Tensor):
+            accumulate(a, _unbroadcast(g, ad.shape))
+        if isinstance(b, Tensor):
+            accumulate(b, _unbroadcast(-g, bd.shape))
+
+    return record(out, (a, b), backward)
+
+
+def mul(a, b) -> Tensor:
+    ad, bd = _data(a), _data(b)
+    out = ad * bd
+
+    def backward(g: Array) -> None:
+        if isinstance(a, Tensor):
+            accumulate(a, _unbroadcast(g * bd, ad.shape))
+        if isinstance(b, Tensor):
+            accumulate(b, _unbroadcast(g * ad, bd.shape))
+
+    return record(out, (a, b), backward)
 
 
 def matmul(x, w) -> Tensor:
@@ -105,6 +159,59 @@ def exp(x) -> Tensor:
     return record(out, (x,), backward)
 
 
+def log(x) -> Tensor:
+    xd = _data(x)
+    out = np.log(xd)
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, g / xd)
+
+    return record(out, (x,), backward)
+
+
+def square(x) -> Tensor:
+    xd = _data(x)
+    out = xd * xd
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, g * 2.0 * xd)
+
+    return record(out, (x,), backward)
+
+
+def sum_all(x, steps: int = 1) -> Tensor:
+    """Sum of every entry. With ``steps`` > 1 the rows are ``steps`` equal
+    blocks, time-major: each block is summed alone and the block sums are
+    added first block first, as a tape of one sum per step adds them."""
+    xd = _data(x)
+    out = np.asarray(_sum_steps(xd.reshape(steps, -1).sum(axis=1), last_first=False))
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            accumulate(x, np.broadcast_to(g, xd.shape).copy())
+
+    return record(out, (x,), backward)
+
+
+def gather_last(x, index) -> Tensor:
+    """Pick ``x[i, index[i]]`` per row of a 2-D tensor; returns shape (k, 1)."""
+    xd = _data(x)
+    idx = np.asarray(index, dtype=np.int64).reshape(-1, 1)
+    if xd.ndim != 2 or idx.shape[0] != xd.shape[0]:
+        raise ad.ShapeError(f"gather_last: x {xd.shape} vs index {idx.shape}")
+    out = np.take_along_axis(xd, idx, axis=1)
+
+    def backward(g: Array) -> None:
+        if isinstance(x, Tensor):
+            gx = np.zeros_like(xd)
+            np.put_along_axis(gx, idx, g, axis=1)
+            accumulate(x, gx)
+
+    return record(out, (x,), backward)
+
+
 def sum_last(x) -> Tensor:
     """Sum over the last axis, keeping it as size 1."""
     xd = _data(x)
@@ -127,7 +234,7 @@ def composed_mlp_forward(params: ad.ParamSet, x, prefix: str = "") -> ad.Tensor:
         n_layers += 1
     h = x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, dtype=np.float64))
     for i in range(n_layers):
-        h = ad.add(matmul(h, params[f"{prefix}w{i}"]), params[f"{prefix}b{i}"])
+        h = add(matmul(h, params[f"{prefix}w{i}"]), params[f"{prefix}b{i}"])
         if i < n_layers - 1:
             h = ad.relu(h)
     return h
@@ -136,11 +243,11 @@ def composed_mlp_forward(params: ad.ParamSet, x, prefix: str = "") -> ad.Tensor:
 def composed_gru_step(params: ad.ParamSet, x, h) -> ad.Tensor:
     p = {name: params[f"gru.{name}"]
          for name in ("wr", "ur", "br", "wz", "uz", "bz", "wh", "uh", "bh")}
-    r = sigmoid(ad.add(ad.add(matmul(x, p["wr"]), matmul(h, p["ur"])), p["br"]))
-    z = sigmoid(ad.add(ad.add(matmul(x, p["wz"]), matmul(h, p["uz"])), p["bz"]))
-    c = tanh(ad.add(ad.add(matmul(x, p["wh"]), matmul(ad.mul(r, h), p["uh"])),
+    r = sigmoid(add(add(matmul(x, p["wr"]), matmul(h, p["ur"])), p["br"]))
+    z = sigmoid(add(add(matmul(x, p["wz"]), matmul(h, p["uz"])), p["bz"]))
+    c = tanh(add(add(matmul(x, p["wh"]), matmul(mul(r, h), p["uh"])),
                        p["bh"]))
-    return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
+    return add(mul(sub(1.0, z), h), mul(z, c))
 
 
 def composed_masked_epsilon_probs(logits, avail: Array, epsilon) -> ad.Tensor:
@@ -150,10 +257,52 @@ def composed_masked_epsilon_probs(logits, avail: Array, epsilon) -> ad.Tensor:
         raise MaskError("a row masks out every action")
     logits_data = logits.data if isinstance(logits, ad.Tensor) else np.asarray(logits)
     shift = np.max(np.where(avail > 0.0, logits_data, -np.inf), axis=-1, keepdims=True)
-    z = ad.mul(exp(ad.mul(ad.sub(logits, shift), avail)), avail)
+    z = mul(exp(mul(sub(logits, shift), avail)), avail)
     soft = div(z, sum_last(z))
     eps = np.asarray(epsilon, dtype=np.float64)
-    return ad.add(ad.mul(soft, 1.0 - eps), (eps / counts) * avail)
+    return add(mul(soft, 1.0 - eps), (eps / counts) * avail)
+
+
+# ---------------------------------------------------------------------------
+# Composed losses
+
+
+def critic_loss_terms(params: ad.ParamSet, inputs: Array, targets: Array,
+                      weights: Array, actions: Array | None) -> Tensor:
+    """One weighted squared error per row of ``targets``, in its order; the
+    m-headed critic's prediction is gathered at the taken ``actions``."""
+    pred = cr.critic_forward(params, inputs.reshape(-1, inputs.shape[-1]))
+    if actions is not None:
+        pred = gather_last(pred, actions.reshape(-1))
+    diff = sub(targets.reshape(-1, 1), pred)
+    return mul(square(diff), weights.reshape(-1, 1))
+
+
+def composed_critic_loss(params: ad.ParamSet, inputs: Array, targets: Array,
+                         weights: Array, actions: Array | None) -> Tensor:
+    """``learn.critic_loss_tensor`` from elementwise ops."""
+    return sum_all(critic_loss_terms(params, inputs, targets, weights, actions))
+
+
+def policy_loss_terms(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
+    """(T*B*n, 1) terms log pi(u_t^a | tau_t^a) * A of every (t, b, a) row,
+    time-major; padded rows are exactly zero."""
+    b, t_max, n, m = batch.dists.shape
+    advantages = np.asarray(advantages, dtype=np.float64)
+    if advantages.shape != (b, t_max, n):
+        raise ValueError(f"advantages shape {advantages.shape} != {(b, t_max, n)}")
+    pad = np.repeat(batch.pad.T, n, axis=1).reshape(-1, 1)
+    p = gather_last(probs, batch.actions.swapaxes(0, 1).reshape(-1))
+    p_safe = add(mul(p, pad), 1.0 - pad)  # padded rows read log(1) = 0
+    weight = advantages.swapaxes(0, 1).reshape(-1, 1) * pad
+    return mul(log(p_safe), weight)
+
+
+def composed_policy_loss(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
+    """``learn.policy_loss`` from elementwise ops: the terms summed per step,
+    the step sums added first step first, then negated."""
+    terms = policy_loss_terms(batch, advantages, probs)
+    return mul(sum_all(terms, batch.max_length), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +342,13 @@ def stepwise_policy_loss(batch: Batch, advantages: Array, probs: Sequence[Tensor
     total: Tensor | None = None
     for t in range(t_max):
         taken = batch.actions[:, t].reshape(-1)
-        p = ad.gather_last(probs[t], taken)
+        p = gather_last(probs[t], taken)
         pad_t = pad_rows[:, :, t].reshape(b * n, 1)
-        p_safe = ad.add(ad.mul(p, pad_t), 1.0 - pad_t)  # padded rows read log(1) = 0
+        p_safe = add(mul(p, pad_t), 1.0 - pad_t)  # padded rows read log(1) = 0
         weight = (advantages[:, t, :].reshape(b * n, 1)) * pad_t
-        term = ad.sum_all(ad.mul(ad.log(p_safe), weight))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, -1.0)
+        term = sum_all(mul(log(p_safe), weight))
+        total = term if total is None else add(total, term)
+    return mul(total, -1.0)
 
 
 # ---------------------------------------------------------------------------

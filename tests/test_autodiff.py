@@ -7,7 +7,7 @@ from sopac import autodiff as ad
 from sopac import harness, verify
 from sopac.envs import make_env
 
-from reference import params_equal
+from reference import log, params_equal, square, sum_all
 from test_fused import assert_bits_equal
 
 
@@ -46,7 +46,7 @@ class TestMlp:
         x = rng.standard_normal((3, 4))
 
         def loss(p):
-            return ad.sum_all(ad.square(ad.mlp_forward(p, x)))
+            return sum_all(square(ad.mlp_forward(p, x)))
 
         assert ad.finite_diff_check(loss, params, step=1e-5) < 1e-4
 
@@ -54,7 +54,7 @@ class TestMlp:
         rng = np.random.default_rng(3)
         params = ad.mlp_init(rng, (4, 6, 1))
         x = ad.Tensor(rng.standard_normal((2, 4)))
-        ad.sum_all(ad.mlp_forward(params, x)).backward()
+        sum_all(ad.mlp_forward(params, x)).backward()
         assert x.grad is not None and x.grad.shape == (2, 4)
         # finite differences on the input itself
         h = 1e-6
@@ -65,8 +65,8 @@ class TestMlp:
                 plus[idx] += h
                 minus[idx] -= h
                 fd = (
-                    float(ad.sum_all(ad.mlp_forward(params, plus)).data)
-                    - float(ad.sum_all(ad.mlp_forward(params, minus)).data)
+                    float(sum_all(ad.mlp_forward(params, plus)).data)
+                    - float(sum_all(ad.mlp_forward(params, minus)).data)
                 ) / (2 * h)
             assert abs(fd - x.grad[idx]) < 1e-6 * max(1.0, abs(fd))
 
@@ -96,7 +96,7 @@ class TestGru:
         params = ad.merge(ad.gru_init(rng, 3, 5), ad.ParamSet({"x": rng.standard_normal((6, 3))}))
 
         def loss(p):
-            return ad.sum_all(ad.square(ad.gru_unroll(p, p["x"], steps=3)))
+            return sum_all(square(ad.gru_unroll(p, p["x"], steps=3)))
 
         assert ad.finite_diff_check(loss, params) < 1e-4
 
@@ -181,7 +181,7 @@ class TestFiniteDiffCheck:
         params = ad.ParamSet({"p": np.array([1.0, 2.0, 3.0])})
 
         def loss(p):
-            return ad.sum_all(p["p"])
+            return sum_all(p["p"])
 
         assert ad.finite_diff_check(loss, params) < 1e-10
 
@@ -189,7 +189,7 @@ class TestFiniteDiffCheck:
         params = ad.ParamSet({"p": np.array([0.7, -1.3])})
 
         def loss(p):
-            return ad.sum_all(ad.square(p["p"]))
+            return sum_all(square(p["p"]))
 
         assert ad.finite_diff_check(loss, params) < 1e-6
 
@@ -197,7 +197,7 @@ class TestFiniteDiffCheck:
         params = ad.ParamSet({"p": np.array([0.0])})
 
         def loss(p):
-            return ad.log(p["p"])
+            return log(p["p"])
 
         with np.errstate(divide="ignore"), pytest.raises(ad.NumericError):
             ad.finite_diff_check(loss, params)
@@ -238,7 +238,7 @@ class TestDeterminismAndBatching:
 
         def grads():
             params.zero_grads()
-            ad.sum_all(ad.square(ad.mlp_forward(params, x))).backward()
+            sum_all(square(ad.mlp_forward(params, x))).backward()
             return params.grad_set()
 
         assert params_equal(grads(), grads())
@@ -401,8 +401,8 @@ def sequential_sum(terms, last_first):
 class TestSumSteps:
     """``_sum_steps`` must add steps one at a time. numpy's axis-0 sum does
     not at every shape: it adds (T,), (T, 1) and (T, 1, 1) pairwise from
-    T = 9 on. Those are ``sum_all``'s step sums and the bias terms of a
-    width-1 critic head."""
+    T = 9 on. Those are ``learn.policy_loss``'s step sums and the bias terms
+    of a width-1 critic head."""
 
     @pytest.mark.parametrize("steps", [9, 16, 20])
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (16, 64)],

@@ -1,9 +1,11 @@
 """The fused autodiff nodes against the composed graphs they replace.
 
-``linear`` and ``masked_epsilon_probs`` each record one tape node with a
-hand-written backward. These tests build the same computations from the
-elementwise ops (``reference.py``) and require every forward value and every
-gradient to be identical down to the bit, compared as int64 views. The
+``linear``, ``masked_epsilon_probs`` and the two losses
+(``learn.critic_loss_tensor`` and ``learn.policy_loss``) each record one
+tape node with a hand-written backward. These tests build the same
+computations from the elementwise ops (``reference.py``) and require every
+forward value and every gradient to be identical down to the bit, compared
+as int64 views. The
 rollout's forward-only actor step, ``actor_cell``, must match the composed
 cell's forward bits and record nothing. ``gru_unroll``, the hoisted actor
 replay, is pinned against a per-step tape of the composed cell by
@@ -23,9 +25,11 @@ from sopac.policy import ActorConfig, actor_cell, actor_init, masked_epsilon_pro
 from sopac.verify import random_episode
 
 from reference import (
+    composed_critic_loss,
     composed_gru_step,
     composed_masked_epsilon_probs,
     composed_mlp_forward,
+    composed_policy_loss,
 )
 
 DIMS = dict(n=2, m=4, state_width=5, obs_width=3, gru_hidden=7,
@@ -48,8 +52,9 @@ def assert_each_bits_equal(fused: dict, composed: dict):
 
 @contextmanager
 def composed_nodes():
-    """Route the critic's dense stacks (``ad.mlp_forward``) and the masked
-    epsilon-softmax that ``learn`` reads through the composed graphs.
+    """Route the critic's dense stacks (``ad.mlp_forward``), the masked
+    epsilon-softmax and the two losses that ``learn`` reads through the
+    composed graphs.
 
     The actor replay's ``linear`` and ``gru_unroll`` nodes are not routed, so
     under it the actor differs from the fused run only in the epsilon-softmax;
@@ -59,6 +64,8 @@ def composed_nodes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "mlp_forward", composed_mlp_forward)
         mp.setattr(learn, "masked_epsilon_probs", composed_masked_epsilon_probs)
+        mp.setattr(learn, "critic_loss_tensor", composed_critic_loss)
+        mp.setattr(learn, "policy_loss", composed_policy_loss)
         yield
 
 
@@ -202,6 +209,29 @@ class TestLossesOnPaddedBatch:
         (fused_loss, fused), (composed_loss, composed) = both(run)
         assert_bits_equal(fused_loss, composed_loss)
         assert_each_bits_equal(fused, composed)
+
+    @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])
+    def test_critic_loss_node(self, algo):
+        # The loss node alone against the composed loss over the same fused
+        # critic: on the whole batch, then on each step's slice as the
+        # minibatch sweep takes it
+        batch = self.batch(37)
+        inputs = critic_batch_inputs(batch, algo)
+        trainer = self.trainer(algo, 38)
+        targets, weights, actions = learn.prepare_critic_batch(
+            batch, inputs, algo, trainer.target, 0.8, 0.99)
+        for t in [slice(None), *range(batch.max_length)]:
+            step_actions = None if actions is None else actions[:, t]
+            runs = []
+            for loss_fn in (learn.critic_loss_tensor, composed_critic_loss):
+                trainer.critic.zero_grads()
+                loss = loss_fn(trainer.critic, inputs[:, t], targets[:, t], weights[:, t],
+                               step_actions)
+                loss.backward()
+                runs.append((loss.data, param_grads(trainer.critic)))
+            (fused_loss, fused), (composed_loss, composed) = runs
+            assert_bits_equal(fused_loss, composed_loss)
+            assert_each_bits_equal(fused, composed)
 
     @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
     @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])

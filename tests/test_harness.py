@@ -350,6 +350,8 @@ class TestCli:
         {"env_config": {"side": 3, "n_agents": 9}},
         {"env": "switch", "env_config": {"payoff": [["1", "0.5"], ["0.5", "0"]]}},
         {"env": "switch", "env_config": {"payoff": [[True, False], [False, False]]}},
+        {"lr": float("inf")},
+        {"rms_eps": float("inf")},
     ], ids=["eps-start-below-end", "eps-start-above-one", "zero-anneal",
             "unknown-env-key", "list-env-config", "zero-lr", "rms-alpha-above-one",
             "gamma-above-one", "zero-gamma", "fractional-batch", "float-steps",
@@ -360,7 +362,7 @@ class TestCli:
             "bool-eps-end", "bool-rms-eps", "string-lam", "fractional-side",
             "float-n-agents", "fractional-view-radius", "fractional-horizon",
             "nan-capture-reward", "fractional-anneal", "bool-anneal",
-            "overfull-grid", "string-payoff", "bool-payoff"])
+            "overfull-grid", "string-payoff", "bool-payoff", "inf-lr", "inf-rms-eps"])
     def test_invalid_config_exits_two_before_writing(self, tmp_path, bad):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(dict({"env": "capture", "total_steps": 40}, **bad)))

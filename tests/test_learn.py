@@ -30,8 +30,10 @@ from reference import (
     centralv_advantage,
     coma_advantage,
     counterfactual_baseline,
+    critic_loss_terms,
     n_step_return,
     params_equal,
+    policy_loss_terms,
     stepwise_policy_loss,
     stepwise_unroll,
     td_lambda_loop,
@@ -197,7 +199,7 @@ class TestAdvantages:
         adv = compute_advantages(batch, critic_batch_inputs(batch, "centralv"), "centralv",
                                  trainer.critic, unrolled(trainer, batch), 0.9,
                                  gamma_adv_one)
-        values = learn._critic_values(trainer.critic, batch.states, None).data
+        values = learn._critic_values(trainer.critic, batch.states).data
         values = values.reshape(batch.size, batch.max_length)
         gamma_adv = 1.0 if gamma_adv_one else 0.9
         expected = np.zeros((batch.size, batch.max_length))  # padding is +0.0
@@ -604,12 +606,11 @@ class TestHoistedUnroll:
         assert_each_bits_equal(grads, ref_grads)
 
     def test_tape_size_does_not_grow_with_steps(self):
-        # fc1, ReLU, GRU, fc2, masked epsilon-softmax; gather, mask, shift,
-        # log, weight, sum, negate
+        # fc1, ReLU, GRU, fc2, masked epsilon-softmax; the policy loss
         nodes = {steps: tape_nodes(self.run(learn.unroll_policy, learn.policy_loss,
                                             HOISTED_SHAPES["dims"], 0, steps)[1])
                  for steps in (1, 5, 20)}
-        assert nodes == {1: 12, 5: 12, 20: 12}
+        assert nodes == {1: 6, 5: 6, 20: 6}
 
 
 class TestBatchedCriticInputsMatchSingleCalls:
@@ -726,7 +727,8 @@ class TestBatchComposition:
     def rows(trainer, algo, episodes):
         """Each episode's (targets, advantages, counterfactual values,
         per-(t, a) policy-loss terms, per-step critic-loss terms) rows, cut to
-        its length; centralv has no counterfactual values."""
+        its length; centralv has no counterfactual values. The loss terms are
+        those of the composed losses (``reference.py``'s term builders)."""
         batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, algo)
         targets, weights, actions = prepare_critic_batch(
@@ -737,10 +739,8 @@ class TestBatchComposition:
         if algo != "centralv":
             values = cr.counterfactual_values(
                 trainer.critic, learn._batch_layout(batch, algo), inputs)
-        policy_terms = learn._by_episode(
-            batch, learn._policy_loss_terms(batch, adv, probs).data)
-        critic_terms = learn._critic_loss_terms(
-            trainer.critic, inputs, targets, weights, actions).data
+        policy_terms = learn._by_episode(batch, policy_loss_terms(batch, adv, probs).data)
+        critic_terms = critic_loss_terms(trainer.critic, inputs, targets, weights, actions).data
         critic_terms = critic_terms.reshape(batch.size, batch.max_length, -1)
         return [(targets[i, :n].tobytes(), adv[i, :n].tobytes(), values[i, :n].tobytes(),
                  policy_terms[i, :n].tobytes(), critic_terms[i, :n].tobytes())
