@@ -17,17 +17,16 @@ from pathlib import Path
 
 from .autodiff import NumericError
 from .harness import (
-    ALGOS,
     ConfigError,
     ENVS,
     RunConfig,
-    SCHEDULES,
     SOP_MODES,
     aggregate,
     load_config,
     run_experiment,
     write_aggregate,
 )
+from .learn import ALGOS, SCHEDULES
 
 
 def _parse_bool(text: str) -> bool:

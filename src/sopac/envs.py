@@ -50,6 +50,21 @@ def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and np.isfinite(value)
 
 
+def _step(env, key, joint_action: Iterable[int], rng: np.random.Generator) -> Step:
+    """Both envs' ``step``: check the joint action against
+    ``env.avail_actions(key)``, then draw one outcome of ``env.transitions``."""
+    u = tuple(int(a) for a in joint_action)
+    avail = env.avail_actions(key)
+    n, m = avail.shape
+    if len(u) != n:
+        raise EnvError(f"expected {n} actions, got {len(u)}")
+    for agent, action in enumerate(u):
+        if not 0 <= action < m or not avail[agent, action]:
+            raise EnvError(f"agent {agent} action {action} is masked or out of range")
+    outcomes = env.transitions(key, u)
+    return outcomes[int(rng.integers(len(outcomes)))][:4]
+
+
 # ---------------------------------------------------------------------------
 # One-shot coordination game
 
@@ -100,13 +115,7 @@ class SwitchGame:
         del rng  # single deterministic initial state
         return 0
 
-    def step(self, key: int, joint_action: Iterable[int], rng: np.random.Generator) -> Step:
-        u = tuple(int(a) for a in joint_action)
-        m = self.spec.n_actions
-        if len(u) != 2 or any(not 0 <= a < m for a in u):
-            raise EnvError(f"joint action {u} outside 2 agents x {m} actions")
-        outcomes = self.transitions(key, u)
-        return outcomes[int(rng.integers(len(outcomes)))][:4]
+    step = _step
 
     # enumeration interface -------------------------------------------------
 
@@ -239,16 +248,7 @@ class CaptureGrid:
                 cells.append(cell)
         return (tuple(cells[: c.n_agents]), cells[c.n_agents], 0)
 
-    def step(self, key: GridKey, joint_action: Iterable[int], rng: np.random.Generator) -> Step:
-        u = tuple(int(a) for a in joint_action)
-        if len(u) != self.config.n_agents:
-            raise EnvError(f"expected {self.config.n_agents} actions, got {len(u)}")
-        avail = self.avail_actions(key)
-        for agent, action in enumerate(u):
-            if not 0 <= action < 5 or not avail[agent, action]:
-                raise EnvError(f"agent {agent} action {action} is masked")
-        outcomes = self.transitions(key, u)
-        return outcomes[int(rng.integers(len(outcomes)))][:4]
+    step = _step
 
     # movement rules ----------------------------------------------------------
 

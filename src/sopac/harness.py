@@ -31,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .autodiff import NumericError, ParamSet, check_rmsprop
+from .autodiff import NumericError, ParamSet
 from .envs import make_env, make_env_config
-from .learn import ALGOS, SCHEDULES, LearnConfig, Trainer
+from .learn import LearnConfig, Trainer
 from .policy import ActorConfig, EpsilonSchedule, epsilon_at
 from .rollout import rollout_episodes, sample_episode_fn
 from .sop import SOP_MODES, ReplayBuffer, episode_kls, max_mean_kl, sop_iteration
@@ -85,14 +85,10 @@ class RunConfig:
         problems = []
         if self.env not in ENVS:
             problems.append(f"env must be one of {ENVS}, got {self.env!r}")
-        if self.algo not in ALGOS:
-            problems.append(f"algo must be one of {ALGOS}, got {self.algo!r}")
         if self.sop not in SOP_MODES:
             problems.append(f"sop must be one of {SOP_MODES}, got {self.sop!r}")
-        if self.critic_schedule not in SCHEDULES:
-            problems.append(f"critic-schedule must be one of {SCHEDULES}")
         for name in ("batch_size", "total_steps", "eval_interval", "eval_episodes",
-                     "target_period", "gru_hidden", "eps_anneal_steps"):
+                     "gru_hidden", "eps_anneal_steps"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 problems.append(f"{name} must be a positive integer, got {value!r}")
@@ -110,14 +106,10 @@ class RunConfig:
                                "eps_end", "kl_threshold") if not _is_real(getattr(self, name))]
         problems += unreal
         if not unreal:  # the range checks compare numbers
-            if not 0.0 <= self.lam <= 1.0:
-                problems.append("lambda must lie in [0, 1]")
-            if not 0.0 < self.gamma <= 1.0:
-                problems.append("gamma must lie in (0, 1]")
             if not self.kl_threshold >= 0.0:
                 problems.append(f"kl_threshold must be nonnegative, got {self.kl_threshold!r}")
             problems += _failures(lambda: self.schedule)
-            problems += _failures(check_rmsprop, self.lr, self.rms_alpha, self.rms_eps)
+            problems += _failures(lambda: self.learn_config)
         if not isinstance(self.env_config, dict):
             problems.append("env_config must be a mapping")
         elif self.env in ENVS:
@@ -128,6 +120,11 @@ class RunConfig:
     @property
     def schedule(self) -> EpsilonSchedule:
         return EpsilonSchedule(self.eps_start, self.eps_end, self.eps_anneal_steps)
+
+    @property
+    def learn_config(self) -> LearnConfig:
+        return LearnConfig(**{name: getattr(self, name)
+                              for name in LearnConfig.__dataclass_fields__})
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -214,8 +211,7 @@ def evaluate(
         raise ValueError("need at least one evaluation episode")
     played = rollout_episodes(env, episodes, actor, actor_cfg, 0.0, seed, stream=2,
                               mode="greedy")
-    return (sum(e.win for e in played) / len(played),
-            float(np.mean([e.total_return for e in played])))
+    return int(played.wins.sum()) / episodes, float(np.mean(played.returns))
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +234,10 @@ def build_trainer(cfg: RunConfig, env) -> Trainer:
         n_actions=env.spec.n_actions,
         gru_hidden=cfg.gru_hidden,
     )
-    learn_cfg = LearnConfig(**{name: getattr(cfg, name)
-                               for name in LearnConfig.__dataclass_fields__})
     actor_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)))
     critic_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
     return Trainer.create(
-        learn_cfg, actor_cfg, env.spec.state_width, actor_rng, critic_rng,
+        cfg.learn_config, actor_cfg, env.spec.state_width, actor_rng, critic_rng,
         critic_hidden=cfg.critic_hidden,
     )
 
@@ -267,7 +261,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
     def emit(critic_loss: float, policy_loss: float, kls) -> None:
         nonlocal pending
         steps_done = sample.counter["env_steps"]
-        trained = buffer.episodes
+        trained = buffer.batch
         while pending < len(grid) and steps_done >= grid[pending]:
             eval_seq = np.random.SeedSequence(cfg.seed, spawn_key=(3, pending))
             win_rate, test_return = evaluate(
@@ -275,12 +269,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
                 int(eval_seq.generate_state(1)[0]),
             )
             if kls is None:
-                kls = episode_kls(trainer.actor, trainer.actor_cfg, trained)
+                kls = episode_kls(trainer.actor, trainer.actor_cfg, [trained])
             max_kl, mean_kl = max_mean_kl(kls)
             rows.append({
                 "step": grid[pending],
                 "episodes": sample.counter["rollouts"],
-                "train_return": float(np.mean([e.total_return for e in trained])),
+                "train_return": float(np.mean(trained.returns)),
                 "test_win_rate": win_rate,
                 "test_return": test_return,
                 "max_buffer_kl": max_kl,

@@ -1,7 +1,8 @@
 """Return targets, advantages, and the actor/critic update rules.
 
-Episodes are padded into batches whose padded steps contribute exactly zero
-to every loss and gradient. Critic targets are lambda-mixtures of n-step
+Every trajectory is a ``Batch``: B episodes padded to the longest of them,
+one episode being a batch of one. Padded steps contribute exactly zero to
+every loss and gradient. Critic targets are lambda-mixtures of n-step
 bootstrapped returns computed from a periodically synced target network,
 with the finite-episode convention that all n-step returns reaching past the
 terminal collapse onto the Monte-Carlo return (so lambda = 1 is exactly the
@@ -42,50 +43,51 @@ Array = np.ndarray
 
 
 @dataclass
-class Episode:
-    """One trajectory with everything needed to retrain or re-evaluate it."""
-
-    states: Array        # (T, state_width)
-    obs: Array           # (T, n_agents, obs_width)
-    avail: Array         # (T, n_agents, n_actions) 0/1
-    actions: Array       # (T, n_agents) int
-    rewards: Array       # (T,)
-    dists: Array         # (T, n_agents, n_actions) acting distributions
-    epsilon: float       # exploration floor of every step (one per sampler request)
-    generation: int
-    win: bool = False
-
-    @property
-    def length(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def total_return(self) -> float:
-        return float(self.rewards.sum())
-
-
-@dataclass
 class Batch:
-    """Episodes padded to a common length; ``pad`` is 1 on real steps."""
+    """B episodes padded to the longest of them; one episode is a batch of one.
 
-    episodes: list[Episode]
+    The step fields are (B, T, ...) with T = ``max_length``. Padded steps
+    hold zeros, except ``avail``, which stays all-available. The episode
+    fields are (B,): each episode's length, the one epsilon that floored
+    every step's acting distribution, its generation and whether it won.
+    """
+
     states: Array        # (B, T, state_width)
     obs: Array           # (B, T, n, obs_width)
     avail: Array         # (B, T, n, m) float
     actions: Array       # (B, T, n) int
     rewards: Array       # (B, T)
-    dists: Array         # (B, T, n, m)
+    dists: Array         # (B, T, n, m) acting distributions
     epsilons: Array      # (B,)
-    pad: Array           # (B, T) float
     lengths: Array       # (B,) int
+    generations: Array   # (B,) int
+    wins: Array          # (B,) bool
 
-    @property
-    def size(self) -> int:
-        return len(self.episodes)
+    def __len__(self) -> int:
+        return self.lengths.shape[0]
+
+    def __getitem__(self, rows) -> "Batch":
+        """The episodes at ``rows`` (an index, slice, index array or mask),
+        trimmed to the longest of them; an index gives a batch of one."""
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        t_max = int(self.lengths[rows].max(initial=0))
+        return Batch(**{name: value[rows] if value.ndim == 1 else value[rows, :t_max]
+                        for name, value in vars(self).items()})
 
     @property
     def max_length(self) -> int:
         return self.states.shape[1]
+
+    @property
+    def pad(self) -> Array:
+        """(B, T) float: 1 on real steps, 0 on padded ones."""
+        return (np.arange(self.max_length) < self.lengths[:, None]).astype(np.float64)
+
+    @property
+    def returns(self) -> Array:
+        """(B,) undiscounted returns, each summed over its own episode's steps."""
+        return np.asarray([self.rewards[i, :t].sum() for i, t in enumerate(self.lengths)])
 
     @property
     def prev_actions(self) -> Array:
@@ -95,35 +97,28 @@ class Batch:
         return prev
 
     @classmethod
-    def from_episodes(cls, episodes: Sequence[Episode]) -> "Batch":
-        if not episodes:
+    def from_episodes(cls, batches: Sequence["Batch"]) -> "Batch":
+        """The batches' episodes in order, padded to the longest of them; a
+        lone batch comes back as it is."""
+        if not batches:
             raise ValueError("cannot batch zero episodes")
-        b = len(episodes)
-        t_max = max(e.length for e in episodes)
-        _, n, m = episodes[0].dists.shape
-        s_w = episodes[0].states.shape[1]
-        z_w = episodes[0].obs.shape[2]
-        states = np.zeros((b, t_max, s_w))
-        obs = np.zeros((b, t_max, n, z_w))
-        avail = np.ones((b, t_max, n, m))  # padded rows stay all-available
-        actions = np.zeros((b, t_max, n), dtype=np.int64)
-        rewards = np.zeros((b, t_max))
-        dists = np.zeros((b, t_max, n, m))
-        pad = np.zeros((b, t_max))
-        lengths = np.zeros(b, dtype=np.int64)
-        for i, e in enumerate(episodes):
-            t = e.length
-            states[i, :t] = e.states
-            obs[i, :t] = e.obs
-            avail[i, :t] = e.avail
-            actions[i, :t] = e.actions
-            rewards[i, :t] = e.rewards
-            dists[i, :t] = e.dists
-            pad[i, :t] = 1.0
-            lengths[i] = t
-        epsilons = np.asarray([e.epsilon for e in episodes], dtype=np.float64)
-        return cls(list(episodes), states, obs, avail, actions, rewards, dists, epsilons,
-                   pad, lengths)
+        if len(batches) == 1:
+            return batches[0]
+        t_max = max(b.max_length for b in batches)
+        joined = {}
+        for name in vars(batches[0]):
+            parts = [getattr(b, name) for b in batches]
+            if parts[0].ndim == 1:
+                joined[name] = np.concatenate(parts)
+                continue
+            out = np.full((sum(map(len, parts)), t_max, *parts[0].shape[2:]),
+                          1 if name == "avail" else 0, dtype=parts[0].dtype)
+            row = 0
+            for part in parts:
+                out[row:row + len(part), :part.shape[1]] = part
+                row += len(part)
+            joined[name] = out
+        return cls(**joined)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,7 @@ def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
         boots = _critic_values(target.params, inputs).data
     if coma:
         boots = np.take_along_axis(boots, actions.reshape(-1, 1), axis=1)
-    boots = boots.reshape(batch.size, batch.max_length, *((-1,) if coma else ()))
+    boots = boots.reshape(len(batch), batch.max_length, *((-1,) if coma else ()))
     targets = batch_td_lambda_targets(batch.rewards, boots, batch.lengths, lam, gamma)
     weights = np.broadcast_to(batch.pad[:, :, None], targets.shape).copy() if coma else batch.pad
     return targets, weights, actions
@@ -446,6 +441,14 @@ class LearnConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.critic_schedule not in SCHEDULES:
             raise ValueError(f"unknown critic schedule {self.critic_schedule!r}")
+        period = self.target_period
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
+            raise ValueError(f"target_period must be a positive integer, got {period!r}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"lambda must lie in [0, 1], got {self.lam!r}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
+        ad.check_rmsprop(self.lr, self.rms_alpha, self.rms_eps)
 
 
 @dataclass
@@ -483,13 +486,12 @@ class Trainer:
             target=TargetNetState(critic.copy(), 0, cfg.target_period),
         )
 
-    def train_on_batch(self, episodes: Sequence[Episode]) -> tuple[float, float]:
+    def train_on_batch(self, batch: Batch) -> tuple[float, float]:
         """``critic_update``, then one actor step; returns both losses.
 
         The actor is unrolled once: the counterfactual baselines read the
         values of the same taped unroll that the policy loss differentiates.
         """
-        batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, self.cfg.algo)
         critic_loss = critic_update(
             batch, inputs, self.cfg, self.critic, self.critic_opt, self.target)

@@ -12,8 +12,9 @@ action generator one uniform per agent per step. So row-exact batching in
 the autodiff core makes each stored episode bit-identical to playing it alone
 (a group of one), and to the padded replay of ``learn.unroll_policy``, which
 runs all steps of a batch in one hoisted pass where the rollout runs one
-``actor_cell`` per step. Each episode stores its acting distributions and the
-one epsilon it ran with, so that replay can re-evaluate it exactly later.
+``actor_cell`` per step. A group comes back as one ``learn.Batch``; each
+episode stores its acting distributions and the one epsilon it ran with, so
+that replay can re-evaluate it exactly later.
 
 One seed rule serves training and evaluation: episode g of stream s under
 seed S seeds its env and action generators with words 0 and 1 of
@@ -33,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .learn import Episode
+from .learn import Batch
 from .policy import (ActorConfig, EpsilonSchedule, actor_cell, actor_inputs, epsilon_at,
                      masked_epsilon_probs, select_actions)
 
@@ -50,10 +51,10 @@ def rollout_episodes(
     stream: int,
     first: int = 0,
     mode: str = "sample",
-) -> list[Episode]:
+) -> Batch:
     """Play ``count`` episodes of ``env`` in lockstep, every step of every
-    episode with exploration floor ``epsilon``. Finished episodes drop out of
-    the stack; ``env`` itself is never modified.
+    episode with exploration floor ``epsilon``, and return them as one batch.
+    Finished episodes drop out of the stack; ``env`` itself is never modified.
 
     Episode j seeds its env generator and its action generator with words 0
     and 1 of ``SeedSequence(seed, spawn_key=(stream, first + j))`` and stores
@@ -65,8 +66,11 @@ def rollout_episodes(
     env_rngs = [np.random.default_rng(int(w[0])) for w in words]
     action_rngs = [np.random.default_rng(int(w[1])) for w in words]
     keys = [env.reset(rng) for rng in env_rngs]
-    steps: list[list[tuple]] = [[] for _ in range(count)]
-    wins = [False] * count
+    # per step: the live episodes, then their states, obs, avail, actions,
+    # rewards and dists
+    record: list[tuple] = []
+    lengths = np.zeros(count, dtype=np.int64)
+    wins = np.zeros(count, dtype=bool)
     actions = np.full((count, n), -1)  # each live episode's previous actions
     hidden = np.zeros((count * n, cfg.gru_hidden))
     live = list(range(count))
@@ -81,24 +85,26 @@ def rollout_episodes(
         if not np.isfinite(dist).all():
             raise ad.NumericError("acting distribution is not finite")
         actions = select_actions(dist, mode, [action_rngs[i] for i in live])
-        still = []
+        states = np.array([env.state_vector(keys[i]) for i in live])
+        rewards, still = np.zeros(len(live)), []
         for j, i in enumerate(live):
-            state = env.state_vector(keys[i])
-            keys[i], reward, terminal, wins[i] = env.step(keys[i], actions[j], env_rngs[i])
-            steps[i].append((state, obs[j], avail[j], actions[j], reward, dist[j]))
+            keys[i], rewards[j], terminal, wins[i] = env.step(keys[i], actions[j], env_rngs[i])
             if not terminal:
                 still.append(j)
+        record.append((live, states, obs, avail, actions, rewards, dist))
+        lengths[live] += 1
         if len(still) < len(live):
             hidden = hidden.reshape(len(live), n, -1)[still].reshape(-1, cfg.gru_hidden)
             actions = actions[still]
             live = [live[j] for j in still]
 
-    episodes = []
-    for j, (record, win) in enumerate(zip(steps, wins)):
-        states, obs, avail, actions, rewards, dists = (np.asarray(f) for f in zip(*record))
-        episodes.append(Episode(states, obs, avail, actions.astype(np.int64), rewards, dists,
-                                epsilon=epsilon, generation=first + j, win=win))
-    return episodes
+    steps = [np.zeros((count, len(record), *v.shape[1:]), v.dtype) for v in record[0][1:]]
+    steps[2][:] = 1.0  # padded steps stay all-available
+    for t, (ids, *values) in enumerate(record):
+        for array, value in zip(steps, values):
+            array[ids, t] = value
+    return Batch(*steps, np.full(count, float(epsilon)), lengths,
+                 np.arange(first, first + count), wins)
 
 
 def sample_episode_fn(
@@ -117,15 +123,15 @@ def sample_episode_fn(
     """
     counter = {"rollouts": 0, "env_steps": 0}
 
-    def sample(params: ad.ParamSet, count: int) -> list[Episode]:
+    def sample(params: ad.ParamSet, count: int) -> Batch:
         if count < 1:
             raise ValueError("need at least one episode")
-        episodes = rollout_episodes(
+        batch = rollout_episodes(
             env, count, params, cfg, epsilon_at(counter["env_steps"], schedule),
             master_seed, stream=1, first=counter["rollouts"])
-        counter["env_steps"] += sum(e.length for e in episodes)
+        counter["env_steps"] += int(batch.lengths.sum())
         counter["rollouts"] += count
-        return episodes
+        return batch
 
     sample.counter = counter  # type: ignore[attr-defined]
     return sample

@@ -12,8 +12,11 @@ eviction rule flags:
   the post-update policy by more than ``kl_threshold`` (max over steps and
   agents of KL(current || stored)).
 
-Divergences compare the stored per-step distributions with the current
-policy, replayed over every episode at once by the padded batched unroll of
+The buffer is one ``learn.Batch``: a refill is concatenated onto it and an
+eviction selects the survivors, so training, the KL replay and evaluation
+all read the same arrays and nothing is re-padded per update. Divergences
+compare the stored per-step distributions with the current policy, replayed
+over every episode at once by the padded batched unroll of
 ``learn.batch_policy_probs``; no old network ever needs replaying. The
 ``sampled`` estimator kind reproduces the single-sample form
 q/p - 1 - log(q/p)  evaluated at the recorded actions (``kl_estimator_term``);
@@ -28,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import ParamSet
-from .learn import Batch, Episode, Trainer, batch_policy_probs
+from .learn import Batch, Trainer, batch_policy_probs
 from .policy import ActorConfig
 
 Array = np.ndarray
@@ -69,51 +72,55 @@ def kl_estimator_term(p_prob, q_prob) -> float | Array:
 
 
 class ReplayBuffer:
-    """FIFO store of at most ``capacity`` episodes, oldest first."""
+    """FIFO store of at most ``capacity`` episodes, oldest first, held as one
+    ``Batch`` (None while empty) trimmed to its longest episode."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = capacity
-        self.episodes: list[Episode] = []
+        self.batch: Batch | None = None
 
     def __len__(self) -> int:
-        return len(self.episodes)
+        return 0 if self.batch is None else len(self.batch)
 
     @property
     def full(self) -> bool:
-        return len(self.episodes) >= self.capacity
+        return len(self) >= self.capacity
 
-    def insert(self, episode: Episode) -> None:
-        if self.full:
+    @property
+    def episodes(self) -> list[Batch]:
+        """Each buffered episode as a batch of one, oldest first."""
+        return [self.batch[i] for i in range(len(self))]
+
+    def insert(self, batch: Batch) -> None:
+        """Append the batch's episodes, in order, after the buffered ones."""
+        if len(self) + len(batch) > self.capacity:
             raise RuntimeError("buffer is full; evict before inserting")
-        self.episodes.append(episode)
+        self.batch = batch if self.batch is None else Batch.from_episodes([self.batch, batch])
 
-    def evict_where(self, drop: Sequence[bool]) -> list[Episode]:
+    def evict_where(self, drop: Sequence[bool]) -> None:
         """Drop flagged episodes; survivors keep their order."""
-        if len(drop) != len(self.episodes):
+        if len(drop) != len(self):
             raise ValueError("flag list does not match buffer size")
-        removed = [e for e, d in zip(self.episodes, drop) if d]
-        self.episodes = [e for e, d in zip(self.episodes, drop) if not d]
-        return removed
+        keep = ~np.asarray(drop, dtype=bool)
+        self.batch = self.batch[keep] if keep.any() else None
 
     def generations(self) -> list[int]:
-        return [e.generation for e in self.episodes]
+        return [] if self.batch is None else self.batch.generations.tolist()
 
 
 # ---------------------------------------------------------------------------
 # Buffer divergence diagnostics
 
 
-def episode_kls(actor: ParamSet, cfg: ActorConfig, episodes: Sequence[Episode],
+def episode_kls(actor: ParamSet, cfg: ActorConfig, batches: Sequence[Batch],
                 kind: str = "exact") -> list[Array]:
     """Per-step divergences KL(current || stored), one (T_i, n) array per
-    episode, from a single batched replay of the current policy."""
+    episode of the batches, from a single batched replay of the current policy."""
     if kind not in ("exact", "sampled"):
         raise ValueError(f"unknown estimator kind {kind!r}")
-    if any(e.dists is None or e.epsilon is None for e in episodes):
-        raise ValueError("episode is missing its stored policy provenance")
-    batch = Batch.from_episodes(episodes)
+    batch = Batch.from_episodes(batches)
     current = batch_policy_probs(actor, cfg, batch)
     if kind == "exact":
         kls = kl_exact(current, batch.dists)
@@ -156,7 +163,7 @@ def eviction_flags(mode: str, kls: Sequence[Array] | None, kl_threshold: float,
 def sop_iteration(
     buffer: ReplayBuffer,
     trainer: Trainer,
-    sample: Callable[[ParamSet, int], list[Episode]],
+    sample: Callable[[ParamSet, int], Batch],
     mode: str,
     kl_threshold: float,
     on_train_end: Callable[[float, float, list[Array] | None], None],
@@ -173,11 +180,10 @@ def sop_iteration(
     if kl_threshold < 0.0:
         raise ValueError("kl_threshold must be nonnegative")
     if not buffer.full:
-        for episode in sample(trainer.actor, buffer.capacity - len(buffer)):
-            buffer.insert(episode)
-    critic_loss, policy_loss = trainer.train_on_batch(buffer.episodes)
+        buffer.insert(sample(trainer.actor, buffer.capacity - len(buffer)))
+    critic_loss, policy_loss = trainer.train_on_batch(buffer.batch)
     kls = None
     if mode == "strict" and np.isfinite(kl_threshold):
-        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, [buffer.batch])
     on_train_end(critic_loss, policy_loss, kls)
     buffer.evict_where(eviction_flags(mode, kls, kl_threshold, len(buffer)))

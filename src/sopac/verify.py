@@ -21,7 +21,6 @@ from .envs import SwitchGame
 from .learn import (
     ALGOS,
     Batch,
-    Episode,
     LearnConfig,
     Trainer,
     actor_step_inputs,
@@ -44,22 +43,21 @@ CHECK_DIMS = dict(n=2, m=3, state_width=4, obs_width=3, gru_hidden=6,
 
 
 def random_episode(rng: np.random.Generator, n: int, m: int, state_width: int,
-                   obs_width: int, length: int, generation: int = 0) -> Episode:
-    """Synthetic episode with valid masks and stored distributions."""
-    avail = np.ones((length, n, m))
+                   obs_width: int, length: int, generation: int = 0) -> Batch:
+    """Synthetic episode, a batch of one, with valid masks and stored distributions."""
     logits = rng.standard_normal((length, n, m))
     dists = np.exp(logits)
     dists /= dists.sum(axis=-1, keepdims=True)
-    return Episode(
-        states=rng.standard_normal((length, state_width)),
-        obs=rng.standard_normal((length, n, obs_width)),
-        avail=avail,
-        actions=rng.integers(m, size=(length, n)),
-        rewards=rng.standard_normal(length),
-        dists=dists,
-        epsilon=float(rng.uniform(0.05, 0.5)),
-        generation=generation,
+    steps = (
+        rng.standard_normal((length, state_width)),
+        rng.standard_normal((length, n, obs_width)),
+        np.ones((length, n, m)),
+        rng.integers(m, size=(length, n)),
+        rng.standard_normal(length),
+        dists,
     )
+    return Batch(*(step[None] for step in steps), np.asarray([rng.uniform(0.05, 0.5)]),
+                 np.asarray([length]), np.asarray([generation]), np.zeros(1, dtype=bool))
 
 
 def random_batch(rng: np.random.Generator, dims: dict | None = None) -> Batch:
@@ -75,7 +73,8 @@ def random_batch(rng: np.random.Generator, dims: dict | None = None) -> Batch:
     return Batch.from_episodes(episodes)
 
 
-def _check_trainer(rng: np.random.Generator, algo: str, dims: dict) -> Trainer:
+def _check_trainer(rng: np.random.Generator, algo: str) -> Trainer:
+    dims = CHECK_DIMS
     actor_cfg = ActorConfig(dims["obs_width"], dims["n"], dims["m"], dims["gru_hidden"])
     return Trainer.create(
         LearnConfig(algo=algo), actor_cfg, dims["state_width"],
@@ -129,23 +128,22 @@ def _well_conditioned(loss, params: ParamSet, margin_ok: bool) -> bool:
     return True
 
 
-def gradient_suite(seeds: int = 20, step: float = 1e-5, dims: dict | None = None) -> GradSuiteResult:
+def gradient_suite(seeds: int = 20, step: float = 1e-5) -> GradSuiteResult:
     """Finite-difference checks for the actor loss and all three critic losses.
 
     Central differences cannot certify a gradient across a ReLU kink or below
     their own roundoff floor, so draws with kink-straddling preactivations or
     dead-zone gradient entries are redrawn before checking.
     """
-    d = dict(CHECK_DIMS, **(dims or {}))
     margin = 100.0 * step
     worst = dict.fromkeys(("actor",) + ALGOS, 0.0)
     for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
-        batch = random_batch(rng, d)
+        batch = random_batch(rng)
         for algo in ALGOS:
             inputs = critic_batch_inputs(batch, algo)
             for attempt in range(200):
-                trainer = _check_trainer(rng, algo, d)
+                trainer = _check_trainer(rng, algo)
                 margins_ok = (
                     _critic_relu_margin(trainer.critic, inputs) > margin
                     and _actor_relu_margin(trainer.actor, batch, trainer.actor_cfg) > margin
@@ -183,25 +181,24 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5, dims: dict | None = None
 
 
 def uniform_switch_episodes(env: SwitchGame, rng: np.random.Generator, count: int,
-                            generation: int = 0) -> list[Episode]:
-    """Episodes drawn under the fixed uniform policy, with exact stored dists."""
+                            generation: int = 0) -> Batch:
+    """A batch of one-step episodes drawn under the fixed uniform policy, with
+    exact stored dists."""
     m = env.spec.n_actions
-    state, obs, avail = env.state_vector(0), env.observations(0), env.avail_actions(0)
-    episodes = []
-    for _ in range(count):
-        actions = rng.integers(m, size=2)
-        [(_, reward, _, _, _)] = env.transitions(0, tuple(actions))
-        episodes.append(Episode(
-            states=state[None, :],
-            obs=obs[None, :, :],
-            avail=avail.astype(np.float64)[None, :, :],
-            actions=actions[None, :].astype(np.int64),
-            rewards=np.asarray([reward]),
-            dists=np.full((1, 2, m), 1.0 / m),
-            epsilon=1.0,
-            generation=generation,
-        ))
-    return episodes
+    actions = np.zeros((count, 1, 2), dtype=np.int64)
+    rewards = np.zeros((count, 1))
+    wins = np.zeros(count, dtype=bool)
+    for i in range(count):
+        actions[i, 0] = rng.integers(m, size=2)
+        [(_, rewards[i, 0], _, wins[i], _)] = env.transitions(0, tuple(actions[i, 0]))
+
+    def each(step: Array) -> Array:
+        return np.broadcast_to(step, (count, 1, *step.shape)).astype(np.float64)
+
+    return Batch(each(env.state_vector(0)), each(env.observations(0)),
+                 each(env.avail_actions(0)), actions, rewards,
+                 np.full((count, 1, 2, m), 1.0 / m), np.ones(count),
+                 np.ones(count, dtype=np.int64), np.full(count, generation), wins)
 
 
 @dataclass
@@ -216,7 +213,7 @@ class OracleCheckResult:
 
 
 def switch_oracle_check(
-    max_updates: int = 5000, batch: int = 32, seed: int = 7, tol: float = 0.05,
+    max_updates: int = 5000, batch: int = 32, tol: float = 0.05,
 ) -> OracleCheckResult:
     """Train the V critic and the consistent Q critic against the exact oracle.
 
@@ -234,19 +231,18 @@ def switch_oracle_check(
 
     results: dict[str, tuple[float, int]] = {}
     for algo in ("centralv", "coma-cc"):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(7)
         actor_cfg = ActorConfig(env.spec.obs_width, 2, m)
         layout = cr.layout_for(algo, env.spec.state_width, env.spec.obs_width, 2, m)
         inputs = cr.encode(layout, *first_step)
         trainer = Trainer.create(
             LearnConfig(algo=algo), actor_cfg, env.spec.state_width,
-            np.random.default_rng(seed + 1), np.random.default_rng(seed + 2),
+            np.random.default_rng(8), np.random.default_rng(9),
         )
         error = np.inf
         updates = 0
         for updates in range(1, max_updates + 1):
-            episodes = uniform_switch_episodes(env, rng, batch)
-            b = Batch.from_episodes(episodes)
+            b = uniform_switch_episodes(env, rng, batch)
             critic_update(b, critic_batch_inputs(b, algo), trainer.cfg, trainer.critic,
                           trainer.critic_opt, trainer.target)
             if updates % 25 == 0 or updates == max_updates:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sopac import autodiff as ad
-from sopac import harness, verify
+from sopac import harness, learn, verify
 from sopac.envs import make_env
 
 from reference import log, params_equal, square, sum_all
@@ -249,11 +249,11 @@ def trainer_weight_shapes(nets=("actor", "critic")) -> list[tuple[int, int]]:
     each env and algorithm, and of the gradient suite's trainers."""
     trainers = []
     for env in harness.ENVS:
-        for algo in harness.ALGOS:
+        for algo in learn.ALGOS:
             cfg = harness.RunConfig(env=env, algo=algo)
             trainers.append(harness.build_trainer(cfg, make_env(cfg.env, cfg.env_config)))
     rng = np.random.default_rng(0)
-    trainers += [verify._check_trainer(rng, algo, verify.CHECK_DIMS) for algo in harness.ALGOS]
+    trainers += [verify._check_trainer(rng, algo) for algo in learn.ALGOS]
     return sorted({tensor.data.shape for trainer in trainers
                    for params in (getattr(trainer, net) for net in nets)
                    for _, tensor in params.items() if tensor.data.ndim == 2})

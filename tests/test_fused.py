@@ -168,7 +168,7 @@ class TestLossesOnPaddedBatch:
                            DIMS["obs_width"], t, generation=i)
             for i, t in enumerate((5, 2, 4))]
         # mask one action that was not taken, on a real step
-        episodes[0].avail[1, 0, (episodes[0].actions[1, 0] + 1) % DIMS["m"]] = 0.0
+        episodes[0].avail[0, 1, 0, (episodes[0].actions[0, 1, 0] + 1) % DIMS["m"]] = 0.0
         return Batch.from_episodes(episodes)
 
     def trainer(self, algo, seed, schedule="wholebatch"):
@@ -184,7 +184,7 @@ class TestLossesOnPaddedBatch:
         def run():
             trainer = self.trainer("coma-cc", 31)
             adv = np.random.default_rng(32).standard_normal(
-                (batch.size, batch.max_length, DIMS["n"])) * batch.pad[:, :, None]
+                (len(batch), batch.max_length, DIMS["n"])) * batch.pad[:, :, None]
             loss = learn.policy_loss_tensor(batch, adv, trainer.actor, trainer.actor_cfg)
             loss.backward()
             return loss.data, param_grads(trainer.actor)
@@ -238,7 +238,7 @@ class TestLossesOnPaddedBatch:
     def test_train_on_batch(self, algo, schedule):
         def run():
             trainer = self.trainer(algo, 35, schedule)
-            losses = [trainer.train_on_batch(self.batch(36 + k).episodes) for k in range(2)]
+            losses = [trainer.train_on_batch(self.batch(36 + k)) for k in range(2)]
             return losses, trainer
 
         (fused_losses, fused), (composed_losses, composed) = both(run)

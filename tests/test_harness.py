@@ -10,7 +10,7 @@ import pytest
 from sopac import cli, harness, sop, verify
 from sopac.autodiff import ParamSet
 from sopac.envs import SwitchGame
-from sopac.learn import Trainer
+from sopac.learn import Batch, Trainer
 from sopac.harness import (
     METRICS_HEADER,
     ConfigError,
@@ -113,7 +113,7 @@ class TestEvaluate:
         episodes = 10_000
         played = rollout_episodes(env, episodes, uniform, cfg, 0.0, seed=5, stream=2,
                                   mode="sample")
-        win_rate = sum(e.win for e in played) / len(played)
+        win_rate = played.wins.mean()
         p = 1.0 / 9.0
         se = np.sqrt(p * (1 - p) / episodes)
         assert abs(win_rate - p) < 3.0 * se
@@ -197,9 +197,9 @@ class TestRunExperiment:
             counts["kls"] += 1
             return episode_kls(*args, **kwargs)
 
-        def counted_update(self, episodes):
+        def counted_update(self, batch):
             counts["updates"] += 1
-            return train_on_batch(self, episodes)
+            return train_on_batch(self, batch)
 
         monkeypatch.setattr(sop, "episode_kls", counted_kls)
         monkeypatch.setattr(harness, "episode_kls", counted_kls, raising=False)
@@ -218,6 +218,57 @@ class TestRunExperiment:
                             env_config={"side": 4, "horizon": 8})
             result = run_experiment(cfg, tmp_path / algo)
             assert len(result.rows) == 2
+
+
+class TestExactLengthReturns:
+    """A return is summed over its own episode's steps. Summing a padded row
+    regroups numpy's pairwise sum and can change the last bit."""
+
+    @staticmethod
+    def padded_row():
+        """A switch-shaped batch of a 9-15-step episode padded to 20 steps,
+        whose padded row sum and mean return both differ from the exact ones;
+        and its exact and padded mean returns."""
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            short = verify.random_episode(rng, 2, 3, 1, 2, int(rng.integers(9, 16)))
+            long = verify.random_episode(rng, 2, 3, 1, 2, 20, generation=1)
+            batch = Batch.from_episodes([short, long])
+            exact = float(np.mean([short.rewards[0].sum(), long.rewards[0].sum()]))
+            padded = float(np.mean(batch.rewards.sum(axis=1)))
+            if batch.rewards[0].sum() != short.rewards[0].sum() and exact != padded:
+                return batch, exact, padded
+        raise AssertionError("no seed below 100 pads to a different sum")
+
+    def test_batch_returns_sum_each_episode_over_its_length(self):
+        batch, exact, _ = self.padded_row()
+        assert batch.lengths[0] >= 9 and batch.max_length == 20
+        assert float(np.mean(batch.returns)) == exact
+        assert batch.returns[0] != batch.rewards[0].sum()
+
+    def test_test_return_is_the_exact_length_mean(self, monkeypatch):
+        batch, exact, padded = self.padded_row()
+        monkeypatch.setattr(harness, "rollout_episodes", lambda *args, **kwargs: batch)
+        _, test_return = evaluate(None, None, None, len(batch), seed=0)
+        assert test_return == exact != padded
+
+    def test_train_return_is_the_exact_length_mean(self, tmp_path, monkeypatch):
+        batch, exact, padded = self.padded_row()
+        steps = int(batch.lengths.sum())
+
+        def sampler(env, cfg, schedule, seed):
+            def sample(params, count):
+                assert count == len(batch)
+                sample.counter["rollouts"] += count
+                sample.counter["env_steps"] += steps
+                return batch
+            sample.counter = {"rollouts": 0, "env_steps": 0}
+            return sample
+
+        monkeypatch.setattr(harness, "sample_episode_fn", sampler)
+        cfg = small_config(sop="permissive", total_steps=steps, eval_interval=steps)
+        [row] = run_experiment(cfg, tmp_path / "r").rows
+        assert row["train_return"] == exact != padded
 
 
 class TestAggregate:

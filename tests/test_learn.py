@@ -10,6 +10,7 @@ from sopac import critic as cr
 from sopac import learn
 from sopac.autodiff import NumericError, ParamSet
 from sopac.envs import SwitchGame
+from sopac.harness import ConfigError, RunConfig
 from sopac.learn import (
     Batch,
     LearnConfig,
@@ -200,9 +201,9 @@ class TestAdvantages:
                                  trainer.critic, unrolled(trainer, batch), 0.9,
                                  gamma_adv_one)
         values = learn._critic_values(trainer.critic, batch.states).data
-        values = values.reshape(batch.size, batch.max_length)
+        values = values.reshape(len(batch), batch.max_length)
         gamma_adv = 1.0 if gamma_adv_one else 0.9
-        expected = np.zeros((batch.size, batch.max_length))  # padding is +0.0
+        expected = np.zeros((len(batch), batch.max_length))  # padding is +0.0
         for i, length in enumerate(batch.lengths):
             for t in range(length):
                 v_next = values[i, t + 1] if t + 1 < length else 0.0
@@ -227,7 +228,7 @@ class TestPolicyGradientUpdate:
         batch = random_batch(np.random.default_rng(3), DIMS)
         before = trainer.actor.copy()
         loss = policy_gradient_update(
-            batch, np.zeros((batch.size, batch.max_length, DIMS["n"])),
+            batch, np.zeros((len(batch), batch.max_length, DIMS["n"])),
             unrolled(trainer, batch), trainer.actor, trainer.actor_opt, trainer.cfg,
         )
         assert loss == 0.0
@@ -244,7 +245,7 @@ class TestPolicyGradientUpdate:
         policy_gradient_update(
             batch, adv, unrolled(trainer, batch), trainer.actor, trainer.actor_opt, trainer.cfg)
         probs_after = learn.batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)
-        u = episode.actions[0, 0]
+        u = episode.actions[0, 0, 0]
         assert probs_after[0, 0, 0, u] > probs_before[0, 0, 0, u]
 
     def test_gradient_matches_finite_differences(self):
@@ -262,7 +263,7 @@ class TestPolicyGradientUpdate:
         trainer = make_trainer("centralv", seed=8)
         batch = random_batch(np.random.default_rng(9), DIMS)
         before = trainer.actor.copy()
-        bad = np.full((batch.size, batch.max_length, DIMS["n"]), np.inf)
+        bad = np.full((len(batch), batch.max_length, DIMS["n"]), np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             policy_gradient_update(batch, bad, unrolled(trainer, batch), trainer.actor,
                                    trainer.actor_opt, trainer.cfg)
@@ -347,21 +348,11 @@ class TestCriticSchedules:
         # regression on the fixed batch must drive the loss under 1e-3
         env = SwitchGame()
         m = env.spec.n_actions
-        episodes = []
-        for u0 in range(m):
-            for u1 in range(m):
-                state, obs, avail = env.state_vector(0), env.observations(0), env.avail_actions(0)
-                _, reward, _, _ = env.step(0, (u0, u1), np.random.default_rng(0))
-                episodes.append(learn.Episode(
-                    states=state[None, :], obs=obs[None, :, :],
-                    avail=avail.astype(np.float64)[None, :, :],
-                    actions=np.asarray([[u0, u1]], dtype=np.int64),
-                    rewards=np.asarray([reward]),
-                    dists=np.full((1, 2, m), 1.0 / m),
-                    epsilon=1.0,
-                    generation=0,
-                ))
-        batch = Batch.from_episodes(episodes)
+        # one episode per joint action, (u0, u1) in row-major order
+        batch = uniform_switch_episodes(env, np.random.default_rng(0), m * m)
+        batch.actions[:, 0] = np.stack(np.divmod(np.arange(m * m), m), axis=-1)
+        batch.rewards[:, 0] = [env.step(0, u, np.random.default_rng(0))[1]
+                               for u in batch.actions[:, 0]]
         actor_cfg = ActorConfig(env.spec.obs_width, 2, m)
         trainer = Trainer.create(LearnConfig(algo="coma-cc"), actor_cfg,
                                  env.spec.state_width,
@@ -422,6 +413,23 @@ class TestCriticSchedules:
         assert params_equal(mini.critic, params)
 
 
+class TestLearnConfig:
+    BAD = {"gamma-above-one": {"gamma": 1.5}, "zero-gamma": {"gamma": 0.0},
+           "zero-target-period": {"target_period": 0},
+           "fractional-target-period": {"target_period": 2.5},
+           "bool-target-period": {"target_period": True}, "lambda-above-one": {"lam": 2.0},
+           "negative-lambda": {"lam": -0.1}, "negative-lr": {"lr": -1.0},
+           "rms-alpha-above-one": {"rms_alpha": 1.5}, "zero-rms-eps": {"rms_eps": 0.0}}
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_invalid_values_rejected_and_reported_by_run_config(self, bad):
+        with pytest.raises(ValueError) as learn_error:
+            LearnConfig(algo="centralv", **bad)
+        with pytest.raises(ConfigError) as run_error:
+            RunConfig(algo="centralv", **bad)
+        assert str(run_error.value) == str(learn_error.value)
+
+
 class TestTargetNetwork:
     def test_sync_copies_online_exactly_and_resets_counter(self):
         rng = np.random.default_rng(24)
@@ -461,7 +469,7 @@ class TestTargetNetwork:
         # every update syncs; the target must copy values, never alias the
         # critic, and no parameter may carry a gradient past its step
         trainer = make_trainer(algo, seed=28, target_period=1)
-        episodes = random_batch(np.random.default_rng(29), DIMS).episodes
+        batch = random_batch(np.random.default_rng(29), DIMS)
 
         def tensors():
             return [t for params in (trainer.actor, trainer.critic, trainer.target.params)
@@ -479,7 +487,7 @@ class TestTargetNetwork:
         assert_disjoint()
         for _ in range(2):
             before = trainer.actor.copy()
-            trainer.train_on_batch(episodes)
+            trainer.train_on_batch(batch)
             assert all(a is b for a, b in zip(owned(), objects, strict=True))
             assert not params_equal(trainer.actor, before)
             assert trainer.target.counter == 0
@@ -488,16 +496,16 @@ class TestTargetNetwork:
             assert all(t.grad is None for t in tensors())
 
 
-def validate_episode(episode):
-    """Every field spans the episode, the stored epsilon lies in [0, 1], and
-    the stored distributions sum to 1."""
-    t = episode.length
-    for name in ("obs", "avail", "actions", "rewards", "dists"):
-        if getattr(episode, name).shape[0] != t:
-            raise ValueError(f"episode field {name} does not span {t} steps")
-    if not 0.0 <= episode.epsilon <= 1.0:
-        raise ValueError(f"stored epsilon {episode.epsilon} outside [0, 1]")
-    if not np.allclose(episode.dists.sum(axis=-1), 1.0, atol=1e-9):
+def validate_episode(batch):
+    """Every step field spans the batch's episodes and steps, the stored
+    epsilons lie in [0, 1], and the stored distributions of real steps sum to 1."""
+    span = (len(batch), batch.max_length)
+    for name in ("states", "obs", "avail", "actions", "rewards", "dists"):
+        if getattr(batch, name).shape[:2] != span:
+            raise ValueError(f"batch field {name} does not span {span}")
+    if not ((batch.epsilons >= 0.0) & (batch.epsilons <= 1.0)).all():
+        raise ValueError(f"stored epsilons {batch.epsilons} outside [0, 1]")
+    if not np.allclose(batch.dists[batch.pad > 0.0].sum(axis=-1), 1.0, atol=1e-9):
         raise ValueError("stored distributions do not sum to 1")
 
 
@@ -510,16 +518,15 @@ class TestEpisodeContainers:
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=5))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(0), cfg)
-        [episode] = rollout_episodes(env, 1, params, cfg, 0.5, seed=1, stream=1)
-        validate_episode(episode)
+        validate_episode(rollout_episodes(env, 3, params, cfg, 0.5, seed=1, stream=1))
 
     def test_validate_rejects_ragged_and_unnormalised_records(self):
         episode = random_episode(np.random.default_rng(1), 2, 3, 4, 3, 3)
-        episode.rewards = episode.rewards[:-1]
+        episode.rewards = episode.rewards[:, :-1]
         with pytest.raises(ValueError, match="does not span"):
             validate_episode(episode)
         episode = random_episode(np.random.default_rng(2), 2, 3, 4, 3, 3)
-        episode.dists[0, 0] *= 2.0
+        episode.dists[0, 0, 0] *= 2.0
         with pytest.raises(ValueError, match="sum to 1"):
             validate_episode(episode)
 
@@ -535,12 +542,10 @@ class TestForwardPathConsistency:
         env = CaptureGrid(CaptureGridConfig(side=4, horizon=6))
         cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
         params = actor_init(np.random.default_rng(3), cfg)
-        episodes = rollout_episodes(env, 3, params, cfg, 0.5, seed=10, stream=1)
-        batch = Batch.from_episodes(episodes)
+        batch = rollout_episodes(env, 3, params, cfg, 0.5, seed=10, stream=1)
         batched = learn.batch_policy_probs(params, cfg, batch)
-        for i, episode in enumerate(episodes):
-            t = episode.length
-            assert np.array_equal(batched[i, :t], episode.dists)
+        real = batch.pad > 0.0
+        assert np.array_equal(batched[real], batch.dists[real])
 
 
 # (agents, actions, observation width, GRU width, steps, episodes) of the
@@ -585,7 +590,7 @@ class TestHoistedUnroll:
         cfg = ActorConfig(obs_width, n, m, hidden)
         params = actor_init(rng, cfg)
         batch = ragged_actor_batch(rng, shape, steps)
-        adv = rng.standard_normal((batch.size, batch.max_length, n)) * batch.pad[:, :, None]
+        adv = rng.standard_normal((len(batch), batch.max_length, n)) * batch.pad[:, :, None]
         probs = unroll(params, cfg, batch)
         loss = loss_fn(batch, adv, probs)
         loss.backward()
@@ -624,9 +629,9 @@ class TestBatchedCriticInputsMatchSingleCalls:
         batch = random_batch(np.random.default_rng(seed + 1), DIMS)
         layout = learn._batch_layout(batch, algo)
         rows = cr.counterfactual_values(trainer.critic, layout, critic_batch_inputs(batch, algo))
-        assert rows.shape == (batch.size, batch.max_length, DIMS["n"], DIMS["m"])
+        assert rows.shape == (len(batch), batch.max_length, DIMS["n"], DIMS["m"])
         steps = []
-        for b in range(batch.size):
+        for b in range(len(batch)):
             for t in range(int(batch.lengths[b])):
                 prev = batch.actions[b, t - 1] if t > 0 else np.full(DIMS["n"], -1)
                 step = cr.encode(layout, batch.states[b, t], batch.obs[b, t], prev,
@@ -665,7 +670,7 @@ class TestTrainOnBatch:
         trainer = make_trainer(algo, seed=30, critic_schedule=schedule)
         rng = np.random.default_rng(31)
         for k in range(1, 4):
-            trainer.train_on_batch(random_batch(rng, DIMS).episodes)
+            trainer.train_on_batch(random_batch(rng, DIMS))
             assert calls == [algo] * k
 
     @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
@@ -676,14 +681,14 @@ class TestTrainOnBatch:
         unroll = learn.unroll_policy
 
         def counted(params, cfg, batch):
-            calls.append(batch.size)
+            calls.append(len(batch))
             return unroll(params, cfg, batch)
 
         monkeypatch.setattr(learn, "unroll_policy", counted)
         trainer = make_trainer(algo, seed=32, critic_schedule=schedule)
         rng = np.random.default_rng(33)
         for k in range(1, 4):
-            trainer.train_on_batch(random_batch(rng, DIMS).episodes)
+            trainer.train_on_batch(random_batch(rng, DIMS))
             assert calls == [DIMS["batch"]] * k
 
 
@@ -735,13 +740,13 @@ class TestBatchComposition:
             batch, inputs, algo, trainer.target, 0.8, 0.99)
         probs = unrolled(trainer, batch)
         adv = compute_advantages(batch, inputs, algo, trainer.critic, probs, 0.99, False)
-        values = np.zeros((batch.size, batch.max_length))
+        values = np.zeros((len(batch), batch.max_length))
         if algo != "centralv":
             values = cr.counterfactual_values(
                 trainer.critic, learn._batch_layout(batch, algo), inputs)
         policy_terms = learn._by_episode(batch, policy_loss_terms(batch, adv, probs).data)
         critic_terms = critic_loss_terms(trainer.critic, inputs, targets, weights, actions).data
-        critic_terms = critic_terms.reshape(batch.size, batch.max_length, -1)
+        critic_terms = critic_terms.reshape(len(batch), batch.max_length, -1)
         return [(targets[i, :n].tobytes(), adv[i, :n].tobytes(), values[i, :n].tobytes(),
                  policy_terms[i, :n].tobytes(), critic_terms[i, :n].tobytes())
                 for i, n in enumerate(batch.lengths)]

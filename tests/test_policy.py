@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sopac import autodiff as ad
 from sopac.envs import CaptureGrid, CaptureGridConfig
-from sopac.learn import Batch, batch_policy_probs
+from sopac.learn import batch_policy_probs
 from sopac.policy import (
     ActorConfig,
     EpsilonSchedule,
@@ -27,7 +27,7 @@ def capture_episode(seed=0, params=None, cfg=None):
     env = CaptureGrid(CaptureGridConfig(side=4, horizon=6))
     actor_cfg = cfg or ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
     params = params or actor_init(np.random.default_rng(seed), actor_cfg)
-    [episode] = rollout_episodes(
+    episode = rollout_episodes(
         env, 1, params, actor_cfg, epsilon_at(0, EpsilonSchedule()), seed, stream=1)
     return episode, params, actor_cfg
 
@@ -177,9 +177,9 @@ class TestSelectActions:
 class TestHistoryAndDistribution:
     def test_distribution_requires_valid_epsilon(self):
         episode, params, cfg = capture_episode(seed=4)
-        episode.epsilon = 1.5
+        episode.epsilons[:] = 1.5
         with pytest.raises(ValueError, match="epsilon"):
-            batch_policy_probs(params, cfg, Batch.from_episodes([episode]))
+            batch_policy_probs(params, cfg, episode)
 
 
 class TestSnapshots:
@@ -189,7 +189,7 @@ class TestSnapshots:
         episode, params, cfg = capture_episode(seed=7)
         zero = ad.ParamSet({k: np.zeros_like(v.data) for k, v in params.items()})
         # epsilon mixes uniform with uniform; zero logits give uniform softmax
-        replayed = batch_policy_probs(zero, cfg, Batch.from_episodes([episode]))[0]
+        replayed = batch_policy_probs(zero, cfg, episode)
         counts = episode.avail.sum(axis=-1, keepdims=True)
         assert np.allclose(replayed, episode.avail / counts, atol=1e-12)
 
@@ -199,13 +199,14 @@ class TestSnapshots:
         bumped["fc2.w0"].data += 0.05
         bumped["fc2.b0"].data -= 0.03
         (kls,) = episode_kls(bumped, cfg, [episode])
-        assert kls.shape == (episode.length, cfg.n_agents)
+        assert kls.shape == (episode.max_length, cfg.n_agents)
         assert kls.max() > 0.0 and np.isfinite(kls).all()
 
     def test_missing_epsilon_trace_rejected(self):
         episode, params, cfg = capture_episode(seed=9)
-        episode.epsilon = None
-        with pytest.raises(ValueError, match="provenance"):
+        # a stored epsilon that was never recorded reads NaN
+        episode.epsilons[:] = np.nan
+        with pytest.raises(ValueError, match="epsilon"):
             episode_kls(params, cfg, [episode])
 
 

@@ -11,7 +11,8 @@ from sopac.learn import Batch, batch_policy_probs
 from sopac.policy import ActorConfig, EpsilonSchedule, actor_init, epsilon_at
 from sopac.rollout import rollout_episodes, sample_episode_fn
 
-FIELDS = ("states", "obs", "avail", "actions", "rewards", "dists")
+FIELDS = ("states", "obs", "avail", "actions", "rewards", "dists", "epsilons", "lengths",
+          "generations", "wins")
 
 
 def walking_grid():
@@ -24,14 +25,12 @@ def actor_for(env, seed):
 
 
 def assert_identical(got, want):
+    """Two batches hold the same episodes, bit for bit."""
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.length, a.win, a.generation, a.epsilon) == (b.length, b.win, b.generation,
-                                                             b.epsilon)
-        for name in FIELDS:
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.shape == y.shape, name
-            assert np.array_equal(x.view(np.int64), y.view(np.int64)), name
+    for name in FIELDS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
 
 
 @pytest.fixture
@@ -50,12 +49,12 @@ def actor_cells(monkeypatch):
 
 def play(env, params, cfg, epsilon, count, mode, grouped, seed=0):
     """Episodes 0..count-1 of stream 1 of ``seed``, as one lockstep group or
-    one group each."""
+    one group each, concatenated."""
     if grouped:
         return rollout_episodes(env, count, params, cfg, epsilon, seed, stream=1, mode=mode)
-    return [e for g in range(count)
-            for e in rollout_episodes(env, 1, params, cfg, epsilon, seed, stream=1, first=g,
-                                      mode=mode)]
+    return Batch.from_episodes([
+        rollout_episodes(env, 1, params, cfg, epsilon, seed, stream=1, first=g, mode=mode)
+        for g in range(count)])
 
 
 class TestLockstepGroup:
@@ -63,8 +62,8 @@ class TestLockstepGroup:
         env = walking_grid()
         params, cfg = actor_for(env, 0)
         together = play(env, params, cfg, 0.0, 12, "greedy", True)
-        lengths = [e.length for e in together]
-        assert len(set(lengths)) > 2 and any(e.win for e in together)
+        lengths = together.lengths.tolist()
+        assert len(set(lengths)) > 2 and together.wins.any()
         assert len(actor_cells) == max(lengths)
         # finished episodes leave the stack
         assert actor_cells == [2 * sum(n > t for n in lengths) for t in range(max(lengths))]
@@ -75,11 +74,10 @@ class TestLockstepGroup:
         env = walking_grid()
         params, cfg = actor_for(env, 4)
         win_rate, mean_return = harness.evaluate(params, cfg, env, 12, seed=9)
-        played = [e for i in range(12)
-                  for e in rollout_episodes(env, 1, params, cfg, 0.0, 9, stream=2, first=i,
-                                            mode="greedy")]
-        assert win_rate == sum(e.win for e in played) / 12
-        assert mean_return == float(np.mean([e.total_return for e in played]))
+        played = [rollout_episodes(env, 1, params, cfg, 0.0, 9, stream=2, first=i,
+                                   mode="greedy") for i in range(12)]
+        assert win_rate == sum(bool(e.wins[0]) for e in played) / 12
+        assert mean_return == float(np.mean([e.rewards[0].sum() for e in played]))
 
     def test_sampling_group_matches_one_at_a_time(self):
         env = walking_grid()
@@ -87,29 +85,30 @@ class TestLockstepGroup:
         together = play(env, params, cfg, 0.35, 4, "sample", True, seed=5)
         alone = play(env, params, cfg, 0.35, 4, "sample", False, seed=5)
         assert_identical(together, alone)
-        assert all(e.epsilon == 0.35 for e in together)
+        assert (together.epsilons == 0.35).all()
 
     def test_episodes_follow_the_seed_rule(self):
         env = walking_grid()
         params, cfg = actor_for(env, 7)
-        episodes = rollout_episodes(env, 3, params, cfg, 0.3, seed=11, stream=5, first=4)
-        assert [e.generation for e in episodes] == [4, 5, 6]
-        for episode in episodes:
-            seq = np.random.SeedSequence(11, spawn_key=(5, episode.generation))
+        batch = rollout_episodes(env, 3, params, cfg, 0.3, seed=11, stream=5, first=4)
+        assert batch.generations.tolist() == [4, 5, 6]
+        for row in range(3):
+            episode = batch[row]
+            states, actions, dists = episode.states[0], episode.actions[0], episode.dists[0]
+            seq = np.random.SeedSequence(11, spawn_key=(5, int(episode.generations[0])))
             env_seed, action_seed = (int(s) for s in seq.generate_state(2))
             # the env generator places the agents and then walks the prey
             env_rng = np.random.default_rng(env_seed)
             key = env.reset(env_rng)
-            for state, actions in zip(episode.states, episode.actions):
+            for state, joint in zip(states, actions):
                 assert np.array_equal(state, env.state_vector(key))
-                key, *_ = env.step(key, actions, env_rng)
+                key, *_ = env.step(key, joint, env_rng)
             # the action generator makes one choice per agent per step
             rng = np.random.default_rng(action_seed)
             m = env.spec.n_actions
-            assert episode.actions.dtype == np.int64
-            assert episode.actions.tolist() == [
-                [int(rng.choice(m, p=dist / dist.sum())) for dist in step]
-                for step in episode.dists]
+            assert actions.dtype == np.int64
+            assert actions.tolist() == [
+                [int(rng.choice(m, p=dist / dist.sum())) for dist in step] for step in dists]
 
     @pytest.mark.parametrize("env", [walking_grid(), SwitchGame()], ids=["capture", "switch"])
     def test_rollout_leaves_the_env_unchanged(self, env):
@@ -134,9 +133,9 @@ class TestSampler:
     def alone(cls, env, actor, epsilon, generations):
         """The sampler's episodes ``generations``, each played in a group of one."""
         params, cfg = actor
-        return [e for g in generations
-                for e in rollout_episodes(env, 1, params, cfg, epsilon, cls.MASTER_SEED,
-                                          stream=1, first=g)]
+        return Batch.from_episodes([
+            rollout_episodes(env, 1, params, cfg, epsilon, cls.MASTER_SEED, stream=1, first=g)
+            for g in generations])
 
     def test_switch_group_of_eight(self, actor_cells):
         env = SwitchGame()
@@ -145,8 +144,8 @@ class TestSampler:
         together = sample(actor[0], 8)
         assert actor_cells == [16]
         assert sample.counter == {"rollouts": 8, "env_steps": 8}
-        assert all(e.epsilon == epsilon_at(0, EpsilonSchedule()) for e in together)
-        assert_identical(together, self.alone(env, actor, together[0].epsilon, range(8)))
+        assert (together.epsilons == epsilon_at(0, EpsilonSchedule())).all()
+        assert_identical(together, self.alone(env, actor, together.epsilons[0], range(8)))
 
     def test_capture_group_after_the_anneal(self, actor_cells):
         env = walking_grid()
@@ -159,11 +158,11 @@ class TestSampler:
         assert start >= 20
         together = sample(actor[0], 6)
         # the warm-up plays one step per forward, the group one per step
-        group_forwards = actor_cells[-max(e.length for e in together):]
+        group_forwards = actor_cells[-together.max_length:]
         assert group_forwards[0] == 2 * 6
         epsilon = epsilon_at(start, schedule)
         assert epsilon == epsilon_at(20, schedule)
-        assert all(e.epsilon == epsilon for e in together)
+        assert (together.epsilons == epsilon).all()
         assert_identical(together, self.alone(env, actor, epsilon, range(4, 10)))
 
     def test_capture_request_during_the_anneal_is_one_group(self, actor_cells):
@@ -174,13 +173,13 @@ class TestSampler:
         sample(actor[0], 2)
         start, calls = sample.counter["env_steps"], len(actor_cells)
         together = sample(actor[0], 6)
-        lengths = [e.length for e in together]
+        lengths = together.lengths.tolist()
         assert len(set(lengths)) > 1
         assert actor_cells[calls] == 2 * 6
         assert len(actor_cells) - calls == max(lengths)
         epsilon = epsilon_at(start, schedule)
         assert 0.05 < epsilon < 0.5
-        assert all(e.epsilon == epsilon for e in together)
+        assert (together.epsilons == epsilon).all()
         assert_identical(together, self.alone(env, actor, epsilon, range(2, 8)))
         assert sample.counter == {"rollouts": 8, "env_steps": start + sum(lengths)}
 
@@ -191,9 +190,9 @@ class TestSampler:
         sample = self.sampler(env, schedule, actor)
         start = 0
         for count in (3, 1, 4, 2):
-            episodes = sample(actor[0], count)
-            assert [e.epsilon for e in episodes] == [epsilon_at(start, schedule)] * count
-            start += sum(e.length for e in episodes)
+            batch = sample(actor[0], count)
+            assert batch.epsilons.tolist() == [epsilon_at(start, schedule)] * count
+            start += int(batch.lengths.sum())
             assert sample.counter["env_steps"] == start
         assert sample.counter["rollouts"] == 10
 
@@ -201,14 +200,15 @@ class TestSampler:
         env = walking_grid()
         params, cfg = actor = actor_for(env, 6)
         sample = self.sampler(env, EpsilonSchedule(0.6, 0.1, 100), actor)
-        episodes = [e for count in (2, 3, 1, 2) for e in sample(params, count)]
-        assert len({e.epsilon for e in episodes}) == 4
+        requests = [sample(params, count) for count in (2, 3, 1, 2)]
+        episodes = [batch[i] for batch in requests for i in range(len(batch))]
+        assert len({float(e.epsilons[0]) for e in episodes}) == 4
         mixed = episodes[::2] + episodes[1::2]
         batch = Batch.from_episodes(mixed)
         replayed = batch_policy_probs(params, cfg, batch)
         for i, episode in enumerate(mixed):
-            got = replayed[i, :episode.length]
-            assert np.array_equal(got.view(np.int64), episode.dists.view(np.int64))
+            got = replayed[i, :episode.max_length]
+            assert np.array_equal(got.view(np.int64), episode.dists[0].view(np.int64))
 
     def test_empty_request_rejected(self):
         env = SwitchGame()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sopac.envs import SwitchGame, SwitchGameConfig
+from sopac.envs import CaptureGrid, CaptureGridConfig, SwitchGame, SwitchGameConfig
 from sopac.learn import Batch, LearnConfig, Trainer, batch_policy_probs
 from sopac.policy import ActorConfig, EpsilonSchedule, actor_init
 from sopac.rollout import sample_episode_fn
@@ -29,8 +29,7 @@ def random_dist_pair(rng, m):
 
 def replay(trainer, episode):
     """(T, n, m) current-policy distributions over one recorded episode."""
-    batch = Batch.from_episodes([episode])
-    return batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)[0]
+    return batch_policy_probs(trainer.actor, trainer.actor_cfg, episode)[0]
 
 
 def make_setup(b=4, payoff=None, seed=0, lr=0.005):
@@ -48,7 +47,7 @@ def make_setup(b=4, payoff=None, seed=0, lr=0.005):
 
 def fill(buffer, trainer, sample):
     while not buffer.full:
-        buffer.insert(sample(trainer.actor, 1)[0])
+        buffer.insert(sample(trainer.actor, 1))
 
 
 def iterate(buffer, trainer, sample, mode, kl_threshold=float("inf"), iterations=1):
@@ -151,12 +150,14 @@ class TestReplayBuffer:
     def test_fifo_order_and_capacity(self):
         env, trainer, buffer, sample = make_setup(b=3)
         for _ in range(3):
-            buffer.insert(sample(trainer.actor, 1)[0])
+            buffer.insert(sample(trainer.actor, 1))
         assert buffer.generations() == [0, 1, 2]
         with pytest.raises(RuntimeError):
-            buffer.insert(sample(trainer.actor, 1)[0])
-        assert [e.generation for e in buffer.evict_where([True, False, False])] == [0]
+            buffer.insert(sample(trainer.actor, 1))
+        buffer.evict_where([True, False, False])
         assert buffer.generations() == [1, 2]
+        with pytest.raises(RuntimeError):
+            buffer.insert(sample(trainer.actor, 2))
 
     @given(st.lists(st.booleans(), min_size=1, max_size=10))
     @settings(max_examples=50, deadline=None)
@@ -164,7 +165,7 @@ class TestReplayBuffer:
         buffer = ReplayBuffer(len(drop))
         env, trainer, _, sample = make_setup(b=1)
         for _ in drop:
-            buffer.episodes.append(sample(trainer.actor, 1)[0])
+            buffer.insert(sample(trainer.actor, 1))
         before = buffer.generations()
         buffer.evict_where(drop)
         survivors = [g for g, d in zip(before, drop) if not d]
@@ -173,6 +174,45 @@ class TestReplayBuffer:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             ReplayBuffer(0)
+
+    @given(st.lists(st.one_of(
+               st.tuples(st.just("insert"), st.lists(st.integers(1, 12), min_size=1, max_size=4)),
+               st.tuples(st.just("evict"), st.lists(st.booleans(), min_size=1, max_size=6))),
+               min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_its_episodes_after_inserts_and_evictions(self, ops, seed):
+        # group inserts of mixed lengths and flagged evictions; the flags
+        # repeat to the buffer's size
+        rng = np.random.default_rng(seed)
+        buffer = ReplayBuffer(6)
+        kept: list[tuple[int, int]] = []  # (generation, length) of each survivor
+        generation = 0
+        for kind, arg in ops:
+            if kind == "insert":
+                lengths = arg[:buffer.capacity - len(buffer)]
+                if not lengths:
+                    continue
+                group = Batch.from_episodes([
+                    random_episode(rng, 2, 3, 4, 3, t, generation=generation + i)
+                    for i, t in enumerate(lengths)])
+                buffer.insert(group)
+                kept += [(generation + i, t) for i, t in enumerate(lengths)]
+                generation += len(lengths)
+            else:
+                drop = [arg[i % len(arg)] for i in range(len(buffer))]
+                buffer.evict_where(drop)
+                kept = [k for k, d in zip(kept, drop) if not d]
+            assert buffer.generations() == [g for g, _ in kept]
+            if not kept:
+                assert buffer.batch is None and buffer.episodes == []
+                continue
+            assert buffer.batch.max_length == max(t for _, t in kept)
+            rebuilt = Batch.from_episodes(buffer.episodes)
+            for name, value in vars(buffer.batch).items():
+                other = getattr(rebuilt, name)
+                assert (value.dtype, value.shape) == (other.dtype, other.shape), name
+                assert value.tobytes() == other.tobytes(), name
 
 
 class TestMaxBufferKl:
@@ -186,8 +226,8 @@ class TestMaxBufferKl:
     def test_single_stale_episode_dominates(self):
         env, trainer, buffer, sample = make_setup(b=3)
         fill(buffer, trainer, sample)
+        buffer.batch.dists[1] = 0.6 * buffer.batch.dists[1] + 0.4 / trainer.actor_cfg.n_actions
         stale = buffer.episodes[1]
-        stale.dists = 0.6 * stale.dists + 0.4 / trainer.actor_cfg.n_actions
         expected = float(episode_kls(trainer.actor, trainer.actor_cfg, [stale])[0].max())
         kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
         assert max_mean_kl(kls)[0] == expected
@@ -195,8 +235,8 @@ class TestMaxBufferKl:
         # per-step cross-check against the closed form
         current = replay(trainer, stale)
         per_step = [
-            kl_exact(current[t, a], stale.dists[t, a])
-            for t in range(stale.length) for a in range(2)
+            kl_exact(current[t, a], stale.dists[0, t, a])
+            for t in range(stale.max_length) for a in range(2)
         ]
         assert expected == max(per_step)
 
@@ -206,27 +246,20 @@ class TestMaxBufferKl:
         episode = buffer.episodes[0]
         episode.dists = 0.8 * episode.dists + 0.2 / trainer.actor_cfg.n_actions
         current = replay(trainer, episode)
-        for t in range(episode.length):
+        for t in range(episode.max_length):
             for a in range(2):
-                exact = kl_exact(current[t, a], episode.dists[t, a])
-                expectation = kl_estimator_expectation(current[t, a], episode.dists[t, a])
+                exact = kl_exact(current[t, a], episode.dists[0, t, a])
+                expectation = kl_estimator_expectation(current[t, a], episode.dists[0, t, a])
                 assert abs(exact - expectation) < 1e-12
 
     def test_sampled_kind_is_nonnegative_and_reported(self):
         env, trainer, buffer, sample = make_setup(b=2)
         fill(buffer, trainer, sample)
-        buffer.episodes[0].dists = 0.5 * buffer.episodes[0].dists + 0.5 / 3
+        buffer.batch.dists[0] = 0.5 * buffer.batch.dists[0] + 0.5 / 3
         kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes, "sampled")
         max_kl, mean_kl = max_mean_kl(kls)
         assert max_kl > 0.0 and mean_kl >= 0.0
         assert all((k >= 0.0).all() for k in kls)
-
-    def test_missing_provenance_rejected(self):
-        env, trainer, buffer, sample = make_setup(b=1)
-        episode = sample(trainer.actor, 1)[0]
-        episode.dists = None
-        with pytest.raises(ValueError):
-            episode_kls(trainer.actor, trainer.actor_cfg, [episode])
 
 
 class TestEpisodeKlsBatching:
@@ -250,6 +283,39 @@ class TestEpisodeKlsBatching:
         for i, kls in enumerate(base):
             assert appended[i].tobytes() == kls.tobytes()
             assert episode_kls(actor, cfg, [episodes[i]], kind)[0].tobytes() == kls.tobytes()
+
+
+class TestReadOnlyBuffer:
+    @pytest.mark.parametrize("mode", ["permissive", "strict"])
+    @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])
+    def test_iterations_never_write_the_buffer_arrays(self, algo, mode):
+        # the buffer's arrays outlive an update: training, the KL replay and
+        # the evaluation row's reads must leave them as they are
+        env = CaptureGrid(CaptureGridConfig(side=4, horizon=8, prey="walk"))
+        actor_cfg = ActorConfig(env.spec.obs_width, 2, env.spec.n_actions, gru_hidden=8)
+        trainer = Trainer.create(
+            LearnConfig(algo=algo, critic_schedule="minibatch"), actor_cfg,
+            env.spec.state_width, np.random.default_rng(16), np.random.default_rng(17),
+            critic_hidden=(16, 16))
+        sample = sample_episode_fn(env, actor_cfg, EpsilonSchedule(), master_seed=16)
+        buffer = ReplayBuffer(4)
+        train = trainer.train_on_batch
+        lengths = set()
+
+        def read_only(batch):
+            for value in vars(batch).values():
+                value.flags.writeable = False
+            lengths.update(batch.lengths.tolist())
+            return train(batch)
+
+        def evaluation_row(critic_loss, policy_loss, kls):
+            max_mean_kl(kls or episode_kls(trainer.actor, actor_cfg, [buffer.batch]))
+            float(np.mean(buffer.batch.returns))
+
+        trainer.train_on_batch = read_only
+        for _ in range(5):
+            sop_iteration(buffer, trainer, sample, mode, 0.01, evaluation_row)
+        assert len(lengths) > 1
 
 
 class TestEvictionRule:
@@ -325,10 +391,10 @@ class TestStrictIteration:
             v.data[...] = 0.0
         trainer.target = TargetNetState(trainer.critic.copy(), 0, 200)
         for _ in range(3):
-            buffer.insert(sample(trainer.actor, 1)[0])
+            buffer.insert(sample(trainer.actor, 1))
         uniform = 1.0 / trainer.actor_cfg.n_actions
-        buffer.episodes[1].dists = 0.5 * buffer.episodes[1].dists + 0.5 * uniform
-        buffer.episodes[2].dists = 0.95 * buffer.episodes[2].dists + 0.05 * uniform
+        buffer.batch.dists[1] = 0.5 * buffer.batch.dists[1] + 0.5 * uniform
+        buffer.batch.dists[2] = 0.95 * buffer.batch.dists[2] + 0.05 * uniform
         _, high, low = (float(k.max()) for k in
                         episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes))
         assert high > low > 0.0
