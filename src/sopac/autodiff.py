@@ -178,9 +178,17 @@ def _rowwise(xd: Array, wd: Array) -> Array:
 
 
 def _sum_steps(terms: Array, last_first: bool) -> Array:
-    """Add ``terms[t]`` one step at a time, first step first or last step first."""
+    """Add ``terms[t]`` one step at a time, first step first or last step first.
+
+    numpy's axis-0 sum of a C-ordered array adds its steps in that order
+    whenever a step holds more than one element, and beats the loop from
+    three steps on. It adds one-element steps pairwise, and so does a
+    transposed array, so those keep the loop."""
+    summed = len(terms) > 2 and terms[0].size > 1 and terms.flags.c_contiguous
     if last_first:
         terms = terms[::-1]
+    if summed:
+        return terms.sum(axis=0)
     total = terms[0]
     for term in terms[1:]:
         total = total + term

@@ -16,8 +16,9 @@ Field order inside each layout is fixed and part of the tested contract; it
 is written down only in the three layout constructors. ``encode`` packs
 every critic input, single or batched, by field name, and
 ``counterfactual_values`` is the one path to the n x m counterfactual values
-of encoded steps: n input rows per step for ``coma``, n * m for ``coma-cc``,
-all in one stacked forward pass.
+of encoded steps, all in one stacked forward pass: n input rows per step for
+``coma`` and n * m for ``coma-cc``, or only the rows of the entries a
+caller's ``needed`` mask names.
 """
 
 from __future__ import annotations
@@ -182,35 +183,41 @@ def encode(layout: CriticInputLayout, state: Array, obs: Array,
                        agent_id=np.eye(n))
 
 
-def counterfactual_inputs(layout: CriticInputLayout, inputs: Array) -> Array:
-    """(..., n, m, W) copies of packed ``coma-cc`` inputs (..., W) in which
-    row (a, u) replaces agent a's block of the current joint action by u."""
-    n, m = layout.n, layout.m
-    joint = layout.slices()["joint"]
-    out = np.broadcast_to(inputs[..., None, None, :], (*inputs.shape[:-1], n, m, layout.width)).copy()
-    for a in range(n):
-        start = joint.start + a * m
-        out[..., a, :, start:start + m] = np.eye(m)
-    return out
-
-
-def counterfactual_values(params: ParamSet, layout: CriticInputLayout, inputs: Array) -> Array:
+def counterfactual_values(params: ParamSet, layout: CriticInputLayout, inputs: Array,
+                          needed: Array | None = None) -> Array:
     """(..., n, m) counterfactual values of ``encode``d inputs with any
     leading shape ``...``: entry (a, u) values the step's joint action with
     agent a's action replaced by u.
 
-    ``coma`` forwards the n per-agent rows of each step through its m-headed
-    critic; ``coma-cc`` forwards the n * m rows of ``counterfactual_inputs``.
-    Either way it is one no-grad forward, and row-exact batching makes every
-    entry bit-identical to a forward of its row alone.
+    ``needed``, a boolean (..., n, m) mask of the entries the caller reads,
+    defaults to all of them. ``coma`` forwards the agent rows of its m-headed
+    critic that hold a needed entry; ``coma-cc`` forwards one row per needed
+    entry: the step's input with agent a's block of the current joint action
+    replaced by u. Either way it is one no-grad forward, row-exact batching
+    makes every needed entry bit-identical to a forward of its row alone, and
+    every other entry is exactly 0.0.
     """
-    if layout.kind == "coma":
-        lead = inputs.shape[:-2]
-    elif layout.kind == "coma-cc":
-        lead = inputs.shape[:-1]
-        inputs = counterfactual_inputs(layout, inputs)
-    else:
+    n, m = layout.n, layout.m
+    if layout.kind not in ("coma", "coma-cc"):
         raise ValueError(f"the {layout.kind!r} critic has no counterfactual values")
+    lead = inputs.shape[:-2] if layout.kind == "coma" else inputs.shape[:-1]
+    if needed is None:
+        needed = np.ones((*lead, n, m), dtype=bool)
+    steps = inputs.reshape(-1, layout.width)
+    if layout.kind == "coma":
+        agent_rows = needed.reshape(-1, m).any(axis=1)
+        rows = steps[agent_rows]
+    else:
+        step, agent, action = np.nonzero(needed.reshape(-1, n, m))
+        rows = steps[step]
+        block = layout.slices()["joint"].start + agent * m
+        rows[np.arange(len(rows))[:, None], block[:, None] + np.arange(m)] = np.eye(m)[action]
     with ad.no_grad():
-        out = critic_forward(params, inputs.reshape(-1, layout.width)).data
-    return out.reshape(*lead, layout.n, layout.m)
+        values = critic_forward(params, rows).data
+    out = np.zeros((*lead, n, m))
+    if layout.kind == "coma":
+        out.reshape(-1, m)[agent_rows] = values
+        out[~needed] = 0.0
+    else:
+        out[needed] = values[:, 0]
+    return out

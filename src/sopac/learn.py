@@ -353,10 +353,22 @@ def compute_advantages(
         adv = np.where(steps < lengths, batch.rewards + future - values, 0.0)
         return np.broadcast_to(adv[:, :, None], (b, t_max, n)).copy()
 
-    rows = cr.counterfactual_values(critic_params, _batch_layout(batch, algo), inputs)
-    taken = np.take_along_axis(rows, batch.actions[..., None], axis=-1)[..., 0]
+    # Only the available actions of real steps are read: a masked action
+    # enters the baseline with probability exactly 0, and a padded step's
+    # entries stay +0.0, so its advantage is +0.0. Entry (a, u_a) is the
+    # step's own joint action for every agent a; coma-cc forwards it once,
+    # for agent 0, and copies those bits to the other agents.
+    needed = (batch.avail > 0.0) & (batch.pad[:, :, None, None] > 0.0)
+    own = batch.actions[..., None]
+    if algo == "coma-cc":
+        needed[:, :, 1:] &= own[:, :, 1:] != np.arange(batch.avail.shape[-1])
+    rows = cr.counterfactual_values(critic_params, _batch_layout(batch, algo), inputs, needed)
+    taken = np.take_along_axis(rows, own, axis=-1)
+    if algo == "coma-cc":
+        taken[:, :, 1:] = taken[:, :, :1]
+        np.put_along_axis(rows, own, taken, axis=-1)
     baseline = np.einsum("btam,btam->bta", _by_episode(batch, probs.data), rows)
-    return (taken - baseline) * batch.pad[:, :, None]
+    return taken[..., 0] - baseline
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,9 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5) -> GradSuiteResult:
 # Oracle agreement on the one-shot coordination game
 
 
-def uniform_switch_episodes(env: SwitchGame, rng: np.random.Generator, count: int,
-                            generation: int = 0) -> Batch:
-    """A batch of one-step episodes drawn under the fixed uniform policy, with
-    exact stored dists."""
+def uniform_switch_episodes(env: SwitchGame, rng: np.random.Generator, count: int) -> Batch:
+    """A batch of one-step generation-0 episodes drawn under the fixed uniform
+    policy, with exact stored dists."""
     m = env.spec.n_actions
     actions = np.zeros((count, 1, 2), dtype=np.int64)
     rewards = np.zeros((count, 1))
@@ -198,7 +197,7 @@ def uniform_switch_episodes(env: SwitchGame, rng: np.random.Generator, count: in
     return Batch(each(env.state_vector(0)), each(env.observations(0)),
                  each(env.avail_actions(0)), actions, rewards,
                  np.full((count, 1, 2, m), 1.0 / m), np.ones(count),
-                 np.ones(count, dtype=np.int64), np.full(count, generation), wins)
+                 np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64), wins)
 
 
 @dataclass

@@ -402,12 +402,17 @@ class TestSumSteps:
     """``_sum_steps`` must add steps one at a time. numpy's axis-0 sum does
     not at every shape: it adds (T,), (T, 1) and (T, 1, 1) pairwise from
     T = 9 on. Those are ``learn.policy_loss``'s step sums and the bias terms
-    of a width-1 critic head."""
+    of a width-1 critic head, which keep the loop; wider steps take the
+    axis-0 sum."""
 
-    @pytest.mark.parametrize("steps", [9, 16, 20])
-    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (16, 64)],
+    @pytest.mark.parametrize("steps", [9, 16, 20, 1, 2, 33])
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (16, 64), (47, 64), (7, 64), (64,),
+                                       (64, 5), (64, 3), (5,), (3,), (64, 64), (2,), (1, 5)],
                              ids=lambda s: "x".join(map(str, s)) or "scalar")
     def test_equals_a_sequential_sum(self, steps, shape):
+        """The shapes the trainers pass (the actor's fc1, fc2 and GRU weight
+        and bias step sums at the capture and switch widths) and a few
+        narrow ones."""
         rng = np.random.default_rng(100 * steps + len(shape))
         size = (steps, *shape)
         for _ in range(20):
@@ -415,6 +420,16 @@ class TestSumSteps:
             for last_first in (False, True):
                 assert np.array_equal(bits(ad._sum_steps(terms, last_first)),
                                       bits(sequential_sum(terms, last_first))), last_first
+
+    @pytest.mark.parametrize("steps", [9, 16, 20, 33])
+    def test_transposed_terms_equal_a_sequential_sum(self, steps):
+        """numpy adds the steps of a transposed array pairwise, so the loop
+        keeps them."""
+        rng = np.random.default_rng(steps)
+        terms = (rng.standard_normal((64, steps)) * 10.0 ** rng.uniform(-8.0, 8.0, (64, steps))).T
+        for last_first in (False, True):
+            assert np.array_equal(bits(ad._sum_steps(terms, last_first)),
+                                  bits(sequential_sum(terms, last_first))), last_first
 
 
 class TestParamSet:

@@ -92,18 +92,25 @@ def rows_per_step(kind, n, m, steps=3):
     inputs = cr.encode(layout, rng.standard_normal((steps, 4)),
                        rng.standard_normal((steps, n, 3)),
                        rng.integers(m, size=(steps, n)), rng.integers(m, size=(steps, n)))
-    rows = []
+    values, calls = forwarded_rows(params, layout, inputs)
+    assert values.shape == (steps, n, m) and len(calls) == 1
+    return len(calls[0]) / steps
+
+
+def forwarded_rows(params, layout, inputs, needed=None):
+    """``counterfactual_values`` and the input rows of each ``critic_forward``
+    it makes."""
+    calls = []
     forward = cr.critic_forward
 
-    def counted(params, inputs):
-        rows.append(inputs.shape[0])
-        return forward(params, inputs)
+    def counted(params, rows):
+        calls.append(rows.copy())
+        return forward(params, rows)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cr, "critic_forward", counted)
-        values = cr.counterfactual_values(params, layout, inputs)
-    assert values.shape == (steps, n, m) and len(rows) == 1
-    return rows[0] / steps
+        values = cr.counterfactual_values(params, layout, inputs, needed)
+    return values, calls
 
 
 class TestVValue:
@@ -231,11 +238,43 @@ class TestComaCCCritic:
             assert table[0, u] == comacc_q(params, layout, state, obs, first, [u])
 
 
+class TestNeededEntries:
+    """A ``needed`` mask forwards only the rows of its entries, gives those
+    entries the bits of the unmasked table, and every other entry +0.0."""
+
+    @pytest.mark.parametrize("mask", ["random", "all", "none"])
+    @pytest.mark.parametrize("n, m", [(2, 3), (2, 5), (3, 3), (3, 5)])
+    @pytest.mark.parametrize("kind", ["coma", "coma-cc"])
+    def test_needed_entries_equal_the_unmasked_table(self, kind, n, m, mask):
+        rng = np.random.default_rng(10 * n + m)
+        layout = cr.layout_for(kind, 4, 3, n, m)
+        params = cr.critic_init(rng, layout.width, m if kind == "coma" else 1, hidden=(16, 16))
+        lead = (4, 3)
+        inputs = cr.encode(layout, rng.standard_normal((*lead, 4)),
+                           rng.standard_normal((*lead, n, 3)),
+                           rng.integers(-1, m, size=(*lead, n)), rng.integers(m, size=(*lead, n)))
+        needed = {"random": rng.random((*lead, n, m)) < 0.6,
+                  "all": np.ones((*lead, n, m), dtype=bool),
+                  "none": np.zeros((*lead, n, m), dtype=bool)}[mask]
+        table, [full_rows] = forwarded_rows(params, layout, inputs)
+        values, [rows] = forwarded_rows(params, layout, inputs, needed)
+        assert values.shape == table.shape == (*lead, n, m)
+        assert np.array_equal(values[needed].view(np.int64), table[needed].view(np.int64))
+        assert (values[~needed].view(np.int64) == 0).all()
+        if kind == "coma":
+            expected = full_rows.reshape(*lead, n, -1)[needed.any(axis=-1)]
+        else:
+            expected = full_rows.reshape(*lead, n, m, -1)[needed]
+        assert rows.shape == (len(expected), layout.width)
+        assert np.array_equal(rows, expected)
+
+
 class TestCounterfactualMemory:
-    def test_benchmark_batch_peaks_under_three_mib(self):
-        """One coma-cc pass over an (8, 20) batch of the 5x5 capture shape
-        forwards 1600 rows. Blocked, its temporaries stay far below the
-        6 MiB that one unblocked forward of those rows peaks at."""
+    @staticmethod
+    def benchmark_pass(needed_share):
+        """Peak traced bytes of one coma-cc pass over an (8, 20) batch of the
+        5x5 capture shape, with a random share of its entries needed, or all
+        of them by default."""
         spec = make_env("capture", {"side": 5, "horizon": 20}).spec
         n, m = spec.n_agents, spec.n_actions
         layout = cr.comacc_layout(spec.state_width, spec.obs_width, n, m)
@@ -244,13 +283,25 @@ class TestCounterfactualMemory:
         inputs = cr.encode(layout, rng.standard_normal((8, 20, spec.state_width)),
                            rng.standard_normal((8, 20, n, spec.obs_width)),
                            rng.integers(m, size=(8, 20, n)), rng.integers(m, size=(8, 20, n)))
+        needed = None if needed_share is None else rng.random((8, 20, n, m)) < needed_share
         tracemalloc.start()
         try:
-            values = cr.counterfactual_values(params, layout, inputs)
+            values = cr.counterfactual_values(params, layout, inputs, needed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert values.shape == (8, 20, n, m) and layout.width == 107
+        return peak
+
+    def test_benchmark_batch_peaks_under_three_mib(self):
+        """All 1600 rows of the pass. Blocked, its temporaries stay far below
+        the 6 MiB that one unblocked forward of those rows peaks at."""
+        peak = self.benchmark_pass(None)
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_masked_pass_peaks_under_three_mib(self):
+        """About two thirds of the rows, the share training forwards."""
+        peak = self.benchmark_pass(0.67)
         assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 

@@ -221,6 +221,31 @@ class TestAdvantages:
         assert np.isfinite(adv).all()
         assert (adv[batch.pad == 0.0] == 0.0).all()
 
+    @pytest.mark.parametrize("algo", ["coma", "coma-cc"])
+    def test_needed_rows_give_the_advantages_of_the_full_table(self, algo):
+        """Training forwards only the available actions of real steps. Its
+        advantages equal those built from the full table bit for bit on real
+        steps, and are +0.0 on padded ones."""
+        from sopac.envs import CaptureGrid, CaptureGridConfig
+        from sopac.rollout import rollout_episodes
+
+        env = CaptureGrid(CaptureGridConfig(side=5, horizon=20))
+        actor_cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
+        trainer = Trainer.create(LearnConfig(algo=algo), actor_cfg, env.spec.state_width,
+                                 np.random.default_rng(30), np.random.default_rng(31),
+                                 critic_hidden=(16, 16))
+        batch = rollout_episodes(env, 6, trainer.actor, actor_cfg, 0.5, seed=45, stream=1)
+        real = batch.pad > 0.0
+        assert not real.all() and (batch.avail[real] == 0.0).any()
+        inputs = critic_batch_inputs(batch, algo)
+        probs = unrolled(trainer, batch)
+        adv = compute_advantages(batch, inputs, algo, trainer.critic, probs, 0.99, False)
+        table = cr.counterfactual_values(trainer.critic, learn._batch_layout(batch, algo), inputs)
+        taken = np.take_along_axis(table, batch.actions[..., None], axis=-1)[..., 0]
+        expected = taken - np.einsum("btam,btam->bta", learn._by_episode(batch, probs.data), table)
+        assert np.array_equal(adv[real].view(np.int64), expected[real].view(np.int64))
+        assert (adv[~real].view(np.int64) == 0).all()
+
 
 class TestPolicyGradientUpdate:
     def test_zero_advantages_leave_parameters_unchanged(self):
