@@ -54,7 +54,6 @@ blocked: the bits of a weight gradient ``x^T g`` depend on the row count.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -298,15 +297,9 @@ def merge(*sets: ParamSet) -> ParamSet:
     return ParamSet(out)
 
 
-@dataclass
-class OptimizerState:
-    """RMSProp squared-gradient accumulators, keyed like the parameters."""
-
-    acc: dict[str, Array]
-
-
-def rmsprop_init(params: ParamSet) -> OptimizerState:
-    return OptimizerState(acc={k: np.zeros_like(v.data) for k, v in params.items()})
+def rmsprop_init(params: ParamSet) -> dict[str, Array]:
+    """RMSProp squared-gradient accumulators, zero, keyed like the parameters."""
+    return {k: np.zeros_like(v.data) for k, v in params.items()}
 
 
 def check_rmsprop(lr: float, alpha: float, eps: float) -> None:
@@ -315,19 +308,19 @@ def check_rmsprop(lr: float, alpha: float, eps: float) -> None:
         raise ValueError(f"bad RMSProp hyperparameters lr={lr} alpha={alpha} eps={eps}")
 
 
-def rmsprop_step(params: ParamSet, state: OptimizerState, lr: float, alpha: float,
+def rmsprop_step(params: ParamSet, accs: dict[str, Array], lr: float, alpha: float,
                  eps: float) -> None:
-    """One RMSProp update in place from each parameter's own ``.grad``:
-    acc = a*acc + (1-a)*g^2, p = p - lr*g/sqrt(acc+eps). A parameter the
+    """One RMSProp update in place from each parameter's ``.grad`` and ``accs``
+    entry: acc = a*acc + (1-a)*g^2, p = p - lr*g/sqrt(acc+eps). A parameter the
     backward never reached steps with g = 0. Every ``.grad`` is None after."""
     check_rmsprop(lr, alpha, eps)
-    if params.names() != tuple(state.acc):
+    if params.names() != tuple(accs):
         raise ValueError(
-            f"accumulator keys {tuple(state.acc)} do not match parameters {params.names()}"
+            f"accumulator keys {tuple(accs)} do not match parameters {params.names()}"
         )
     for name, tensor in params.items():
         g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        acc = state.acc[name]
+        acc = accs[name]
         acc *= alpha
         acc += ((1.0 - alpha) * g) * g
         tensor.data -= (lr * g) / np.sqrt(acc + eps)

@@ -132,6 +132,7 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
     for name, err in sorted(result.max_errors.items()):
         status = "ok" if err < args.tolerance else "FAIL"
         print(f"{name:10s} max rel error {err:.3e}  {status}")
+    print(f"draws exhausted (seed, check): {result.exhausted}")
     return 0 if result.overall < args.tolerance else 3
 
 

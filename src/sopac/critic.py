@@ -33,6 +33,9 @@ from .autodiff import ParamSet, ShapeError, Tensor
 
 Array = np.ndarray
 
+CRITIC_HIDDEN = (128, 128)  # the reference critic's hidden widths
+
+
 @dataclass(frozen=True)
 class CriticInputLayout:
     """Ordered (field name, width) pairs describing one critic input vector,
@@ -124,7 +127,7 @@ def critic_init(
     rng: np.random.Generator,
     in_width: int,
     out_width: int,
-    hidden: Sequence[int] = (128, 128),
+    hidden: Sequence[int] = CRITIC_HIDDEN,
 ) -> ParamSet:
     return ad.mlp_init(rng, (in_width, *hidden, out_width))
 

@@ -1,5 +1,9 @@
 """Experiment runner: configuration, seeded orchestration, metrics, aggregation.
 
+``RunConfig`` is a ``learn.LearnConfig`` plus the run's own fields, so each
+learning setting is declared, defaulted and checked once; an invalid config
+raises one ``ConfigError`` naming every problem found.
+
 A run is fully determined by (config, seed): parameter initialisation, every
 rollout, and every evaluation draw their randomness from fixed-purpose
 seed-sequence keys, and the metrics CSV is written with deterministic
@@ -32,9 +36,11 @@ import numpy as np
 
 from . import __version__
 from .autodiff import NumericError, ParamSet
+from .critic import CRITIC_HIDDEN
 from .envs import make_env, make_env_config
 from .learn import LearnConfig, Trainer
-from .policy import ActorConfig, EpsilonSchedule, epsilon_at
+from .policy import (ActorConfig, EpsilonSchedule, epsilon_at, failures, is_int, is_real,
+                     type_problems)
 from .rollout import rollout_episodes, sample_episode_fn
 from .sop import SOP_MODES, ReplayBuffer, episode_kls, max_mean_kl, sop_iteration
 
@@ -53,33 +59,25 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(LearnConfig):
     """Full experiment description; defaults follow the reference setup."""
 
     env: str = "switch"
     env_config: dict = field(default_factory=dict)
     algo: str = "centralv"
     sop: str = "permissive"
-    critic_schedule: str = "wholebatch"
     batch_size: int = 8
-    lam: float = 0.8
-    gamma: float = 0.99
-    gamma_adv_one: bool = True
-    lr: float = 0.005
-    rms_alpha: float = 0.99
-    rms_eps: float = 1e-5
-    target_period: int = 200
-    eps_start: float = 0.5
-    eps_end: float = 0.01
-    eps_anneal_steps: int = 100_000
+    eps_start: float = EpsilonSchedule.start
+    eps_end: float = EpsilonSchedule.end
+    eps_anneal_steps: int = EpsilonSchedule.anneal_steps
     kl_threshold: float = float("inf")
     total_steps: int = 20_000
     eval_interval: int = 1_000
     eval_episodes: int = 32
     seed: int = 0
     record_timing: bool = False
-    gru_hidden: int = 64
-    critic_hidden: tuple[int, ...] = (128, 128)
+    gru_hidden: int = ActorConfig.gru_hidden
+    critic_hidden: tuple[int, ...] = CRITIC_HIDDEN
 
     def __post_init__(self) -> None:
         problems = []
@@ -87,44 +85,31 @@ class RunConfig:
             problems.append(f"env must be one of {ENVS}, got {self.env!r}")
         if self.sop not in SOP_MODES:
             problems.append(f"sop must be one of {SOP_MODES}, got {self.sop!r}")
-        for name in ("batch_size", "total_steps", "eval_interval", "eval_episodes",
-                     "gru_hidden", "eps_anneal_steps"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                problems.append(f"{name} must be a positive integer, got {value!r}")
+        problems += type_problems(
+            self, counts=("batch_size", "total_steps", "eval_interval", "eval_episodes",
+                          "gru_hidden", "eps_anneal_steps"),
+            flags=("record_timing",), reals=("eps_start", "eps_end", "kl_threshold"))
         if not isinstance(self.critic_hidden, tuple) or not all(
-                _is_int(width) and width >= 1 for width in self.critic_hidden):
+                is_int(width) and width >= 1 for width in self.critic_hidden):
             problems.append("critic_hidden must be a list of positive integers, "
                             f"got {self.critic_hidden!r}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             problems.append(f"seed must be a nonnegative integer, got {self.seed!r}")
-        for name in ("gamma_adv_one", "record_timing"):
-            if not isinstance(getattr(self, name), bool):
-                problems.append(f"{name} must be true or false, got {getattr(self, name)!r}")
-        unreal = [f"{name} must be a real number, got {getattr(self, name)!r}"
-                  for name in ("lam", "gamma", "lr", "rms_alpha", "rms_eps", "eps_start",
-                               "eps_end", "kl_threshold") if not _is_real(getattr(self, name))]
-        problems += unreal
-        if not unreal:  # the range checks compare numbers
-            if not self.kl_threshold >= 0.0:
-                problems.append(f"kl_threshold must be nonnegative, got {self.kl_threshold!r}")
-            problems += _failures(lambda: self.schedule)
-            problems += _failures(lambda: self.learn_config)
+        if is_real(self.kl_threshold) and not self.kl_threshold >= 0.0:
+            problems.append(f"kl_threshold must be nonnegative, got {self.kl_threshold!r}")
+        if is_real(self.eps_start) and is_real(self.eps_end) and is_int(self.eps_anneal_steps):
+            problems += failures(lambda: self.schedule)  # else the types are reported above
+        problems += failures(super().__post_init__)
         if not isinstance(self.env_config, dict):
             problems.append("env_config must be a mapping")
         elif self.env in ENVS:
-            problems += _failures(make_env_config, self.env, self.env_config)
+            problems += failures(make_env_config, self.env, self.env_config)
         if problems:
             raise ConfigError("; ".join(problems))
 
     @property
     def schedule(self) -> EpsilonSchedule:
         return EpsilonSchedule(self.eps_start, self.eps_end, self.eps_anneal_steps)
-
-    @property
-    def learn_config(self) -> LearnConfig:
-        return LearnConfig(**{name: getattr(self, name)
-                              for name in LearnConfig.__dataclass_fields__})
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -155,23 +140,6 @@ class RunConfig:
     def sha256(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _failures(build, *args) -> list[str]:
-    """The message of the ValueError or TypeError ``build(*args)`` raises, if any."""
-    try:
-        build(*args)
-    except (TypeError, ValueError) as exc:
-        return [str(exc)]
-    return []
 
 
 def load_config(path: str | Path) -> dict:
@@ -236,10 +204,8 @@ def build_trainer(cfg: RunConfig, env) -> Trainer:
     )
     actor_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)))
     critic_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
-    return Trainer.create(
-        cfg.learn_config, actor_cfg, env.spec.state_width, actor_rng, critic_rng,
-        critic_hidden=cfg.critic_hidden,
-    )
+    return Trainer.create(cfg, actor_cfg, env.spec.state_width, actor_rng, critic_rng,
+                          critic_hidden=cfg.critic_hidden)
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:

@@ -13,7 +13,9 @@ targets fixed up front; the schedule is the sweep. ``minibatch`` takes one
 optimiser step per timestep, sweeping t = T..1, and ``wholebatch`` takes a
 single step on the loss summed over all timesteps. Every optimiser step
 advances the target-network counter. The updates write the trainer's
-parameters, RMSProp accumulators and target network in place.
+parameters, RMSProp accumulators and target network in place. The settings
+they read are declared and checked once, in ``LearnConfig``, which
+``harness.RunConfig`` extends.
 
 The actor is replayed over a batch by ``unroll_policy`` in one hoisted pass:
 its (T*B*n, m) probabilities are time-major, then episode-major, and
@@ -32,8 +34,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import critic as cr
-from .autodiff import NumericError, OptimizerState, ParamSet, Tensor
-from .policy import ActorConfig, actor_init, actor_inputs, actor_unroll, masked_epsilon_probs
+from .autodiff import NumericError, ParamSet, Tensor
+from .policy import (ActorConfig, actor_init, actor_inputs, actor_unroll, failures,
+                     masked_epsilon_probs, type_problems)
 
 Array = np.ndarray
 
@@ -173,13 +176,12 @@ class TargetNetState:
 
     params: ParamSet
     counter: int = 0
-    period: int = 200
 
 
-def target_sync(state: TargetNetState, online: ParamSet) -> None:
+def target_sync(state: TargetNetState, online: ParamSet, period: int) -> None:
     """Copy the online values into the target's arrays and reset the counter
-    when the counter has reached the period."""
-    if state.counter >= state.period:
+    when the counter has reached ``period``."""
+    if state.counter >= period:
         for name, tensor in state.params.items():
             np.copyto(tensor.data, online[name].data)
         state.counter = 0
@@ -290,7 +292,7 @@ def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
 
 
 def critic_update(
-    batch: Batch, inputs: Array, cfg: LearnConfig, params: ParamSet, opt: OptimizerState,
+    batch: Batch, inputs: Array, cfg: LearnConfig, params: ParamSet, accs: dict[str, Array],
     target: TargetNetState,
 ) -> float:
     """Fit the critic to TD(lambda) targets in place; returns the summed loss.
@@ -316,9 +318,9 @@ def critic_update(
             raise NumericError("critic loss is not finite")
         total += value
         loss.backward()
-        ad.rmsprop_step(params, opt, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
+        ad.rmsprop_step(params, accs, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
         target.counter += 1
-        target_sync(target, params)
+        target_sync(target, params, cfg.target_period)
     return total
 
 
@@ -410,7 +412,7 @@ def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
 
 def policy_gradient_update(
     batch: Batch, advantages: Array, probs: Tensor, params: ParamSet,
-    opt: OptimizerState, cfg: LearnConfig,
+    accs: dict[str, Array], cfg: LearnConfig,
 ) -> float:
     """One optimiser step in place on the policy-gradient loss of ``probs``, a
     taped ``unroll_policy`` of ``params`` over the batch; returns the loss.
@@ -424,7 +426,7 @@ def policy_gradient_update(
     if not np.isfinite(value):
         raise NumericError("policy loss is not finite")
     loss.backward()
-    ad.rmsprop_step(params, opt, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
+    ad.rmsprop_step(params, accs, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
     return value
 
 
@@ -438,6 +440,8 @@ SCHEDULES = ("minibatch", "wholebatch")
 
 @dataclass(frozen=True)
 class LearnConfig:
+    """The learning settings that every critic and sop mode shares."""
+
     algo: str
     critic_schedule: str = "wholebatch"
     lam: float = 0.8
@@ -449,18 +453,22 @@ class LearnConfig:
     target_period: int = 200
 
     def __post_init__(self) -> None:
+        problems = []
         if self.algo not in ALGOS:
-            raise ValueError(f"unknown algorithm {self.algo!r}")
+            problems.append(f"unknown algorithm {self.algo!r}")
         if self.critic_schedule not in SCHEDULES:
-            raise ValueError(f"unknown critic schedule {self.critic_schedule!r}")
-        period = self.target_period
-        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
-            raise ValueError(f"target_period must be a positive integer, got {period!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        ad.check_rmsprop(self.lr, self.rms_alpha, self.rms_eps)
+            problems.append(f"unknown critic schedule {self.critic_schedule!r}")
+        problems += type_problems(self, counts=("target_period",), flags=("gamma_adv_one",))
+        unreal = type_problems(self, reals=("lam", "gamma", "lr", "rms_alpha", "rms_eps"))
+        problems += unreal
+        if not unreal:  # the range checks compare numbers
+            if not 0.0 <= self.lam <= 1.0:
+                problems.append(f"lambda must lie in [0, 1], got {self.lam!r}")
+            if not 0.0 < self.gamma <= 1.0:
+                problems.append(f"gamma must lie in (0, 1], got {self.gamma!r}")
+            problems += failures(ad.check_rmsprop, self.lr, self.rms_alpha, self.rms_eps)
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -470,16 +478,16 @@ class Trainer:
     cfg: LearnConfig
     actor_cfg: ActorConfig
     actor: ParamSet
-    actor_opt: OptimizerState
+    actor_opt: dict[str, Array]  # RMSProp accumulators, keyed like the parameters
     critic: ParamSet
-    critic_opt: OptimizerState
+    critic_opt: dict[str, Array]
     target: TargetNetState
 
     @classmethod
     def create(
         cls, cfg: LearnConfig, actor_cfg: ActorConfig, state_width: int,
         actor_rng: np.random.Generator, critic_rng: np.random.Generator,
-        critic_hidden: Sequence[int] = (128, 128),
+        critic_hidden: Sequence[int] = cr.CRITIC_HIDDEN,
     ) -> "Trainer":
         actor = actor_init(actor_rng, actor_cfg)
         in_width = cr.layout_for(
@@ -495,7 +503,7 @@ class Trainer:
             actor_opt=ad.rmsprop_init(actor),
             critic=critic,
             critic_opt=ad.rmsprop_init(critic),
-            target=TargetNetState(critic.copy(), 0, cfg.target_period),
+            target=TargetNetState(critic.copy()),
         )
 
     def train_on_batch(self, batch: Batch) -> tuple[float, float]:

@@ -13,6 +13,9 @@ steps as one hoisted pass with the values of T chained ``actor_cell`` calls.
 The acting distribution masks unavailable actions, softmaxes the remaining
 logits, and mixes in a uniform floor: pi = (1 - eps) * softmax + eps / k over
 the k available actions. Masked actions keep probability exactly zero.
+
+``type_problems`` and ``failures`` are the field checks that this module's
+``EpsilonSchedule``, ``learn.LearnConfig`` and ``harness.RunConfig`` share.
 """
 
 from __future__ import annotations
@@ -30,6 +33,33 @@ class MaskError(ValueError):
     """No action is available under the supplied mask."""
 
 
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def type_problems(cfg, counts=(), flags=(), reals=()) -> list[str]:
+    """One message per named field of ``cfg`` that is not a positive integer,
+    a bool or a real number (never a bool or a string), in that order."""
+    kinds = ((counts, "a positive integer", lambda v: is_int(v) and v >= 1),
+             (flags, "true or false", lambda v: isinstance(v, bool)),
+             (reals, "a real number", is_real))
+    return [f"{name} must be {kind}, got {getattr(cfg, name)!r}"
+            for names, kind, ok in kinds for name in names if not ok(getattr(cfg, name))]
+
+
+def failures(build, *args) -> list[str]:
+    """The message of the ValueError or TypeError ``build(*args)`` raises, if any."""
+    try:
+        build(*args)
+    except (TypeError, ValueError) as exc:
+        return [str(exc)]
+    return []
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     start: float = 0.5
@@ -37,6 +67,8 @@ class EpsilonSchedule:
     anneal_steps: int = 100_000
 
     def __post_init__(self) -> None:
+        if not (is_real(self.start) and is_real(self.end) and is_int(self.anneal_steps)):
+            raise ValueError(f"need real start and end and an integer anneal_steps, got {self}")
         if not 1.0 >= self.start >= self.end >= 0.0:
             raise ValueError(f"need 1 >= start >= end >= 0, got {self}")
         if self.anneal_steps < 1:

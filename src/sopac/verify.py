@@ -107,6 +107,8 @@ def _actor_relu_margin(params: ParamSet, batch: Batch, cfg: ActorConfig) -> floa
 @dataclass
 class GradSuiteResult:
     max_errors: dict[str, float]   # loss name -> worst relative error over seeds
+    # (seed, check) pairs that rejected all their draws and checked the last one
+    exhausted: list[tuple[int, str]]
 
     @property
     def overall(self) -> float:
@@ -133,10 +135,12 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5) -> GradSuiteResult:
 
     Central differences cannot certify a gradient across a ReLU kink or below
     their own roundoff floor, so draws with kink-straddling preactivations or
-    dead-zone gradient entries are redrawn before checking.
+    dead-zone gradient entries are redrawn before checking. A check that
+    rejects all 200 draws checks the last one anyway and lists it in ``exhausted``.
     """
     margin = 100.0 * step
     worst = dict.fromkeys(("actor",) + ALGOS, 0.0)
+    exhausted = []
     for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
         batch = random_batch(rng)
@@ -151,7 +155,7 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5) -> GradSuiteResult:
                 if not margins_ok and attempt < 199:
                     continue  # rejected anyway; the last draw is still checked
                 targets, weights, actions = prepare_critic_batch(
-                    batch, inputs, algo, trainer.target, lam=0.8, gamma=0.99)
+                    batch, inputs, algo, trainer.target, trainer.cfg.lam, trainer.cfg.gamma)
 
                 def critic_loss(params: ParamSet) -> ad.Tensor:
                     return critic_loss_tensor(params, inputs, targets, weights, actions)
@@ -159,7 +163,7 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5) -> GradSuiteResult:
                 with ad.no_grad():
                     probs = unroll_policy(trainer.actor, trainer.actor_cfg, batch)
                 adv = compute_advantages(batch, inputs, algo, trainer.critic, probs,
-                                         gamma=0.99, gamma_adv_one=False)
+                                         trainer.cfg.gamma, gamma_adv_one=False)
 
                 def actor_loss(params: ParamSet) -> ad.Tensor:
                     return policy_loss_tensor(batch, adv, params, trainer.actor_cfg)
@@ -167,13 +171,15 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5) -> GradSuiteResult:
                 if (_well_conditioned(critic_loss, trainer.critic, margins_ok)
                         and _well_conditioned(actor_loss, trainer.actor, True)):
                     break
+            else:
+                exhausted.append((seed, algo))
 
             worst[algo] = max(worst[algo],
                               ad.finite_diff_check(critic_loss, trainer.critic, step))
             if algo == "coma-cc":
                 worst["actor"] = max(worst["actor"],
                                      ad.finite_diff_check(actor_loss, trainer.actor, step))
-    return GradSuiteResult(max_errors=worst)
+    return GradSuiteResult(worst, exhausted)
 
 
 # ---------------------------------------------------------------------------

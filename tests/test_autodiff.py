@@ -104,36 +104,36 @@ class TestGru:
 class TestRmsProp:
     def test_zero_gradient_leaves_params_and_decays_accumulator(self):
         params = ad.ParamSet({"p": np.array([1.0, -2.0])})
-        state = ad.OptimizerState(acc={"p": np.array([0.5, 0.5])})
+        accs = {"p": np.array([0.5, 0.5])}
         params["p"].grad = np.zeros(2)
         before = params["p"].data.copy()
-        ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
+        ad.rmsprop_step(params, accs, 0.005, 0.99, 1e-5)
         assert np.array_equal(params["p"].data, before)
-        assert np.allclose(state.acc["p"], 0.99 * 0.5)
+        assert np.allclose(accs["p"], 0.99 * 0.5)
 
     def test_hand_evaluated_single_step(self):
         params = ad.ParamSet({"p": np.array([1.0])})
         params["p"].grad = np.array([2.0])
-        state = ad.rmsprop_init(params)
-        ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
-        assert np.allclose(state.acc["p"], 0.04)
+        accs = ad.rmsprop_init(params)
+        ad.rmsprop_step(params, accs, 0.005, 0.99, 1e-5)
+        assert np.allclose(accs["p"], 0.04)
         assert np.allclose(params["p"].data, 1.0 - 0.005 * 2.0 / np.sqrt(0.04 + 1e-5))
 
     def test_two_steps_descend_a_quadratic(self):
         params = ad.ParamSet({"p": np.array([1.0])})
-        state = ad.rmsprop_init(params)
+        accs = ad.rmsprop_init(params)
         values = [float(params["p"].data[0] ** 2)]
         for _ in range(2):
             params["p"].grad = 2.0 * params["p"].data
-            ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
+            ad.rmsprop_step(params, accs, 0.005, 0.99, 1e-5)
             values.append(float(params["p"].data[0] ** 2))
         assert values[1] < values[0] and values[2] < values[1]
 
     def test_key_mismatch_rejected(self):
         params = ad.ParamSet({"p": np.zeros(2)})
-        state = ad.OptimizerState(acc={"q": np.zeros(2)})
+        accs = {"q": np.zeros(2)}
         with pytest.raises(ValueError, match="do not match"):
-            ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
+            ad.rmsprop_step(params, accs, 0.005, 0.99, 1e-5)
 
     def test_in_place_step_bits_at_trainer_shapes(self):
         # every weight shape, every bias shape (each layer's output width),
@@ -144,18 +144,18 @@ class TestRmsProp:
         params = ad.ParamSet({f"p{i}": rng.standard_normal(shape)
                               for i, shape in enumerate(shapes)})
         params = ad.merge(params, ad.ParamSet({"unreached": rng.standard_normal((3, 4))}))
-        state = ad.OptimizerState(acc={k: np.abs(rng.standard_normal(v.data.shape))
-                                       * 10.0 ** rng.integers(-8, 3, v.data.shape)
-                                       for k, v in params.items()})
+        accs = {k: np.abs(rng.standard_normal(v.data.shape))
+                * 10.0 ** rng.integers(-8, 3, v.data.shape)
+                for k, v in params.items()}
         for name, tensor in params.items():
             if name != "unreached":
                 tensor.grad = (rng.standard_normal(tensor.data.shape)
                                * 10.0 ** rng.integers(-8, 3, tensor.data.shape))
-        before = {k: (v.data.copy(), state.acc[k].copy(), v.grad) for k, v in params.items()}
-        ad.rmsprop_step(params, state, lr, alpha, eps)
+        before = {k: (v.data.copy(), accs[k].copy(), v.grad) for k, v in params.items()}
+        ad.rmsprop_step(params, accs, lr, alpha, eps)
         for name, (p, acc, g) in before.items():
             if g is None:
-                assert_bits_equal(state.acc[name], alpha * acc)
+                assert_bits_equal(accs[name], alpha * acc)
                 assert_bits_equal(params[name].data, p)
             else:
                 assert_bits_equal(params[name].data,
@@ -167,12 +167,11 @@ class TestRmsProp:
     def test_zero_gradients_never_change_parameters(self, seed):
         rng = np.random.default_rng(seed)
         params = ad.ParamSet({"a": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)})
-        state = ad.OptimizerState(acc={k: np.abs(rng.standard_normal(v.data.shape))
-                                       for k, v in params.items()})
+        accs = {k: np.abs(rng.standard_normal(v.data.shape)) for k, v in params.items()}
         for _, tensor in params.items():
             tensor.grad = np.zeros_like(tensor.data)
         before = params.copy()
-        ad.rmsprop_step(params, state, 0.005, 0.99, 1e-5)
+        ad.rmsprop_step(params, accs, 0.005, 0.99, 1e-5)
         assert params_equal(params, before)
 
 

@@ -249,5 +249,5 @@ class TestLossesOnPaddedBatch:
                                {k: v.data for k, v in theirs.items()})
         for mine, theirs in ((fused.actor_opt, composed.actor_opt),
                              (fused.critic_opt, composed.critic_opt)):
-            assert_each_bits_equal(mine.acc, theirs.acc)
+            assert_each_bits_equal(mine, theirs)
 

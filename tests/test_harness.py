@@ -10,7 +10,7 @@ import pytest
 from sopac import cli, harness, sop, verify
 from sopac.autodiff import ParamSet
 from sopac.envs import SwitchGame
-from sopac.learn import Batch, Trainer
+from sopac.learn import Batch, LearnConfig, Trainer
 from sopac.harness import (
     METRICS_HEADER,
     ConfigError,
@@ -71,6 +71,34 @@ class TestRunConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({"learning_rate": 0.1})
+
+    def test_default_surface_is_pinned(self):
+        # the manifest's config and its hash do not depend on the field order
+        cfg = RunConfig()
+        assert cfg.sha256() == "769082f077ae3699caaa813f3e68d5353bf63e77b8f8838565d7922b4b3d44a8"
+        assert sorted(cfg.to_dict()) == sorted([
+            "algo", "batch_size", "critic_hidden", "critic_schedule", "env", "env_config",
+            "eps_anneal_steps", "eps_end", "eps_start", "eval_episodes", "eval_interval",
+            "gamma", "gamma_adv_one", "gru_hidden", "kl_threshold", "lam", "lr",
+            "record_timing", "rms_alpha", "rms_eps", "seed", "sop", "target_period",
+            "total_steps"])
+
+    def test_trainer_takes_the_run_config(self):
+        cfg = small_config(algo="coma", lr=0.01, target_period=1, critic_hidden=(8,))
+        env = SwitchGame()
+        trainer = harness.build_trainer(cfg, env)
+        learn_cfg = LearnConfig(**{name: getattr(cfg, name)
+                                   for name in LearnConfig.__dataclass_fields__})
+        twin = Trainer.create(learn_cfg, trainer.actor_cfg, env.spec.state_width,
+                              np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0, 0))),
+                              np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0, 1))),
+                              critic_hidden=(8,))
+        assert trainer.cfg is cfg
+        batch = rollout_episodes(env, 3, trainer.actor, trainer.actor_cfg, 0.5, 0, stream=1)
+        assert trainer.train_on_batch(batch) == twin.train_on_batch(batch)
+        for mine, theirs in ((trainer.actor, twin.actor), (trainer.critic, twin.critic),
+                             (trainer.target.params, twin.target.params)):
+            assert params_equal(mine, theirs)
 
     def test_hash_is_stable_and_sensitive(self):
         a, b = RunConfig(seed=1), RunConfig(seed=1)
@@ -154,6 +182,19 @@ class TestRunExperiment:
         a = run_experiment(cfg, tmp_path / "a")
         b = run_experiment(cfg, tmp_path / "b")
         assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
+
+    def test_record_timing_fills_only_the_seconds_column(self, tmp_path):
+        def columns(record_timing):
+            cfg = small_config(eval_interval=10, record_timing=record_timing)
+            lines = run_experiment(cfg, tmp_path / str(record_timing)).metrics_path.read_bytes()
+            return [line.rsplit(b",", 1) for line in lines.splitlines()[1:]]
+
+        timed, untimed = columns(True), columns(False)
+        seconds = [float(s) for _, s in timed]
+        assert len(seconds) == 4 and seconds[-1] > 0.0
+        assert all(0.0 <= a <= b for a, b in zip(seconds, seconds[1:]))
+        assert [rest for rest, _ in timed] == [rest for rest, _ in untimed]
+        assert all(s == b"0.0" for _, s in untimed)
 
     def test_off_policy_mode_equals_permissive_with_unit_batch(self, tmp_path):
         base = dict(env="switch", algo="centralv", batch_size=1, total_steps=60,

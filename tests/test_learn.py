@@ -330,7 +330,7 @@ class TestCriticSchedules:
                                  DIMS["state_width"], DIMS["obs_width"], 3)
         episode.rewards[:] = 0.0  # zero targets match the zero critic everywhere
         batch = Batch.from_episodes([episode])
-        target = TargetNetState(zero_critic.copy(), 0, 200)
+        target = TargetNetState(zero_critic.copy())
         before = zero_critic.copy()
         loss = critic_update(
             batch, critic_batch_inputs(batch, "centralv"), trainer.cfg, zero_critic,
@@ -444,7 +444,9 @@ class TestLearnConfig:
            "fractional-target-period": {"target_period": 2.5},
            "bool-target-period": {"target_period": True}, "lambda-above-one": {"lam": 2.0},
            "negative-lambda": {"lam": -0.1}, "negative-lr": {"lr": -1.0},
-           "rms-alpha-above-one": {"rms_alpha": 1.5}, "zero-rms-eps": {"rms_eps": 0.0}}
+           "rms-alpha-above-one": {"rms_alpha": 1.5}, "zero-rms-eps": {"rms_eps": 0.0},
+           "string-gamma-adv-one": {"gamma_adv_one": "no"}, "bool-lam": {"lam": True},
+           "bool-gamma": {"gamma": True}, "string-lr": {"lr": "0.1"}}
 
     @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
     def test_invalid_values_rejected_and_reported_by_run_config(self, bad):
@@ -460,8 +462,8 @@ class TestTargetNetwork:
         rng = np.random.default_rng(24)
         online = cr.critic_init(rng, 4, 1, hidden=(8, 8))
         stale = cr.critic_init(rng, 4, 1, hidden=(8, 8))
-        state = TargetNetState(stale, counter=200, period=200)
-        assert target_sync(state, online) is None
+        state = TargetNetState(stale, counter=200)
+        assert target_sync(state, online, 200) is None
         assert params_equal(state.params, online)
         assert state.counter == 0
 
@@ -469,9 +471,9 @@ class TestTargetNetwork:
         rng = np.random.default_rng(25)
         online = cr.critic_init(rng, 4, 1, hidden=(8, 8))
         stale = cr.critic_init(rng, 4, 1, hidden=(8, 8))
-        state = TargetNetState(stale, counter=199, period=200)
+        state = TargetNetState(stale, counter=199)
         before = stale.copy()
-        assert target_sync(state, online) is None
+        assert target_sync(state, online, 200) is None
         assert params_equal(state.params, before)
         assert state.counter == 199
 
@@ -502,7 +504,7 @@ class TestTargetNetwork:
 
         def owned():
             return ([obj for t in tensors() for obj in (t, t.data)]
-                    + [*trainer.actor_opt.acc.values(), *trainer.critic_opt.acc.values()])
+                    + [*trainer.actor_opt.values(), *trainer.critic_opt.values()])
 
         def assert_disjoint():
             for name, tensor in trainer.critic.items():

@@ -50,6 +50,13 @@ class TestEpsilonSchedule:
             with pytest.raises(ValueError):
                 EpsilonSchedule(start=start, end=end)
 
+    @pytest.mark.parametrize("bad", [{"anneal_steps": 2.5}, {"anneal_steps": True},
+                                     {"start": True, "end": False}, {"start": "0.5"}],
+                             ids=["fractional-anneal", "bool-anneal", "bool-ends", "string-start"])
+    def test_wrongly_typed_schedule_rejected(self, bad):
+        with pytest.raises(ValueError, match="need real start and end"):
+            EpsilonSchedule(**bad)
+
 
 class TestMaskedEpsilonProbs:
     def test_epsilon_one_gives_uniform_over_available(self):

@@ -389,7 +389,7 @@ class TestStrictIteration:
         env, trainer, buffer, sample = make_setup(b=4, payoff=payoff, seed=13)
         for k, v in trainer.critic.items():
             v.data[...] = 0.0
-        trainer.target = TargetNetState(trainer.critic.copy(), 0, 200)
+        trainer.target = TargetNetState(trainer.critic.copy())
         for _ in range(3):
             buffer.insert(sample(trainer.actor, 1))
         uniform = 1.0 / trainer.actor_cfg.n_actions

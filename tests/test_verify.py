@@ -23,3 +23,8 @@ def test_margin_failing_draws_skip_the_losses(monkeypatch):
     result = verify.gradient_suite(seeds=2)
     assert calls == {"create": 254, "prepare": 173, "conditioned": 346}
     assert result.overall < 1e-4
+
+
+def test_exhausted_checks_are_reported():
+    # seed 0's coma-cc check rejects all 200 of its draws and checks the last
+    assert verify.gradient_suite(seeds=1).exhausted == [(0, "coma-cc")]
