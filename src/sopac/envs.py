@@ -12,7 +12,7 @@ caller's generator and a (seed, action sequence) pair replays bit-identically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -334,19 +334,29 @@ def _adjacent(a: Cell, b: Cell) -> bool:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
 
+# Each environment's name, config class and env class.
+ENV_CLASSES = {
+    "switch": (SwitchGameConfig, SwitchGame),
+    "capture": (CaptureGridConfig, CaptureGrid),
+}
+
+
 def make_env_config(name: str, env_config: dict | None = None):
-    """Validated configuration of an environment by name ("switch" or "capture")."""
+    """Validated configuration of an environment by name (a key of ``ENV_CLASSES``)."""
+    if name not in ENV_CLASSES:
+        raise ValueError(f"unknown environment {name!r}")
+    config_cls = ENV_CLASSES[name][0]
     env_config = dict(env_config or {})
-    if name == "switch":
-        if "payoff" in env_config:
-            env_config["payoff"] = tuple(tuple(row) for row in env_config["payoff"])
-        return SwitchGameConfig(**env_config)
-    if name == "capture":
-        return CaptureGridConfig(**env_config)
-    raise ValueError(f"unknown environment {name!r}")
+    allowed = [f.name for f in fields(config_cls)]
+    unknown = sorted(set(env_config) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown env_config keys for {name}: {unknown}; allowed: {allowed}")
+    if "payoff" in env_config:
+        env_config["payoff"] = tuple(tuple(row) for row in env_config["payoff"])
+    return config_cls(**env_config)
 
 
 def make_env(name: str, env_config: dict | None = None):
-    """Construct an environment by name ("switch" or "capture")."""
-    config = make_env_config(name, env_config)
-    return SwitchGame(config) if name == "switch" else CaptureGrid(config)
+    """Construct an environment by name (a key of ``ENV_CLASSES``)."""
+    config = make_env_config(name, env_config)  # rejects an unknown name first
+    return ENV_CLASSES[name][1](config)

@@ -37,10 +37,10 @@ import numpy as np
 from . import __version__
 from .autodiff import NumericError, ParamSet
 from .critic import CRITIC_HIDDEN
-from .envs import make_env, make_env_config
+from .envs import ENV_CLASSES, make_env, make_env_config
 from .learn import LearnConfig, Trainer
-from .policy import (ActorConfig, EpsilonSchedule, epsilon_at, failures, is_int, is_real,
-                     type_problems)
+from .policy import (ActorConfig, EpsilonSchedule, epsilon_at, epsilon_order_problems,
+                     failures, is_int, is_real, type_problems)
 from .rollout import rollout_episodes, sample_episode_fn
 from .sop import SOP_MODES, ReplayBuffer, episode_kls, max_mean_kl, sop_iteration
 
@@ -51,7 +51,7 @@ METRICS_HEADER = (
     "max_buffer_kl,mean_buffer_kl,critic_loss,policy_loss,epsilon,seconds"
 )
 
-ENVS = ("switch", "capture")
+ENVS = tuple(ENV_CLASSES)
 
 
 class ConfigError(ValueError):
@@ -97,8 +97,9 @@ class RunConfig(LearnConfig):
             problems.append(f"seed must be a nonnegative integer, got {self.seed!r}")
         if is_real(self.kl_threshold) and not self.kl_threshold >= 0.0:
             problems.append(f"kl_threshold must be nonnegative, got {self.kl_threshold!r}")
-        if is_real(self.eps_start) and is_real(self.eps_end) and is_int(self.eps_anneal_steps):
-            problems += failures(lambda: self.schedule)  # else the types are reported above
+        if is_real(self.eps_start) and is_real(self.eps_end):  # else reported above
+            problems += epsilon_order_problems(self.eps_start, self.eps_end,
+                                               ("eps_start", "eps_end"))
         problems += failures(super().__post_init__)
         if not isinstance(self.env_config, dict):
             problems.append("env_config must be a mapping")
@@ -222,14 +223,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
 
     buffer = ReplayBuffer(cfg.batch_size)
     rows: list[dict] = []
-    pending = 0  # index into grid of the next evaluation row
 
     def emit(critic_loss: float, policy_loss: float, kls) -> None:
-        nonlocal pending
         steps_done = sample.counter["env_steps"]
         trained = buffer.batch
-        while pending < len(grid) and steps_done >= grid[pending]:
-            eval_seq = np.random.SeedSequence(cfg.seed, spawn_key=(3, pending))
+        while len(rows) < len(grid) and steps_done >= grid[len(rows)]:
+            eval_seq = np.random.SeedSequence(cfg.seed, spawn_key=(3, len(rows)))
             win_rate, test_return = evaluate(
                 trainer.actor, trainer.actor_cfg, env, cfg.eval_episodes,
                 int(eval_seq.generate_state(1)[0]),
@@ -238,7 +237,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
                 kls = episode_kls(trainer.actor, trainer.actor_cfg, [trained])
             max_kl, mean_kl = max_mean_kl(kls)
             rows.append({
-                "step": grid[pending],
+                "step": grid[len(rows)],
                 "episodes": sample.counter["rollouts"],
                 "train_return": float(np.mean(trained.returns)),
                 "test_win_rate": win_rate,
@@ -250,7 +249,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
                 "epsilon": epsilon_at(steps_done, schedule),
                 "seconds": round(time.perf_counter() - start, 3) if cfg.record_timing else 0.0,
             })
-            pending += 1
 
     metrics_path = out / "metrics.csv"
     manifest_path = out / "manifest.json"
@@ -271,7 +269,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     try:
-        while pending < len(grid):
+        while len(rows) < len(grid):
             sop_iteration(buffer, trainer, sample, cfg.sop, cfg.kl_threshold, emit)
     except NumericError as exc:
         write_records(status="numeric_failure", env_step=sample.counter["env_steps"],
@@ -308,7 +306,8 @@ def _save_params(path: Path, trainer: Trainer) -> None:
 # Cross-seed aggregation
 
 
-AGGREGATE_HEADER = "step,win_rate_median,win_rate_q25,win_rate_q75"
+AGGREGATE_HEADER = ("step,win_rate_median,win_rate_q25,win_rate_q75,"
+                    "return_median,return_q25,return_q75")
 
 
 def read_metrics(path: str | Path) -> list[dict]:
@@ -323,7 +322,8 @@ def read_metrics(path: str | Path) -> list[dict]:
 
 
 def aggregate(paths: Sequence[str | Path]) -> list[dict]:
-    """Per-step median and quartiles of test win rate across seed files.
+    """Per-step median and quartiles of test win rate and test return across
+    seed files.
 
     Quantiles use linear interpolation. Files must share the step grid.
     """
@@ -339,14 +339,13 @@ def aggregate(paths: Sequence[str | Path]) -> list[dict]:
             raise ValueError(f"{path} step grid diverges at row {bad}")
     out = []
     for i, step in enumerate(steps):
-        rates = np.asarray([table[i]["test_win_rate"] for table in tables])
-        q25, med, q75 = np.percentile(rates, [25.0, 50.0, 75.0], method="linear")
-        out.append({
-            "step": step,
-            "win_rate_median": float(med),
-            "win_rate_q25": float(q25),
-            "win_rate_q75": float(q75),
-        })
+        row = {"step": step}
+        for column, name in (("test_win_rate", "win_rate"), ("test_return", "return")):
+            values = [table[i][column] for table in tables]
+            q25, med, q75 = np.percentile(values, [25.0, 50.0, 75.0], method="linear")
+            row.update({f"{name}_median": float(med), f"{name}_q25": float(q25),
+                        f"{name}_q75": float(q75)})
+        out.append(row)
     return out
 
 

@@ -403,13 +403,6 @@ def policy_loss(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
     return ad.record(np.asarray(total * -1.0), (probs,), backward)
 
 
-def policy_loss_tensor(batch: Batch, advantages: Array, params: ParamSet,
-                       cfg: ActorConfig) -> Tensor:
-    """The policy loss as a function of the actor parameters (for finite
-    differences): ``policy_loss`` of a fresh unroll."""
-    return policy_loss(batch, advantages, unroll_policy(params, cfg, batch))
-
-
 def policy_gradient_update(
     batch: Batch, advantages: Array, probs: Tensor, params: ParamSet,
     accs: dict[str, Array], cfg: LearnConfig,

@@ -60,6 +60,15 @@ def failures(build, *args) -> list[str]:
     return []
 
 
+def epsilon_order_problems(start: float, end: float, names=("start", "end")) -> list[str]:
+    """The one rule on an exploration floor's ends, ``1 >= start >= end >= 0``,
+    as a message naming the two fields, or none."""
+    if 1.0 >= start >= end >= 0.0:
+        return []
+    return [f"need 1 >= {names[0]} >= {names[1]} >= 0, "
+            f"got {names[0]}={start!r}, {names[1]}={end!r}"]
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     start: float = 0.5
@@ -69,8 +78,8 @@ class EpsilonSchedule:
     def __post_init__(self) -> None:
         if not (is_real(self.start) and is_real(self.end) and is_int(self.anneal_steps)):
             raise ValueError(f"need real start and end and an integer anneal_steps, got {self}")
-        if not 1.0 >= self.start >= self.end >= 0.0:
-            raise ValueError(f"need 1 >= start >= end >= 0, got {self}")
+        if order := epsilon_order_problems(self.start, self.end):
+            raise ValueError(order[0])
         if self.anneal_steps < 1:
             raise ValueError("anneal_steps must be positive")
 

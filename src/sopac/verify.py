@@ -28,7 +28,7 @@ from .learn import (
     critic_batch_inputs,
     critic_loss_tensor,
     critic_update,
-    policy_loss_tensor,
+    policy_loss,
     prepare_critic_batch,
     unroll_policy,
 )
@@ -166,7 +166,7 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5) -> GradSuiteResult:
                                          trainer.cfg.gamma, gamma_adv_one=False)
 
                 def actor_loss(params: ParamSet) -> ad.Tensor:
-                    return policy_loss_tensor(batch, adv, params, trainer.actor_cfg)
+                    return policy_loss(batch, adv, unroll_policy(params, trainer.actor_cfg, batch))
 
                 if (_well_conditioned(critic_loss, trainer.critic, margins_ok)
                         and _well_conditioned(actor_loss, trainer.actor, True)):

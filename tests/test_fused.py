@@ -185,7 +185,8 @@ class TestLossesOnPaddedBatch:
             trainer = self.trainer("coma-cc", 31)
             adv = np.random.default_rng(32).standard_normal(
                 (len(batch), batch.max_length, DIMS["n"])) * batch.pad[:, :, None]
-            loss = learn.policy_loss_tensor(batch, adv, trainer.actor, trainer.actor_cfg)
+            probs = learn.unroll_policy(trainer.actor, trainer.actor_cfg, batch)
+            loss = learn.policy_loss(batch, adv, probs)
             loss.backward()
             return loss.data, param_grads(trainer.actor)
 

@@ -68,6 +68,15 @@ class TestRunConfig:
         assert again == cfg
         assert again.to_dict() == cfg.to_dict() and again.sha256() == cfg.sha256()
 
+    @pytest.mark.parametrize("anneal", [100, 2.5], ids=["int-anneal", "fractional-anneal"])
+    def test_epsilon_order_is_named_in_config_fields(self, anneal):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(eps_start=0.01, eps_end=0.5, eps_anneal_steps=anneal)
+        message = str(info.value)
+        assert "need 1 >= eps_start >= eps_end >= 0, got eps_start=0.01, eps_end=0.5" in message
+        assert "EpsilonSchedule" not in message
+        assert ("eps_anneal_steps must be a positive integer" in message) == (anneal == 2.5)
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({"learning_rate": 0.1})
@@ -313,12 +322,12 @@ class TestExactLengthReturns:
 
 
 class TestAggregate:
-    def _write(self, tmp_path, name, win_rates, steps=(10, 20)):
+    def _write(self, tmp_path, name, win_rates, steps=(10, 20), returns=(0.0, 0.0)):
         rows = []
-        for step, rate in zip(steps, win_rates):
+        for step, rate, ret in zip(steps, win_rates, returns):
             rows.append({
                 "step": step, "episodes": step, "train_return": 0.0,
-                "test_win_rate": rate, "test_return": 0.0, "max_buffer_kl": 0.0,
+                "test_win_rate": rate, "test_return": ret, "max_buffer_kl": 0.0,
                 "mean_buffer_kl": 0.0, "critic_loss": 0.0, "policy_loss": 0.0,
                 "epsilon": 0.5, "seconds": 0.0,
             })
@@ -344,11 +353,34 @@ class TestAggregate:
         assert rows[0]["win_rate_median"] == pytest.approx(0.75)
         assert rows[0]["win_rate_q25"] <= rows[0]["win_rate_median"] <= rows[0]["win_rate_q75"]
 
+    def test_return_quantiles_interpolate_linearly(self, tmp_path):
+        paths = [
+            self._write(tmp_path, f"{i}.csv", [0.5, 0.5], returns=[ret, -ret])
+            for i, ret in enumerate([3.0, -2.0, 3.0, 0.5])
+        ]
+        first, second = aggregate(paths)
+        # sorted [-2, 0.5, 3, 3]: positions 0.75, 1.5 and 2.25 of the order
+        assert first["return_q25"] == pytest.approx(-0.125)
+        assert first["return_median"] == pytest.approx(1.75)
+        assert first["return_q75"] == 3.0
+        assert second["return_median"] == pytest.approx(-1.75)
+        assert first["win_rate_median"] == second["win_rate_median"] == 0.5
+
+    def test_return_median_is_the_median_across_seeds(self, tmp_path):
+        returns = [[1.5, -0.7], [9.9, 2.0], [-3.1, 2.0]]
+        paths = [self._write(tmp_path, f"{i}.csv", [0.0, 1.0], returns=r)
+                 for i, r in enumerate(returns)]
+        rows = aggregate(paths)
+        for i, row in enumerate(rows):
+            assert row["return_median"] == np.median([r[i] for r in returns])
+
     def test_constant_columns_aggregate_to_the_constant(self, tmp_path):
-        paths = [self._write(tmp_path, f"{i}.csv", [0.4, 0.4]) for i in range(3)]
+        paths = [self._write(tmp_path, f"{i}.csv", [0.4, 0.4], returns=[-1.5, -1.5])
+                 for i in range(3)]
         rows = aggregate(paths)
         for row in rows:
             assert row["win_rate_median"] == row["win_rate_q25"] == row["win_rate_q75"] == 0.4
+            assert row["return_median"] == row["return_q25"] == row["return_q75"] == -1.5
 
     def test_permutation_invariance(self, tmp_path):
         paths = [
@@ -367,7 +399,10 @@ class TestAggregate:
         paths = [self._write(tmp_path, "a.csv", [0.5, 0.5])]
         out = tmp_path / "agg.csv"
         write_aggregate(out, aggregate(paths))
-        assert out.read_text().splitlines()[0] == "step,win_rate_median,win_rate_q25,win_rate_q75"
+        lines = out.read_text().splitlines()
+        assert lines[0] == ("step,win_rate_median,win_rate_q25,win_rate_q75,"
+                            "return_median,return_q25,return_q75")
+        assert lines[1] == "10,0.5,0.5,0.5,0.0,0.0,0.0"
 
 
 class TestCli:
@@ -461,6 +496,18 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("env, allowed", [
+        ("capture", "'side', 'n_agents', 'prey'"), ("switch", "['payoff']")])
+    def test_unknown_env_config_key_is_named(self, tmp_path, capsys, env, allowed):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"env": env, "env_config": {"sides": 4}}))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"unknown env_config keys for {env}: ['sides']" in err
+        assert allowed in err and "__init__" not in err
 
     def test_unknown_config_key_exits_two(self, tmp_path):
         config = tmp_path / "cfg.json"

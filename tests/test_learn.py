@@ -280,7 +280,8 @@ class TestPolicyGradientUpdate:
                                  trainer.critic, unrolled(trainer, batch), 0.99, False)
 
         def loss(params):
-            return learn.policy_loss_tensor(batch, adv, params, trainer.actor_cfg)
+            probs = learn.unroll_policy(params, trainer.actor_cfg, batch)
+            return learn.policy_loss(batch, adv, probs)
 
         assert ad.finite_diff_check(loss, trainer.actor) < 1e-4
 
@@ -741,7 +742,8 @@ class TestPadding:
                                  trainer.critic, unrolled(trainer, batch), 0.99, False)
         for b in (batch, poisoned):
             trainer.actor.zero_grads()
-            loss = learn.policy_loss_tensor(b, adv, trainer.actor, trainer.actor_cfg)
+            probs = learn.unroll_policy(trainer.actor, trainer.actor_cfg, b)
+            loss = learn.policy_loss(b, adv, probs)
             loss.backward()
             grads = trainer.actor.grad_set()
             if b is batch:
