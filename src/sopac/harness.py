@@ -176,8 +176,6 @@ def evaluate(
     play as one lockstep group with epsilon 0. Evaluation plays stream 2 of
     ``seed`` and never touches the actor, the env or any training generator.
     """
-    if episodes < 1:
-        raise ValueError("need at least one evaluation episode")
     played = rollout_episodes(env, episodes, actor, actor_cfg, 0.0, seed, stream=2,
                               mode="greedy")
     return int(played.wins.sum()) / episodes, float(np.mean(played.returns))
@@ -234,7 +232,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path) -> RunResult:
                 int(eval_seq.generate_state(1)[0]),
             )
             if kls is None:
-                kls = episode_kls(trainer.actor, trainer.actor_cfg, [trained])
+                kls = episode_kls(trainer.actor, trainer.actor_cfg, trained)
             max_kl, mean_kl = max_mean_kl(kls)
             rows.append({
                 "step": grid[len(rows)],

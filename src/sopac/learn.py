@@ -101,12 +101,10 @@ class Batch:
 
     @classmethod
     def from_episodes(cls, batches: Sequence["Batch"]) -> "Batch":
-        """The batches' episodes in order, padded to the longest of them; a
-        lone batch comes back as it is."""
+        """A new batch of the batches' episodes in order, padded to the
+        longest of them."""
         if not batches:
             raise ValueError("cannot batch zero episodes")
-        if len(batches) == 1:
-            return batches[0]
         t_max = max(b.max_length for b in batches)
         joined = {}
         for name in vars(batches[0]):
@@ -126,17 +124,6 @@ class Batch:
 
 # ---------------------------------------------------------------------------
 # Returns and targets
-
-
-def td_lambda_targets(rewards: Array, boot_values: Array, lam: float, gamma: float) -> Array:
-    """Lambda-mixture of n-step returns for one finite episode: the one-episode
-    case of :func:`batch_td_lambda_targets`."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    boot = np.asarray(boot_values, dtype=np.float64)
-    if boot.shape[0] != rewards.shape[0]:
-        raise ValueError("need one target-network value per step")
-    return batch_td_lambda_targets(rewards[None], boot[None], np.asarray([len(rewards)]),
-                                   lam, gamma)[0]
 
 
 def batch_td_lambda_targets(rewards: Array, boots: Array, lengths: Array, lam: float,

@@ -60,6 +60,8 @@ def rollout_episodes(
     and 1 of ``SeedSequence(seed, spawn_key=(stream, first + j))`` and stores
     ``first + j`` as its generation.
     """
+    if count < 1:
+        raise ValueError("need at least one episode")
     n = cfg.n_agents
     words = [np.random.SeedSequence(seed, spawn_key=(stream, first + j)).generate_state(2)
              for j in range(count)]
@@ -114,8 +116,9 @@ def sample_episode_fn(
 
     ``sample(params, count)`` plays the next ``count`` episodes with one set
     of parameters, as one lockstep group. Episode k is episode k of stream 1
-    of ``master_seed`` whichever training mode requests it, so on-policy and semi-on-policy runs see identical rollouts whenever they
-    request them in the same order.
+    of ``master_seed`` whichever training mode requests it, so on-policy and
+    semi-on-policy runs see identical rollouts whenever they request them in
+    the same order.
 
     Every episode of a request runs with ``epsilon_at(S)``, where S is
     ``counter["env_steps"]`` when the request starts; the request then
@@ -124,8 +127,6 @@ def sample_episode_fn(
     counter = {"rollouts": 0, "env_steps": 0}
 
     def sample(params: ad.ParamSet, count: int) -> Batch:
-        if count < 1:
-            raise ValueError("need at least one episode")
         batch = rollout_episodes(
             env, count, params, cfg, epsilon_at(counter["env_steps"], schedule),
             master_seed, stream=1, first=counter["rollouts"])

@@ -88,11 +88,6 @@ class ReplayBuffer:
     def full(self) -> bool:
         return len(self) >= self.capacity
 
-    @property
-    def episodes(self) -> list[Batch]:
-        """Each buffered episode as a batch of one, oldest first."""
-        return [self.batch[i] for i in range(len(self))]
-
     def insert(self, batch: Batch) -> None:
         """Append the batch's episodes, in order, after the buffered ones."""
         if len(self) + len(batch) > self.capacity:
@@ -106,21 +101,18 @@ class ReplayBuffer:
         keep = ~np.asarray(drop, dtype=bool)
         self.batch = self.batch[keep] if keep.any() else None
 
-    def generations(self) -> list[int]:
-        return [] if self.batch is None else self.batch.generations.tolist()
-
 
 # ---------------------------------------------------------------------------
 # Buffer divergence diagnostics
 
 
-def episode_kls(actor: ParamSet, cfg: ActorConfig, batches: Sequence[Batch],
+def episode_kls(actor: ParamSet, cfg: ActorConfig, batch: Batch,
                 kind: str = "exact") -> list[Array]:
     """Per-step divergences KL(current || stored), one (T_i, n) array per
-    episode of the batches, from a single batched replay of the current policy."""
+    episode of the batch, cut to its length, from one replay of the current
+    policy over the whole batch."""
     if kind not in ("exact", "sampled"):
         raise ValueError(f"unknown estimator kind {kind!r}")
-    batch = Batch.from_episodes(batches)
     current = batch_policy_probs(actor, cfg, batch)
     if kind == "exact":
         kls = kl_exact(current, batch.dists)
@@ -177,13 +169,13 @@ def sop_iteration(
     """
     if mode not in SOP_MODES:
         raise ValueError(f"unknown sop mode {mode!r}")
-    if kl_threshold < 0.0:
+    if not kl_threshold >= 0.0:
         raise ValueError("kl_threshold must be nonnegative")
     if not buffer.full:
         buffer.insert(sample(trainer.actor, buffer.capacity - len(buffer)))
     critic_loss, policy_loss = trainer.train_on_batch(buffer.batch)
     kls = None
     if mode == "strict" and np.isfinite(kl_threshold):
-        kls = episode_kls(trainer.actor, trainer.actor_cfg, [buffer.batch])
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.batch)
     on_train_end(critic_loss, policy_loss, kls)
     buffer.evict_where(eviction_flags(mode, kls, kl_threshold, len(buffer)))

@@ -17,7 +17,9 @@ loss nodes per step, that the hoisted ``learn.unroll_policy`` and
 ``learn.policy_loss`` must match bit for bit. The scalar
 return, advantage and KL formulas are the per-step definitions that the
 batched code in ``sopac`` vectorises, ``td_lambda_loop`` is the one-episode
-backward recursion that the batched TD(lambda) targets must reproduce, ``comacc_q`` is the one-row critic
+backward recursion that the batched TD(lambda) targets must reproduce,
+``td_lambda_targets`` runs those batched targets on one episode (acceptance
+criterion 6), ``comacc_q`` is the one-row critic
 call that the stacked counterfactual pass must reproduce,
 ``params_equal`` compares two parameter sets bit for bit,
 ``capture_observations`` and ``capture_avail_actions`` are the cell-by-cell
@@ -379,6 +381,18 @@ def td_lambda_loop(rewards: Array, boots: Array, lam: float, gamma: float) -> Ar
     for t in range(len(boots) - 2, -1, -1):
         out[t] = rewards[t] + gamma * ((1.0 - lam) * boots[t + 1] + lam * out[t + 1])
     return out
+
+
+def td_lambda_targets(rewards: Array, boot_values: Array, lam: float, gamma: float) -> Array:
+    """TD(lambda) targets of one finite episode: ``learn.batch_td_lambda_targets``
+    over a batch of one, so every check of this wrapper checks the batched
+    recursion that training runs."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    boot = np.asarray(boot_values, dtype=np.float64)
+    if boot.shape[0] != rewards.shape[0]:
+        raise ValueError("need one target-network value per step")
+    return learn.batch_td_lambda_targets(rewards[None], boot[None], np.asarray([len(rewards)]),
+                                         lam, gamma)[0]
 
 
 def centralv_advantage(reward: float, v_now: float, v_next: float,

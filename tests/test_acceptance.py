@@ -15,13 +15,13 @@ from sopac import critic as cr
 from sopac import learn
 from sopac.envs import SwitchGame
 from sopac.harness import RunConfig, aggregate, read_metrics, run_experiment
-from sopac.learn import LearnConfig, Trainer, td_lambda_targets
+from sopac.learn import LearnConfig, Trainer
 from sopac.policy import ActorConfig, EpsilonSchedule
 from sopac.rollout import sample_episode_fn
-from sopac.sop import ReplayBuffer, kl_estimator_term, kl_exact, sop_iteration
+from sopac.sop import ReplayBuffer, episode_kls, kl_estimator_term, kl_exact, sop_iteration
 from sopac.verify import gradient_suite, random_batch, switch_oracle_check
 
-from reference import comacc_q, kl_estimator_expectation
+from reference import comacc_q, kl_estimator_expectation, td_lambda_targets
 
 
 def report(number: int, name: str) -> None:
@@ -200,7 +200,7 @@ def trained_window(buffer, trainer, sample, mode, kl_threshold=float("inf")):
     """Run one sop iteration; the generations its update trained on."""
     window = []
     sop_iteration(buffer, trainer, sample, mode, kl_threshold,
-                  lambda c, p, kls: window.extend(buffer.generations()))
+                  lambda c, p, kls: window.extend(buffer.batch.generations.tolist()))
     return window
 
 
@@ -214,8 +214,8 @@ def test_criterion_07_buffer_semantics():
     trainer, buffer, sample = _switch_setup(b=4, seed=71)
     for _ in range(3):
         trained_window(buffer, trainer, sample, "strict", 0.0)
-        stale = [e for e in buffer.episodes
-                 if float(np.max(learnable_kl(trainer, e))) > 0.0]
+        stale = [k for k in learnable_kls(trainer, buffer)
+                 if float(np.max(k)) > 0.0]
         assert not stale, "strict mode with zero threshold kept a diverged episode"
 
     t_a, buf_a, s_a = _switch_setup(b=4, seed=72)
@@ -224,19 +224,19 @@ def test_criterion_07_buffer_semantics():
         permissive = trained_window(buf_a, t_a, s_a, "permissive")
         strict = trained_window(buf_b, t_b, s_b, "strict", float("inf"))
         assert strict == permissive, "infinite threshold did not reproduce permissive eviction"
-    assert buf_b.generations() == buf_a.generations()
+    assert buf_b.batch.generations.tolist() == buf_a.batch.generations.tolist()
     report(7, "FIFO generation traces, zero-threshold pruning, "
               "infinite threshold = permissive")
 
 
-def learnable_kl(trainer, episode):
-    from sopac.sop import episode_kls
-
-    return episode_kls(trainer.actor, trainer.actor_cfg, [episode])[0]
+def learnable_kls(trainer, buffer):
+    if buffer.batch is None:
+        return []
+    return episode_kls(trainer.actor, trainer.actor_cfg, buffer.batch)
 
 
 @pytest.mark.slow
-def test_criterion_08_learning_check_switch_game():
+def test_criterion_08_learning_check_switch_game(tmp_path):
     budget_episodes = 20_000
     reached = {}
     for algo in ("centralv", "coma-cc"):
@@ -246,7 +246,7 @@ def test_criterion_08_learning_check_switch_game():
             cfg = RunConfig(env="switch", algo=algo, sop="permissive", batch_size=8,
                             total_steps=3000, eval_interval=250, eval_episodes=32,
                             seed=seed)
-            result = run_experiment(cfg, f"/tmp/sopac_accept8/{algo}/seed{seed}")
+            result = run_experiment(cfg, tmp_path / algo / f"seed{seed}")
             elapsed = time.perf_counter() - start
             assert elapsed < 600.0, f"run took {elapsed:.0f}s"
             crossing = next((r for r in result.rows if r["test_win_rate"] >= 0.95), None)
@@ -259,7 +259,7 @@ def test_criterion_08_learning_check_switch_game():
 
 
 @pytest.mark.slow
-def test_criterion_09_sop_sample_efficiency_direction():
+def test_criterion_09_sop_sample_efficiency_direction(tmp_path):
     # threshold pinned from the on-policy reference run at this exact config
     threshold = 0.5
     env_config = {"side": 5, "horizon": 20, "prey": "static"}
@@ -268,7 +268,7 @@ def test_criterion_09_sop_sample_efficiency_direction():
         cfg = RunConfig(env="capture", algo="centralv", sop=sop, batch_size=8,
                         total_steps=24000, eval_interval=2000, eval_episodes=16,
                         eps_anneal_steps=15000, seed=seed, env_config=env_config)
-        result = run_experiment(cfg, f"/tmp/sopac_accept9/{sop}/seed{seed}")
+        result = run_experiment(cfg, tmp_path / sop / f"seed{seed}")
         for row in result.rows:
             if row["test_return"] >= threshold:
                 return row["episodes"]
@@ -284,7 +284,7 @@ def test_criterion_09_sop_sample_efficiency_direction():
 
 
 @pytest.mark.slow
-def test_criterion_10_ablation_harness():
+def test_criterion_10_ablation_harness(tmp_path):
     combos = list(itertools.product(("coma", "coma-cc"),
                                     ("minibatch", "wholebatch"),
                                     ("off", "permissive")))
@@ -299,7 +299,7 @@ def test_criterion_10_ablation_harness():
                             critic_schedule=schedule, sop=sop, batch_size=4,
                             total_steps=total, eval_interval=interval,
                             eval_episodes=2, seed=0)
-            out = f"/tmp/sopac_accept10/{env_name}/{algo}-{schedule}-{sop}"
+            out = tmp_path / env_name / f"{algo}-{schedule}-{sop}"
             result = run_experiment(cfg, out)
             assert result.rows, "run emitted no metrics"
             paths.append(result.metrics_path)
@@ -311,7 +311,7 @@ def test_criterion_10_ablation_harness():
                "with comparable CSVs")
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(tmp_path):
     for cfg in (
         RunConfig(env="switch", algo="coma-cc", sop="permissive", batch_size=3,
                   total_steps=60, eval_interval=30, eval_episodes=2, seed=11),
@@ -319,8 +319,8 @@ def test_criterion_11_determinism():
                   batch_size=2, total_steps=80, eval_interval=40, eval_episodes=2,
                   seed=12, env_config={"side": 4, "horizon": 8, "prey": "walk"}),
     ):
-        a = run_experiment(cfg, f"/tmp/sopac_accept11/{cfg.env}/a")
-        b = run_experiment(cfg, f"/tmp/sopac_accept11/{cfg.env}/b")
+        a = run_experiment(cfg, tmp_path / cfg.env / "a")
+        b = run_experiment(cfg, tmp_path / cfg.env / "b")
         assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes(), (
             f"{cfg.env} run is not byte-deterministic")
     report(11, "identical (config, seed) pairs reproduce byte-identical CSVs")

@@ -22,7 +22,6 @@ from sopac.learn import (
     policy_gradient_update,
     prepare_critic_batch,
     target_sync,
-    td_lambda_targets,
 )
 from sopac.policy import ActorConfig, actor_init
 from sopac.verify import random_batch, random_episode, uniform_switch_episodes
@@ -38,6 +37,7 @@ from reference import (
     stepwise_policy_loss,
     stepwise_unroll,
     td_lambda_loop,
+    td_lambda_targets,
 )
 from test_fused import assert_bits_equal, assert_each_bits_equal, composed_nodes, tape_nodes
 

@@ -205,7 +205,7 @@ class TestSnapshots:
         bumped = params.copy()
         bumped["fc2.w0"].data += 0.05
         bumped["fc2.b0"].data -= 0.03
-        (kls,) = episode_kls(bumped, cfg, [episode])
+        (kls,) = episode_kls(bumped, cfg, episode)
         assert kls.shape == (episode.max_length, cfg.n_agents)
         assert kls.max() > 0.0 and np.isfinite(kls).all()
 
@@ -214,7 +214,7 @@ class TestSnapshots:
         # a stored epsilon that was never recorded reads NaN
         episode.epsilons[:] = np.nan
         with pytest.raises(ValueError, match="epsilon"):
-            episode_kls(params, cfg, [episode])
+            episode_kls(params, cfg, episode)
 
 
 class TestParameterSharing:

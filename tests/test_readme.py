@@ -1,22 +1,31 @@
-"""README's commands and config files against the program they describe.
+"""README's commands, config files and references against the program they
+describe.
 
 Every ``sopac`` line in a fenced code block (``\\`` continuations joined) must
-parse with ``cli.build_parser()``, and every JSON block must be a valid
-``RunConfig``, so a renamed flag or field fails here instead of in a reader's
-shell.
+parse with ``cli.build_parser()``, every JSON block must be a valid
+``RunConfig``, every backticked ``<module>.<name>`` must name an attribute of
+that ``sopac`` module, and every ``tests/<file>.py::<Name>`` must name a class
+or function of that file, so a renamed flag, field or name fails here instead
+of in a reader's shell.
 """
 
+import functools
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import sopac
 from sopac import cli
 from sopac.harness import RunConfig
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+MODULES = [m.name for m in pkgutil.iter_modules(sopac.__path__)]
 
 
 def fenced_blocks(language: str) -> list[str]:
@@ -44,3 +53,23 @@ def test_every_readme_config_file_is_valid():
     assert blocks
     for block in blocks:
         RunConfig.from_dict(json.loads(block))
+
+
+def test_every_readme_module_reference_resolves():
+    pattern = rf"`(?:sopac\.)?({'|'.join(MODULES)})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)"
+    references = set(re.findall(pattern, README.read_text()))
+    assert len(references) >= 8
+    for module, name in sorted(references):
+        try:
+            functools.reduce(getattr, name.split("."), importlib.import_module(f"sopac.{module}"))
+        except AttributeError:
+            pytest.fail(f"README names `{module}.{name}`, which sopac.{module} does not define")
+
+
+def test_every_readme_test_reference_resolves():
+    references = set(re.findall(r"tests/(\w+\.py)::(\w+)", README.read_text()))
+    assert len(references) >= 8
+    for file, name in sorted(references):
+        source = (ROOT / "tests" / file).read_text()
+        assert re.search(rf"^\s*(?:class|def) {name}\b", source, re.M), (
+            f"README names tests/{file}::{name}, which that file does not define")

@@ -210,8 +210,16 @@ class TestSampler:
             got = replayed[i, :episode.max_length]
             assert np.array_equal(got.view(np.int64), episode.dists[0].view(np.int64))
 
-    def test_empty_request_rejected(self):
+    @pytest.mark.parametrize("request_none", [
+        lambda env, params, cfg, sample: rollout_episodes(env, 0, params, cfg, 0.1, 0, stream=1),
+        lambda env, params, cfg, sample: sample(params, 0),
+        lambda env, params, cfg, sample: harness.evaluate(params, cfg, env, 0, seed=0),
+    ], ids=["rollout_episodes", "sample", "evaluate"])
+    def test_empty_request_rejected(self, request_none):
+        # the one guard sits in rollout_episodes, before any generator is built
         env = SwitchGame()
         params, cfg = actor_for(env, 0)
+        sample = sample_episode_fn(env, cfg, EpsilonSchedule(), 0)
         with pytest.raises(ValueError):
-            sample_episode_fn(env, cfg, EpsilonSchedule(), 0)(params, 0)
+            request_none(env, params, cfg, sample)
+        assert sample.counter == {"rollouts": 0, "env_steps": 0}

@@ -55,7 +55,7 @@ def iterate(buffer, trainer, sample, mode, kl_threshold=float("inf"), iterations
     windows = []
     for _ in range(iterations):
         sop_iteration(buffer, trainer, sample, mode, kl_threshold,
-                      lambda c, p, kls: windows.append(buffer.generations()))
+                      lambda c, p, kls: windows.append(buffer.batch.generations.tolist()))
     return windows
 
 
@@ -151,11 +151,11 @@ class TestReplayBuffer:
         env, trainer, buffer, sample = make_setup(b=3)
         for _ in range(3):
             buffer.insert(sample(trainer.actor, 1))
-        assert buffer.generations() == [0, 1, 2]
+        assert buffer.batch.generations.tolist() == [0, 1, 2]
         with pytest.raises(RuntimeError):
             buffer.insert(sample(trainer.actor, 1))
         buffer.evict_where([True, False, False])
-        assert buffer.generations() == [1, 2]
+        assert buffer.batch.generations.tolist() == [1, 2]
         with pytest.raises(RuntimeError):
             buffer.insert(sample(trainer.actor, 2))
 
@@ -166,10 +166,13 @@ class TestReplayBuffer:
         env, trainer, _, sample = make_setup(b=1)
         for _ in drop:
             buffer.insert(sample(trainer.actor, 1))
-        before = buffer.generations()
+        before = buffer.batch.generations.tolist()
         buffer.evict_where(drop)
         survivors = [g for g, d in zip(before, drop) if not d]
-        assert buffer.generations() == survivors
+        if survivors:
+            assert buffer.batch.generations.tolist() == survivors
+        else:
+            assert buffer.batch is None
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -203,12 +206,12 @@ class TestReplayBuffer:
                 drop = [arg[i % len(arg)] for i in range(len(buffer))]
                 buffer.evict_where(drop)
                 kept = [k for k, d in zip(kept, drop) if not d]
-            assert buffer.generations() == [g for g, _ in kept]
             if not kept:
-                assert buffer.batch is None and buffer.episodes == []
+                assert buffer.batch is None
                 continue
+            assert buffer.batch.generations.tolist() == [g for g, _ in kept]
             assert buffer.batch.max_length == max(t for _, t in kept)
-            rebuilt = Batch.from_episodes(buffer.episodes)
+            rebuilt = Batch.from_episodes([buffer.batch[i] for i in range(len(buffer))])
             for name, value in vars(buffer.batch).items():
                 other = getattr(rebuilt, name)
                 assert (value.dtype, value.shape) == (other.dtype, other.shape), name
@@ -219,7 +222,7 @@ class TestMaxBufferKl:
     def test_current_policy_buffer_reports_zero(self):
         env, trainer, buffer, sample = make_setup(b=3)
         fill(buffer, trainer, sample)
-        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.batch)
         assert max_mean_kl(kls) == (0.0, 0.0)
         assert [float(k.max()) for k in kls] == [0.0, 0.0, 0.0]
 
@@ -227,9 +230,9 @@ class TestMaxBufferKl:
         env, trainer, buffer, sample = make_setup(b=3)
         fill(buffer, trainer, sample)
         buffer.batch.dists[1] = 0.6 * buffer.batch.dists[1] + 0.4 / trainer.actor_cfg.n_actions
-        stale = buffer.episodes[1]
-        expected = float(episode_kls(trainer.actor, trainer.actor_cfg, [stale])[0].max())
-        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
+        stale = buffer.batch[1]
+        expected = float(episode_kls(trainer.actor, trainer.actor_cfg, stale)[0].max())
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.batch)
         assert max_mean_kl(kls)[0] == expected
         assert float(kls[0].max()) == 0.0 and float(kls[2].max()) == 0.0
         # per-step cross-check against the closed form
@@ -243,7 +246,7 @@ class TestMaxBufferKl:
     def test_exact_and_expectation_forms_agree(self):
         env, trainer, buffer, sample = make_setup(b=2)
         fill(buffer, trainer, sample)
-        episode = buffer.episodes[0]
+        episode = buffer.batch[0]
         episode.dists = 0.8 * episode.dists + 0.2 / trainer.actor_cfg.n_actions
         current = replay(trainer, episode)
         for t in range(episode.max_length):
@@ -256,7 +259,7 @@ class TestMaxBufferKl:
         env, trainer, buffer, sample = make_setup(b=2)
         fill(buffer, trainer, sample)
         buffer.batch.dists[0] = 0.5 * buffer.batch.dists[0] + 0.5 / 3
-        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes, "sampled")
+        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.batch, "sampled")
         max_kl, mean_kl = max_mean_kl(kls)
         assert max_kl > 0.0 and mean_kl >= 0.0
         assert all((k >= 0.0).all() for k in kls)
@@ -272,17 +275,17 @@ class TestEpisodeKlsBatching:
         actor = actor_init(rng, cfg)
         episodes = [random_episode(rng, 2, 3, 4, 3, t, generation=i)
                     for i, t in enumerate(lengths)]
-        base = episode_kls(actor, cfg, episodes, kind)
+        base = episode_kls(actor, cfg, Batch.from_episodes(episodes), kind)
         assert [k.shape for k in base] == [(t, 2) for t in lengths]
         order = rng.permutation(len(episodes))
-        shuffled = episode_kls(actor, cfg, [episodes[i] for i in order], kind)
+        shuffled = episode_kls(actor, cfg, Batch.from_episodes([episodes[i] for i in order]), kind)
         longer = random_episode(rng, 2, 3, 4, 3, max(lengths) + 2)
-        appended = episode_kls(actor, cfg, episodes + [longer], kind)
+        appended = episode_kls(actor, cfg, Batch.from_episodes(episodes + [longer]), kind)
         for k, i in enumerate(order):
             assert shuffled[k].tobytes() == base[i].tobytes()
         for i, kls in enumerate(base):
             assert appended[i].tobytes() == kls.tobytes()
-            assert episode_kls(actor, cfg, [episodes[i]], kind)[0].tobytes() == kls.tobytes()
+            assert episode_kls(actor, cfg, episodes[i], kind)[0].tobytes() == kls.tobytes()
 
 
 class TestReadOnlyBuffer:
@@ -309,7 +312,7 @@ class TestReadOnlyBuffer:
             return train(batch)
 
         def evaluation_row(critic_loss, policy_loss, kls):
-            max_mean_kl(kls or episode_kls(trainer.actor, actor_cfg, [buffer.batch]))
+            max_mean_kl(kls or episode_kls(trainer.actor, actor_cfg, buffer.batch))
             float(np.mean(buffer.batch.returns))
 
         trainer.train_on_batch = read_only
@@ -338,7 +341,7 @@ class TestOffIteration:
         env, trainer, buffer, sample = make_setup(b=3)
         windows = iterate(buffer, trainer, sample, "off", iterations=3)
         assert windows == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-        assert buffer.generations() == []
+        assert buffer.batch is None
 
 
 class TestPermissiveIteration:
@@ -346,7 +349,7 @@ class TestPermissiveIteration:
         env, trainer, buffer, sample = make_setup(b=4)
         windows = iterate(buffer, trainer, sample, "permissive", iterations=5)
         assert windows == [[k - 1, k, k + 1, k + 2] for k in range(1, 6)]
-        assert buffer.generations() == [5, 6, 7]
+        assert buffer.batch.generations.tolist() == [5, 6, 7]
 
     def test_capacity_one_trains_on_single_latest_episode(self):
         env, trainer, buffer, sample = make_setup(b=1)
@@ -368,13 +371,13 @@ class TestStrictIteration:
         permissive = iterate(buf_a, trainer_a, sample_a, "permissive", iterations=3)
         strict = iterate(buf_b, trainer_b, sample_b, "strict", float("inf"), iterations=3)
         assert strict == permissive
-        assert buf_b.generations() == buf_a.generations()
+        assert buf_b.batch.generations.tolist() == buf_a.batch.generations.tolist()
         assert params_equal(trainer_b.actor, trainer_a.actor)
 
     def test_zero_threshold_with_policy_change_empties_the_buffer(self):
         env, trainer, buffer, sample = make_setup(b=3, seed=12)
         iterate(buffer, trainer, sample, "strict", 0.0)
-        assert buffer.generations() == []
+        assert buffer.batch is None
         rollouts_before = sample.counter["rollouts"]
         iterate(buffer, trainer, sample, "strict", 0.0)
         # the next iteration trained purely on freshly sampled episodes
@@ -396,17 +399,18 @@ class TestStrictIteration:
         buffer.batch.dists[1] = 0.5 * buffer.batch.dists[1] + 0.5 * uniform
         buffer.batch.dists[2] = 0.95 * buffer.batch.dists[2] + 0.05 * uniform
         _, high, low = (float(k.max()) for k in
-                        episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes))
+                        episode_kls(trainer.actor, trainer.actor_cfg, buffer.batch))
         assert high > low > 0.0
         threshold = 0.5 * (high + low)
         iterate(buffer, trainer, sample, "strict", threshold)
         # evicted: generation 0 (oldest) and generation 1 (diverged past threshold)
-        assert buffer.generations() == [2, 3]
+        assert buffer.batch.generations.tolist() == [2, 3]
 
-    def test_negative_threshold_rejected(self):
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+    def test_negative_threshold_rejected(self, threshold):
         env, trainer, buffer, sample = make_setup(b=2)
         with pytest.raises(ValueError):
-            iterate(buffer, trainer, sample, "strict", -0.1)
+            iterate(buffer, trainer, sample, "strict", threshold)
 
     def test_consumes_exactly_as_many_episodes_as_it_evicted(self):
         env, trainer, buffer, sample = make_setup(b=4, seed=14)
@@ -422,13 +426,13 @@ class TestStrictIteration:
         seen = []
 
         def on_train_end(critic_loss, policy_loss, kls):
-            expected = episode_kls(trainer.actor, trainer.actor_cfg, buffer.episodes)
+            expected = episode_kls(trainer.actor, trainer.actor_cfg, buffer.batch)
             assert [k.tobytes() for k in kls] == [k.tobytes() for k in expected]
             seen.append(eviction_flags("strict", kls, 0.01, len(buffer)))
 
         sop_iteration(buffer, trainer, sample, "strict", 0.01, on_train_end)
         survivors = [g for g, d in zip([0, 1, 2], seen[0]) if not d]
-        assert buffer.generations() == survivors
+        assert buffer.batch.generations.tolist() == survivors
         for mode, threshold in (("off", 0.01), ("permissive", 0.01), ("strict", np.inf)):
             sop_iteration(buffer, trainer, sample, mode, threshold,
                           lambda c, p, kls: seen.append(kls))
