@@ -296,7 +296,7 @@ def _write_csv(path: str | Path, header: str, rows: list[dict]) -> None:
 def _save_params(path: Path, trainer: Trainer) -> None:
     arrays = {f"actor/{k}": v.data for k, v in trainer.actor.items()}
     arrays.update({f"critic/{k}": v.data for k, v in trainer.critic.items()})
-    arrays.update({f"target/{k}": v.data for k, v in trainer.target.params.items()})
+    arrays.update({f"target/{k}": v.data for k, v in trainer.target.items()})
     np.savez(path, **arrays)
 
 

@@ -11,10 +11,10 @@ discounted return and lambda = 0 is exactly the one-step target).
 One critic update, ``critic_update``, serves both training schedules with
 targets fixed up front; the schedule is the sweep. ``minibatch`` takes one
 optimiser step per timestep, sweeping t = T..1, and ``wholebatch`` takes a
-single step on the loss summed over all timesteps. Every optimiser step
-advances the target-network counter. The updates write the trainer's
-parameters, RMSProp accumulators and target network in place. The settings
-they read are declared and checked once, in ``LearnConfig``, which
+single step on the loss summed over all timesteps. ``Trainer`` holds the
+whole learner, target network and its step count included; the update
+functions take it first and write its arrays in place. The settings they
+read are declared and checked once, in ``LearnConfig``, which
 ``harness.RunConfig`` extends.
 
 The actor is replayed over a batch by ``unroll_policy`` in one hoisted pass:
@@ -154,27 +154,6 @@ def batch_td_lambda_targets(rewards: Array, boots: Array, lengths: Array, lam: f
 
 
 # ---------------------------------------------------------------------------
-# Target network bookkeeping
-
-
-@dataclass
-class TargetNetState:
-    """Target parameters in arrays of their own, and optimiser steps since the last sync."""
-
-    params: ParamSet
-    counter: int = 0
-
-
-def target_sync(state: TargetNetState, online: ParamSet, period: int) -> None:
-    """Copy the online values into the target's arrays and reset the counter
-    when the counter has reached ``period``."""
-    if state.counter >= period:
-        for name, tensor in state.params.items():
-            np.copyto(tensor.data, online[name].data)
-        state.counter = 0
-
-
-# ---------------------------------------------------------------------------
 # Batched network inputs
 
 
@@ -262,52 +241,60 @@ def critic_loss_tensor(params: ParamSet, inputs: Array, targets: Array,
     return ad.record(np.asarray(((diff * diff) * w).sum()), (out,), backward)
 
 
-def prepare_critic_batch(batch: Batch, inputs: Array, algo: str,
-                         target: TargetNetState, lam: float, gamma: float):
+def _descend(params: ParamSet, accs: dict[str, Array], cfg: LearnConfig, loss: Tensor,
+             name: str) -> float:
+    """One RMSProp step in place on ``loss``, a scalar node over ``params``;
+    returns its value. A non-finite loss raises before any parameter moves."""
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise NumericError(f"{name} loss is not finite")
+    params.zero_grads()
+    loss.backward()
+    ad.rmsprop_step(params, accs, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
+    return value
+
+
+def prepare_critic_batch(trainer: Trainer, batch: Batch, inputs: Array):
     """Assemble (targets, weights, actions) for critic training on the
     batch's ``critic_batch_inputs``; targets bootstrap on the target network."""
-    coma = algo == "coma"
+    cfg = trainer.cfg
+    coma = cfg.algo == "coma"
     actions = batch.actions if coma else None
     with ad.no_grad():
-        boots = _critic_values(target.params, inputs).data
+        boots = _critic_values(trainer.target, inputs).data
     if coma:
         boots = np.take_along_axis(boots, actions.reshape(-1, 1), axis=1)
     boots = boots.reshape(len(batch), batch.max_length, *((-1,) if coma else ()))
-    targets = batch_td_lambda_targets(batch.rewards, boots, batch.lengths, lam, gamma)
+    targets = batch_td_lambda_targets(batch.rewards, boots, batch.lengths, cfg.lam, cfg.gamma)
     weights = np.broadcast_to(batch.pad[:, :, None], targets.shape).copy() if coma else batch.pad
     return targets, weights, actions
 
 
-def critic_update(
-    batch: Batch, inputs: Array, cfg: LearnConfig, params: ParamSet, accs: dict[str, Array],
-    target: TargetNetState,
-) -> float:
+def critic_update(trainer: Trainer, batch: Batch, inputs: Array) -> float:
     """Fit the critic to TD(lambda) targets in place; returns the summed loss.
 
     Targets are computed once from the target network before any step. The
     schedule is the sweep: ``wholebatch`` takes one step on the loss summed
     over every timestep, ``minibatch`` one step per timestep for t = T..1.
-    The target counter advances on every optimiser step. A ``NumericError``
-    part-way through a minibatch sweep leaves the critic with the steps
-    already taken; ``run_experiment`` then saves no parameters.
+    Each step advances ``target_steps``; at ``target_period`` the critic's
+    values are copied into the target's arrays and the count restarts. A
+    ``NumericError`` part-way through a minibatch sweep leaves the critic
+    with the steps already taken; ``run_experiment`` then saves no parameters.
     """
-    targets, weights, actions = prepare_critic_batch(
-        batch, inputs, cfg.algo, target, cfg.lam, cfg.gamma)
+    cfg, critic = trainer.cfg, trainer.critic
+    targets, weights, actions = prepare_critic_batch(trainer, batch, inputs)
     sweep = (range(batch.max_length - 1, -1, -1) if cfg.critic_schedule == "minibatch"
              else [slice(None)])
     total = 0.0
     for t in sweep:
-        params.zero_grads()
         step_actions = actions[:, t] if actions is not None else None
-        loss = critic_loss_tensor(params, inputs[:, t], targets[:, t], weights[:, t], step_actions)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise NumericError("critic loss is not finite")
-        total += value
-        loss.backward()
-        ad.rmsprop_step(params, accs, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
-        target.counter += 1
-        target_sync(target, params, cfg.target_period)
+        loss = critic_loss_tensor(critic, inputs[:, t], targets[:, t], weights[:, t], step_actions)
+        total += _descend(critic, trainer.critic_opt, cfg, loss, "critic")
+        trainer.target_steps += 1
+        if trainer.target_steps >= cfg.target_period:
+            for name, tensor in trainer.target.items():
+                np.copyto(tensor.data, critic[name].data)
+            trainer.target_steps = 0
     return total
 
 
@@ -315,22 +302,21 @@ def critic_update(
 # Advantage computation (online critic, current policy probabilities)
 
 
-def compute_advantages(
-    batch: Batch, inputs: Array, algo: str, critic_params: ParamSet,
-    probs: Tensor | None, gamma: float, gamma_adv_one: bool,
-) -> Array:
-    """(B, T, n) advantages from the batch's ``critic_batch_inputs``; padded
-    steps come out exactly zero.
+def compute_advantages(trainer: Trainer, batch: Batch, inputs: Array,
+                       probs: Tensor | None) -> Array:
+    """(B, T, n) advantages of the online critic from the batch's
+    ``critic_batch_inputs``; padded steps come out exactly zero.
 
     ``probs`` is ``unroll_policy`` of the current actor over the batch; the
     counterfactual baselines of ``coma`` and ``coma-cc`` read its values, and
     ``centralv`` ignores it.
     """
+    algo = trainer.cfg.algo
     b, t_max, n, _ = batch.dists.shape
     if algo == "centralv":
         with ad.no_grad():
-            values = _critic_values(critic_params, inputs).data.reshape(b, t_max)
-        gamma_adv = 1.0 if gamma_adv_one else gamma
+            values = _critic_values(trainer.critic, inputs).data.reshape(b, t_max)
+        gamma_adv = 1.0 if trainer.cfg.gamma_adv_one else trainer.cfg.gamma
         v_next = np.zeros_like(values)
         v_next[:, :-1] = values[:, 1:]
         steps = np.arange(t_max)[None, :]
@@ -351,7 +337,7 @@ def compute_advantages(
     own = batch.actions[..., None]
     if algo == "coma-cc":
         needed[:, :, 1:] &= own[:, :, 1:] != np.arange(batch.avail.shape[-1])
-    rows = cr.counterfactual_values(critic_params, _batch_layout(batch, algo), inputs, needed)
+    rows = cr.counterfactual_values(trainer.critic, _batch_layout(batch, algo), inputs, needed)
     taken = np.take_along_axis(rows, own, axis=-1)
     if algo == "coma-cc":
         taken[:, :, 1:] = taken[:, :, :1]
@@ -390,24 +376,16 @@ def policy_loss(batch: Batch, advantages: Array, probs: Tensor) -> Tensor:
     return ad.record(np.asarray(total * -1.0), (probs,), backward)
 
 
-def policy_gradient_update(
-    batch: Batch, advantages: Array, probs: Tensor, params: ParamSet,
-    accs: dict[str, Array], cfg: LearnConfig,
-) -> float:
+def policy_gradient_update(trainer: Trainer, batch: Batch, advantages: Array,
+                           probs: Tensor) -> float:
     """One optimiser step in place on the policy-gradient loss of ``probs``, a
-    taped ``unroll_policy`` of ``params`` over the batch; returns the loss.
+    taped ``unroll_policy`` of the actor over the batch; returns the loss.
 
     Advantages enter as constants; no gradient reaches the critic. A
     non-finite loss raises without touching the parameters.
     """
-    params.zero_grads()
     loss = policy_loss(batch, advantages, probs)
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise NumericError("policy loss is not finite")
-    loss.backward()
-    ad.rmsprop_step(params, accs, cfg.lr, cfg.rms_alpha, cfg.rms_eps)
-    return value
+    return _descend(trainer.actor, trainer.actor_opt, trainer.cfg, loss, "policy")
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +431,9 @@ class LearnConfig:
 
 @dataclass
 class Trainer:
-    """Actor/critic parameters and optimiser state, which the update recipe writes in place."""
+    """The whole learner, which the update functions write in place: the
+    actor, the critic and their RMSProp accumulators, and the target network
+    with the optimiser steps taken since its last sync."""
 
     cfg: LearnConfig
     actor_cfg: ActorConfig
@@ -461,7 +441,8 @@ class Trainer:
     actor_opt: dict[str, Array]  # RMSProp accumulators, keyed like the parameters
     critic: ParamSet
     critic_opt: dict[str, Array]
-    target: TargetNetState
+    target: ParamSet  # the critic's values at the last sync, in arrays of their own
+    target_steps: int = 0
 
     @classmethod
     def create(
@@ -483,7 +464,7 @@ class Trainer:
             actor_opt=ad.rmsprop_init(actor),
             critic=critic,
             critic_opt=ad.rmsprop_init(critic),
-            target=TargetNetState(critic.copy()),
+            target=critic.copy(),
         )
 
     def train_on_batch(self, batch: Batch) -> tuple[float, float]:
@@ -493,13 +474,7 @@ class Trainer:
         values of the same taped unroll that the policy loss differentiates.
         """
         inputs = critic_batch_inputs(batch, self.cfg.algo)
-        critic_loss = critic_update(
-            batch, inputs, self.cfg, self.critic, self.critic_opt, self.target)
+        critic_loss = critic_update(self, batch, inputs)
         probs = unroll_policy(self.actor, self.actor_cfg, batch)
-        advantages = compute_advantages(
-            batch, inputs, self.cfg.algo, self.critic, probs,
-            self.cfg.gamma, self.cfg.gamma_adv_one,
-        )
-        actor_loss = policy_gradient_update(
-            batch, advantages, probs, self.actor, self.actor_opt, self.cfg)
-        return critic_loss, actor_loss
+        advantages = compute_advantages(self, batch, inputs, probs)
+        return critic_loss, policy_gradient_update(self, batch, advantages, probs)

@@ -17,11 +17,9 @@ eviction selects the survivors, so training, the KL replay and evaluation
 all read the same arrays and nothing is re-padded per update. Divergences
 compare the stored per-step distributions with the current policy, replayed
 over every episode at once by the padded batched unroll of
-``learn.batch_policy_probs``; no old network ever needs replaying. The
-``sampled`` estimator kind reproduces the single-sample form
-q/p - 1 - log(q/p)  evaluated at the recorded actions (``kl_estimator_term``);
-its expectation over the full support equals ``kl_exact`` (acceptance
-criterion 2).
+``learn.batch_policy_probs``; no old network ever needs replaying.
+``kl_estimator_term`` is the single-sample form q/p - 1 - log(q/p), whose
+expectation over the full support equals ``kl_exact`` (acceptance criterion 2).
 """
 
 from __future__ import annotations
@@ -106,23 +104,11 @@ class ReplayBuffer:
 # Buffer divergence diagnostics
 
 
-def episode_kls(actor: ParamSet, cfg: ActorConfig, batch: Batch,
-                kind: str = "exact") -> list[Array]:
+def episode_kls(actor: ParamSet, cfg: ActorConfig, batch: Batch) -> list[Array]:
     """Per-step divergences KL(current || stored), one (T_i, n) array per
     episode of the batch, cut to its length, from one replay of the current
     policy over the whole batch."""
-    if kind not in ("exact", "sampled"):
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    current = batch_policy_probs(actor, cfg, batch)
-    if kind == "exact":
-        kls = kl_exact(current, batch.dists)
-    else:
-        taken = batch.actions[..., None]
-        p = np.take_along_axis(current, taken, axis=-1)[..., 0]
-        q = np.take_along_axis(batch.dists, taken, axis=-1)[..., 0]
-        # padded steps store all-zero dists; give them a neutral ratio
-        real = batch.pad[..., None] > 0.0
-        kls = kl_estimator_term(np.where(real, p, 1.0), np.where(real, q, 1.0))
+    kls = kl_exact(batch_policy_probs(actor, cfg, batch), batch.dists)
     return [kls[i, :length] for i, length in enumerate(batch.lengths)]
 
 

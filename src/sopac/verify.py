@@ -77,7 +77,7 @@ def _check_trainer(rng: np.random.Generator, algo: str) -> Trainer:
     dims = CHECK_DIMS
     actor_cfg = ActorConfig(dims["obs_width"], dims["n"], dims["m"], dims["gru_hidden"])
     return Trainer.create(
-        LearnConfig(algo=algo), actor_cfg, dims["state_width"],
+        LearnConfig(algo=algo, gamma_adv_one=False), actor_cfg, dims["state_width"],
         np.random.default_rng(rng.integers(2**32)),
         np.random.default_rng(rng.integers(2**32)),
         critic_hidden=dims["critic_hidden"],
@@ -154,16 +154,14 @@ def gradient_suite(seeds: int = 20, step: float = 1e-5) -> GradSuiteResult:
                 )
                 if not margins_ok and attempt < 199:
                     continue  # rejected anyway; the last draw is still checked
-                targets, weights, actions = prepare_critic_batch(
-                    batch, inputs, algo, trainer.target, trainer.cfg.lam, trainer.cfg.gamma)
+                targets, weights, actions = prepare_critic_batch(trainer, batch, inputs)
 
                 def critic_loss(params: ParamSet) -> ad.Tensor:
                     return critic_loss_tensor(params, inputs, targets, weights, actions)
 
                 with ad.no_grad():
                     probs = unroll_policy(trainer.actor, trainer.actor_cfg, batch)
-                adv = compute_advantages(batch, inputs, algo, trainer.critic, probs,
-                                         trainer.cfg.gamma, gamma_adv_one=False)
+                adv = compute_advantages(trainer, batch, inputs, probs)
 
                 def actor_loss(params: ParamSet) -> ad.Tensor:
                     return policy_loss(batch, adv, unroll_policy(params, trainer.actor_cfg, batch))
@@ -248,8 +246,7 @@ def switch_oracle_check(
         updates = 0
         for updates in range(1, max_updates + 1):
             b = uniform_switch_episodes(env, rng, batch)
-            critic_update(b, critic_batch_inputs(b, algo), trainer.cfg, trainer.critic,
-                          trainer.critic_opt, trainer.target)
+            critic_update(trainer, b, critic_batch_inputs(b, algo))
             if updates % 25 == 0 or updates == max_updates:
                 if algo == "centralv":
                     with ad.no_grad():

@@ -167,8 +167,7 @@ def test_criterion_06_target_semantics():
         LearnConfig(algo="coma-cc"), ActorConfig(3, 2, 3, 6), 4,
         np.random.default_rng(61), np.random.default_rng(62), critic_hidden=(8, 8))
     inputs = learn.critic_batch_inputs(batch, "coma-cc")
-    targets, weights, actions = learn.prepare_critic_batch(
-        batch, inputs, "coma-cc", trainer.target, 0.8, 0.99)
+    targets, weights, actions = learn.prepare_critic_batch(trainer, batch, inputs)
     trainer.critic.zero_grads()
     learn.critic_loss_tensor(trainer.critic, inputs, targets, weights, actions).backward()
     whole = trainer.critic.grad_set()

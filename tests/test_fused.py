@@ -201,8 +201,7 @@ class TestLossesOnPaddedBatch:
 
         def run():
             trainer = self.trainer(algo, 34)
-            targets, weights, actions = learn.prepare_critic_batch(
-                batch, inputs, algo, trainer.target, 0.8, 0.99)
+            targets, weights, actions = learn.prepare_critic_batch(trainer, batch, inputs)
             loss = learn.critic_loss_tensor(trainer.critic, inputs, targets, weights, actions)
             loss.backward()
             return loss.data, param_grads(trainer.critic)
@@ -219,8 +218,7 @@ class TestLossesOnPaddedBatch:
         batch = self.batch(37)
         inputs = critic_batch_inputs(batch, algo)
         trainer = self.trainer(algo, 38)
-        targets, weights, actions = learn.prepare_critic_batch(
-            batch, inputs, algo, trainer.target, 0.8, 0.99)
+        targets, weights, actions = learn.prepare_critic_batch(trainer, batch, inputs)
         for t in [slice(None), *range(batch.max_length)]:
             step_actions = None if actions is None else actions[:, t]
             runs = []
@@ -245,7 +243,7 @@ class TestLossesOnPaddedBatch:
         (fused_losses, fused), (composed_losses, composed) = both(run)
         assert_bits_equal(fused_losses, composed_losses)
         for mine, theirs in ((fused.actor, composed.actor), (fused.critic, composed.critic),
-                             (fused.target.params, composed.target.params)):
+                             (fused.target, composed.target)):
             assert_each_bits_equal({k: v.data for k, v in mine.items()},
                                {k: v.data for k, v in theirs.items()})
         for mine, theirs in ((fused.actor_opt, composed.actor_opt),

@@ -106,7 +106,7 @@ class TestRunConfig:
         batch = rollout_episodes(env, 3, trainer.actor, trainer.actor_cfg, 0.5, 0, stream=1)
         assert trainer.train_on_batch(batch) == twin.train_on_batch(batch)
         for mine, theirs in ((trainer.actor, twin.actor), (trainer.critic, twin.critic),
-                             (trainer.target.params, twin.target.params)):
+                             (trainer.target, twin.target)):
             assert params_equal(mine, theirs)
 
     def test_hash_is_stable_and_sensitive(self):

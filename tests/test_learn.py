@@ -8,20 +8,18 @@ from hypothesis import strategies as st
 from sopac import autodiff as ad
 from sopac import critic as cr
 from sopac import learn
-from sopac.autodiff import NumericError, ParamSet
+from sopac.autodiff import NumericError
 from sopac.envs import SwitchGame
 from sopac.harness import ConfigError, RunConfig
 from sopac.learn import (
     Batch,
     LearnConfig,
-    TargetNetState,
     Trainer,
     compute_advantages,
     critic_batch_inputs,
     critic_update,
     policy_gradient_update,
     prepare_critic_batch,
-    target_sync,
 )
 from sopac.policy import ActorConfig, actor_init
 from sopac.verify import random_batch, random_episode, uniform_switch_episodes
@@ -189,17 +187,16 @@ class TestAdvantages:
     def test_centralv_advantages_identical_across_agents(self):
         trainer = make_trainer("centralv")
         batch = random_batch(np.random.default_rng(1), DIMS)
-        adv = compute_advantages(batch, critic_batch_inputs(batch, "centralv"), "centralv",
-                                 trainer.critic, unrolled(trainer, batch), 0.99, True)
+        adv = compute_advantages(trainer, batch, critic_batch_inputs(batch, "centralv"),
+                                 unrolled(trainer, batch))
         assert np.array_equal(adv[:, :, 0], adv[:, :, 1])
 
     @pytest.mark.parametrize("gamma_adv_one", [True, False])
     def test_centralv_batch_matches_scalar_advantage_bit_for_bit(self, gamma_adv_one):
-        trainer = make_trainer("centralv", seed=5)
+        trainer = make_trainer("centralv", seed=5, gamma=0.9, gamma_adv_one=gamma_adv_one)
         batch = random_batch(np.random.default_rng(6), dict(DIMS, batch=5))
-        adv = compute_advantages(batch, critic_batch_inputs(batch, "centralv"), "centralv",
-                                 trainer.critic, unrolled(trainer, batch), 0.9,
-                                 gamma_adv_one)
+        adv = compute_advantages(trainer, batch, critic_batch_inputs(batch, "centralv"),
+                                 unrolled(trainer, batch))
         values = learn._critic_values(trainer.critic, batch.states).data
         values = values.reshape(len(batch), batch.max_length)
         gamma_adv = 1.0 if gamma_adv_one else 0.9
@@ -214,10 +211,10 @@ class TestAdvantages:
             assert np.array_equal(adv[:, :, a].view(np.int64), expected.view(np.int64))
 
     def test_comacc_taken_value_consistent_with_baseline_definition(self):
-        trainer = make_trainer("coma-cc")
+        trainer = make_trainer("coma-cc", gamma_adv_one=False)
         batch = random_batch(np.random.default_rng(2), DIMS)
-        adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
-                                 trainer.critic, unrolled(trainer, batch), 0.99, False)
+        adv = compute_advantages(trainer, batch, critic_batch_inputs(batch, "coma-cc"),
+                                 unrolled(trainer, batch))
         assert np.isfinite(adv).all()
         assert (adv[batch.pad == 0.0] == 0.0).all()
 
@@ -231,7 +228,8 @@ class TestAdvantages:
 
         env = CaptureGrid(CaptureGridConfig(side=5, horizon=20))
         actor_cfg = ActorConfig(env.spec.obs_width, 2, 5, gru_hidden=8)
-        trainer = Trainer.create(LearnConfig(algo=algo), actor_cfg, env.spec.state_width,
+        trainer = Trainer.create(LearnConfig(algo=algo, gamma_adv_one=False), actor_cfg,
+                                 env.spec.state_width,
                                  np.random.default_rng(30), np.random.default_rng(31),
                                  critic_hidden=(16, 16))
         batch = rollout_episodes(env, 6, trainer.actor, actor_cfg, 0.5, seed=45, stream=1)
@@ -239,7 +237,7 @@ class TestAdvantages:
         assert not real.all() and (batch.avail[real] == 0.0).any()
         inputs = critic_batch_inputs(batch, algo)
         probs = unrolled(trainer, batch)
-        adv = compute_advantages(batch, inputs, algo, trainer.critic, probs, 0.99, False)
+        adv = compute_advantages(trainer, batch, inputs, probs)
         table = cr.counterfactual_values(trainer.critic, learn._batch_layout(batch, algo), inputs)
         taken = np.take_along_axis(table, batch.actions[..., None], axis=-1)[..., 0]
         expected = taken - np.einsum("btam,btam->bta", learn._by_episode(batch, probs.data), table)
@@ -253,9 +251,8 @@ class TestPolicyGradientUpdate:
         batch = random_batch(np.random.default_rng(3), DIMS)
         before = trainer.actor.copy()
         loss = policy_gradient_update(
-            batch, np.zeros((len(batch), batch.max_length, DIMS["n"])),
-            unrolled(trainer, batch), trainer.actor, trainer.actor_opt, trainer.cfg,
-        )
+            trainer, batch, np.zeros((len(batch), batch.max_length, DIMS["n"])),
+            unrolled(trainer, batch))
         assert loss == 0.0
         assert params_equal(trainer.actor, before)
 
@@ -267,17 +264,16 @@ class TestPolicyGradientUpdate:
         adv = np.zeros((1, 1, DIMS["n"]))
         adv[0, 0, 0] = 1.0
         probs_before = learn.batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)
-        policy_gradient_update(
-            batch, adv, unrolled(trainer, batch), trainer.actor, trainer.actor_opt, trainer.cfg)
+        policy_gradient_update(trainer, batch, adv, unrolled(trainer, batch))
         probs_after = learn.batch_policy_probs(trainer.actor, trainer.actor_cfg, batch)
         u = episode.actions[0, 0, 0]
         assert probs_after[0, 0, 0, u] > probs_before[0, 0, 0, u]
 
     def test_gradient_matches_finite_differences(self):
-        trainer = make_trainer("coma-cc", seed=6)
+        trainer = make_trainer("coma-cc", seed=6, gamma_adv_one=False)
         batch = random_batch(np.random.default_rng(7), DIMS)
-        adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
-                                 trainer.critic, unrolled(trainer, batch), 0.99, False)
+        adv = compute_advantages(trainer, batch, critic_batch_inputs(batch, "coma-cc"),
+                                 unrolled(trainer, batch))
 
         def loss(params):
             probs = learn.unroll_policy(params, trainer.actor_cfg, batch)
@@ -291,18 +287,16 @@ class TestPolicyGradientUpdate:
         before = trainer.actor.copy()
         bad = np.full((len(batch), batch.max_length, DIMS["n"]), np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            policy_gradient_update(batch, bad, unrolled(trainer, batch), trainer.actor,
-                                   trainer.actor_opt, trainer.cfg)
+            policy_gradient_update(trainer, batch, bad, unrolled(trainer, batch))
         assert params_equal(trainer.actor, before)
 
     def test_no_gradient_reaches_the_critic(self):
-        trainer = make_trainer("coma-cc", seed=10)
+        trainer = make_trainer("coma-cc", seed=10, gamma_adv_one=False)
         batch = random_batch(np.random.default_rng(11), DIMS)
         critic_before = trainer.critic.copy()
-        adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
-                                 trainer.critic, unrolled(trainer, batch), 0.99, False)
-        policy_gradient_update(batch, adv, unrolled(trainer, batch), trainer.actor,
-                               trainer.actor_opt, trainer.cfg)
+        adv = compute_advantages(trainer, batch, critic_batch_inputs(batch, "coma-cc"),
+                                 unrolled(trainer, batch))
+        policy_gradient_update(trainer, batch, adv, unrolled(trainer, batch))
         assert params_equal(trainer.critic, critic_before)
         assert all(v.grad is None for _, v in trainer.critic.items())
 
@@ -317,43 +311,41 @@ class TestCriticSchedules:
         a = make_trainer("coma-cc", seed=13, critic_schedule="minibatch")
         b = make_trainer("coma-cc", seed=13, critic_schedule="wholebatch")
         inputs = critic_batch_inputs(batch, "coma-cc")
-        la = critic_update(batch, inputs, a.cfg, a.critic, a.critic_opt, a.target)
-        lb = critic_update(batch, inputs, b.cfg, b.critic, b.critic_opt, b.target)
+        la = critic_update(a, batch, inputs)
+        lb = critic_update(b, batch, inputs)
         assert params_equal(a.critic, b.critic)
         assert la == lb
-        assert a.target.counter == b.target.counter
+        assert a.target_steps == b.target_steps
 
     @pytest.mark.parametrize("schedule", ["minibatch", "wholebatch"])
     def test_perfect_critic_is_a_fixed_point(self, schedule):
         trainer = make_trainer("centralv", seed=14, critic_schedule=schedule)
-        zero_critic = ParamSet({k: np.zeros_like(v.data) for k, v in trainer.critic.items()})
+        for params in (trainer.critic, trainer.target):
+            for _, tensor in params.items():
+                tensor.data[...] = 0.0
         episode = random_episode(np.random.default_rng(15), DIMS["n"], DIMS["m"],
                                  DIMS["state_width"], DIMS["obs_width"], 3)
         episode.rewards[:] = 0.0  # zero targets match the zero critic everywhere
         batch = Batch.from_episodes([episode])
-        target = TargetNetState(zero_critic.copy())
-        before = zero_critic.copy()
-        loss = critic_update(
-            batch, critic_batch_inputs(batch, "centralv"), trainer.cfg, zero_critic,
-            ad.rmsprop_init(zero_critic), target)
+        before = trainer.critic.copy()
+        loss = critic_update(trainer, batch, critic_batch_inputs(batch, "centralv"))
         assert loss == 0.0
-        assert params_equal(zero_critic, before)
+        assert params_equal(trainer.critic, before)
 
     def test_multistep_minibatch_differs_from_wholebatch(self):
         batch = random_batch(np.random.default_rng(16), dict(DIMS, max_len=2))
         a = make_trainer("centralv", seed=17, critic_schedule="minibatch")
         b = make_trainer("centralv", seed=17, critic_schedule="wholebatch")
         inputs = critic_batch_inputs(batch, "centralv")
-        critic_update(batch, inputs, a.cfg, a.critic, a.critic_opt, a.target)
-        critic_update(batch, inputs, b.cfg, b.critic, b.critic_opt, b.target)
+        critic_update(a, batch, inputs)
+        critic_update(b, batch, inputs)
         assert not params_equal(a.critic, b.critic)
 
     def test_wholebatch_gradient_is_sum_of_per_step_gradients(self):
         trainer = make_trainer("coma-cc", seed=18)
         batch = random_batch(np.random.default_rng(19), DIMS)
         inputs = critic_batch_inputs(batch, "coma-cc")
-        targets, weights, actions = prepare_critic_batch(
-            batch, inputs, "coma-cc", trainer.target, 0.8, 0.99)
+        targets, weights, actions = prepare_critic_batch(trainer, batch, inputs)
 
         trainer.critic.zero_grads()
         learn.critic_loss_tensor(trainer.critic, inputs, targets, weights, actions).backward()
@@ -387,8 +379,7 @@ class TestCriticSchedules:
         inputs = critic_batch_inputs(batch, "coma-cc")
         loss = np.inf
         for _ in range(4000):
-            loss = critic_update(
-                batch, inputs, trainer.cfg, trainer.critic, trainer.critic_opt, trainer.target)
+            loss = critic_update(trainer, batch, inputs)
             if loss < 1e-3:
                 break
         assert loss < 1e-3
@@ -401,8 +392,7 @@ class TestCriticSchedules:
         episode.rewards[0] = np.inf
         batch = Batch.from_episodes([episode])
         with pytest.raises(NumericError):
-            critic_update(batch, critic_batch_inputs(batch, "centralv"), trainer.cfg,
-                          trainer.critic, trainer.critic_opt, trainer.target)
+            critic_update(trainer, batch, critic_batch_inputs(batch, "centralv"))
 
     def test_target_counter_and_loss_follow_the_sweep(self):
         # wholebatch steps once on the summed loss; minibatch steps once per
@@ -413,14 +403,12 @@ class TestCriticSchedules:
         whole = make_trainer("coma", seed=31, critic_schedule="wholebatch")
         mini = make_trainer("coma", seed=31, critic_schedule="minibatch")
         inputs = critic_batch_inputs(batch, "coma")
-        targets, weights, actions = prepare_critic_batch(
-            batch, inputs, "coma", whole.target, 0.8, 0.99)
+        targets, weights, actions = prepare_critic_batch(whole, batch, inputs)
 
         summed = float(learn.critic_loss_tensor(
             whole.critic, inputs, targets, weights, actions).data)
-        loss = critic_update(batch, inputs, whole.cfg, whole.critic,
-                             whole.critic_opt, whole.target)
-        assert whole.target.counter == 1
+        loss = critic_update(whole, batch, inputs)
+        assert whole.target_steps == 1
         assert loss == summed
 
         # the same sweep by hand, on a second copy of the minibatch trainer
@@ -433,8 +421,8 @@ class TestCriticSchedules:
             per_step.append(float(step.data))
             step.backward()
             ad.rmsprop_step(params, opt, 0.005, 0.99, 1e-5)
-        loss = critic_update(batch, inputs, mini.cfg, mini.critic, mini.critic_opt, mini.target)
-        assert mini.target.counter == t_max
+        loss = critic_update(mini, batch, inputs)
+        assert mini.target_steps == t_max
         assert loss == sum(per_step)
         assert params_equal(mini.critic, params)
 
@@ -459,24 +447,30 @@ class TestLearnConfig:
 
 
 class TestTargetNetwork:
+    @staticmethod
+    def stale_trainer(seed, steps):
+        """A wholebatch trainer whose target differs from its critic and has
+        ``steps`` optimiser steps since its last sync, and a batch."""
+        trainer = make_trainer("centralv", seed=seed, target_period=200)
+        for _, tensor in trainer.target.items():
+            tensor.data += 1.0
+        trainer.target_steps = steps
+        return trainer, random_batch(np.random.default_rng(seed), DIMS)
+
     def test_sync_copies_online_exactly_and_resets_counter(self):
-        rng = np.random.default_rng(24)
-        online = cr.critic_init(rng, 4, 1, hidden=(8, 8))
-        stale = cr.critic_init(rng, 4, 1, hidden=(8, 8))
-        state = TargetNetState(stale, counter=200)
-        assert target_sync(state, online, 200) is None
-        assert params_equal(state.params, online)
-        assert state.counter == 0
+        trainer, batch = self.stale_trainer(24, 199)
+        critic_update(trainer, batch, critic_batch_inputs(batch, "centralv"))
+        assert params_equal(trainer.target, trainer.critic)
+        for name, tensor in trainer.critic.items():
+            assert not np.shares_memory(trainer.target[name].data, tensor.data)
+        assert trainer.target_steps == 0
 
     def test_below_period_leaves_target_unchanged(self):
-        rng = np.random.default_rng(25)
-        online = cr.critic_init(rng, 4, 1, hidden=(8, 8))
-        stale = cr.critic_init(rng, 4, 1, hidden=(8, 8))
-        state = TargetNetState(stale, counter=199)
-        before = stale.copy()
-        assert target_sync(state, online, 200) is None
-        assert params_equal(state.params, before)
-        assert state.counter == 199
+        trainer, batch = self.stale_trainer(25, 198)
+        before = trainer.target.copy()
+        critic_update(trainer, batch, critic_batch_inputs(batch, "centralv"))
+        assert params_equal(trainer.target, before)
+        assert trainer.target_steps == 199
 
     def test_exactly_one_sync_in_two_hundred_wholebatch_iterations(self):
         trainer = make_trainer("centralv", seed=26, target_period=200)
@@ -484,13 +478,12 @@ class TestTargetNetwork:
         inputs = critic_batch_inputs(batch, "centralv")
         syncs = 0
         for _ in range(200):
-            critic_update(
-                batch, inputs, trainer.cfg, trainer.critic, trainer.critic_opt, trainer.target)
-            if trainer.target.counter == 0:
+            critic_update(trainer, batch, inputs)
+            if trainer.target_steps == 0:
                 syncs += 1
-                assert params_equal(trainer.target.params, trainer.critic)
+                assert params_equal(trainer.target, trainer.critic)
         assert syncs == 1
-        assert trainer.target.counter == 0
+        assert trainer.target_steps == 0
 
     @pytest.mark.parametrize("algo", ["centralv", "coma", "coma-cc"])
     def test_training_writes_the_trainers_own_arrays(self, algo):
@@ -500,7 +493,7 @@ class TestTargetNetwork:
         batch = random_batch(np.random.default_rng(29), DIMS)
 
         def tensors():
-            return [t for params in (trainer.actor, trainer.critic, trainer.target.params)
+            return [t for params in (trainer.actor, trainer.critic, trainer.target)
                     for _, t in params.items()]
 
         def owned():
@@ -509,7 +502,7 @@ class TestTargetNetwork:
 
         def assert_disjoint():
             for name, tensor in trainer.critic.items():
-                assert not np.shares_memory(trainer.target.params[name].data, tensor.data)
+                assert not np.shares_memory(trainer.target[name].data, tensor.data)
 
         objects = owned()
         assert_disjoint()
@@ -518,8 +511,8 @@ class TestTargetNetwork:
             trainer.train_on_batch(batch)
             assert all(a is b for a, b in zip(owned(), objects, strict=True))
             assert not params_equal(trainer.actor, before)
-            assert trainer.target.counter == 0
-            assert params_equal(trainer.target.params, trainer.critic)
+            assert trainer.target_steps == 0
+            assert params_equal(trainer.target, trainer.critic)
             assert_disjoint()
             assert all(t.grad is None for t in tensors())
 
@@ -737,9 +730,9 @@ class TestPadding:
         poisoned.rewards[hole] = 1e6
         poisoned.actions[hole] = rng.integers(DIMS["m"], size=poisoned.actions[hole].shape)
 
-        trainer = make_trainer("coma-cc", seed=29)
-        adv = compute_advantages(batch, critic_batch_inputs(batch, "coma-cc"), "coma-cc",
-                                 trainer.critic, unrolled(trainer, batch), 0.99, False)
+        trainer = make_trainer("coma-cc", seed=29, gamma_adv_one=False)
+        adv = compute_advantages(trainer, batch, critic_batch_inputs(batch, "coma-cc"),
+                                 unrolled(trainer, batch))
         for b in (batch, poisoned):
             trainer.actor.zero_grads()
             probs = learn.unroll_policy(trainer.actor, trainer.actor_cfg, b)
@@ -765,10 +758,9 @@ class TestBatchComposition:
         those of the composed losses (``reference.py``'s term builders)."""
         batch = Batch.from_episodes(episodes)
         inputs = critic_batch_inputs(batch, algo)
-        targets, weights, actions = prepare_critic_batch(
-            batch, inputs, algo, trainer.target, 0.8, 0.99)
+        targets, weights, actions = prepare_critic_batch(trainer, batch, inputs)
         probs = unrolled(trainer, batch)
-        adv = compute_advantages(batch, inputs, algo, trainer.critic, probs, 0.99, False)
+        adv = compute_advantages(trainer, batch, inputs, probs)
         values = np.zeros((len(batch), batch.max_length))
         if algo != "centralv":
             values = cr.counterfactual_values(
@@ -795,7 +787,7 @@ class TestBatchComposition:
         ]
         longer = random_episode(rng, DIMS["n"], DIMS["m"], DIMS["state_width"],
                                 DIMS["obs_width"], max(lengths) + extra)
-        trainer = make_trainer(algo, seed=seed % 1000)
+        trainer = make_trainer(algo, seed=seed % 1000, gamma_adv_one=False)
         alone = self.rows(trainer, algo, episodes)
 
         order = list(range(len(episodes)))

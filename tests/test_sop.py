@@ -255,37 +255,28 @@ class TestMaxBufferKl:
                 expectation = kl_estimator_expectation(current[t, a], episode.dists[0, t, a])
                 assert abs(exact - expectation) < 1e-12
 
-    def test_sampled_kind_is_nonnegative_and_reported(self):
-        env, trainer, buffer, sample = make_setup(b=2)
-        fill(buffer, trainer, sample)
-        buffer.batch.dists[0] = 0.5 * buffer.batch.dists[0] + 0.5 / 3
-        kls = episode_kls(trainer.actor, trainer.actor_cfg, buffer.batch, "sampled")
-        max_kl, mean_kl = max_mean_kl(kls)
-        assert max_kl > 0.0 and mean_kl >= 0.0
-        assert all((k >= 0.0).all() for k in kls)
-
 
 class TestEpisodeKlsBatching:
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
-           st.integers(0, 2**32 - 1), st.sampled_from(["exact", "sampled"]))
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_each_episode_kl_is_independent_of_its_batch(self, lengths, seed, kind):
+    def test_each_episode_kl_is_independent_of_its_batch(self, lengths, seed):
         rng = np.random.default_rng(seed)
         cfg = ActorConfig(obs_width=3, n_agents=2, n_actions=3, gru_hidden=6)
         actor = actor_init(rng, cfg)
         episodes = [random_episode(rng, 2, 3, 4, 3, t, generation=i)
                     for i, t in enumerate(lengths)]
-        base = episode_kls(actor, cfg, Batch.from_episodes(episodes), kind)
+        base = episode_kls(actor, cfg, Batch.from_episodes(episodes))
         assert [k.shape for k in base] == [(t, 2) for t in lengths]
         order = rng.permutation(len(episodes))
-        shuffled = episode_kls(actor, cfg, Batch.from_episodes([episodes[i] for i in order]), kind)
+        shuffled = episode_kls(actor, cfg, Batch.from_episodes([episodes[i] for i in order]))
         longer = random_episode(rng, 2, 3, 4, 3, max(lengths) + 2)
-        appended = episode_kls(actor, cfg, Batch.from_episodes(episodes + [longer]), kind)
+        appended = episode_kls(actor, cfg, Batch.from_episodes(episodes + [longer]))
         for k, i in enumerate(order):
             assert shuffled[k].tobytes() == base[i].tobytes()
         for i, kls in enumerate(base):
             assert appended[i].tobytes() == kls.tobytes()
-            assert episode_kls(actor, cfg, episodes[i], kind)[0].tobytes() == kls.tobytes()
+            assert episode_kls(actor, cfg, episodes[i])[0].tobytes() == kls.tobytes()
 
 
 class TestReadOnlyBuffer:
@@ -386,13 +377,11 @@ class TestStrictIteration:
     def test_threshold_between_two_divergences_evicts_only_the_higher(self):
         # all-zero payoff and a zero critic keep the policy fixed, so the
         # planted divergences are measured exactly
-        from sopac.learn import TargetNetState
-
         payoff = ((0.0, 0.0), (0.0, 0.0))
         env, trainer, buffer, sample = make_setup(b=4, payoff=payoff, seed=13)
         for k, v in trainer.critic.items():
             v.data[...] = 0.0
-        trainer.target = TargetNetState(trainer.critic.copy())
+        trainer.target = trainer.critic.copy()
         for _ in range(3):
             buffer.insert(sample(trainer.actor, 1))
         uniform = 1.0 / trainer.actor_cfg.n_actions
